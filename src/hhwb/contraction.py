@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgcore import TENSOR_SEP, DgCategory, opposite, tensor
-from .qlinalg import SparseMatrix, StructuralError
+from .qlinalg import SparseMatrix, StructuralError, add_pivot, reduce_row, rref
 
 
 class FiniteAlgebra:
@@ -294,41 +294,6 @@ def _apply_cols(mat: SparseMatrix, vec):
 # -- tensor over the enveloping algebra ------------------------------------
 
 
-def _rref_rows(rows):
-    """In-place style RREF of sparse row dicts; returns (pivots, reduced)."""
-    pivots = {}
-    for row in rows:
-        r = dict(row)
-        while r:
-            lead = min(r)
-            piv = pivots.get(lead)
-            if piv is None:
-                inv = 1 / r[lead]
-                pivots[lead] = {c: v * inv for c, v in r.items()}
-                break
-            f = r[lead]
-            for c, v in piv.items():
-                s = r.get(c, 0) - f * v
-                if s:
-                    r[c] = s
-                else:
-                    r.pop(c, None)
-    # back-substitute so each pivot row touches no other pivot column
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for other in [c for c in row if c != lead and c in pivots]:
-            f = row.pop(other)
-            for c, v in pivots[other].items():
-                if c == other:
-                    continue
-                s = row.get(c, 0) - f * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-    return pivots
-
-
 @dataclass
 class TensorOverResult:
     dim: int
@@ -342,7 +307,7 @@ class TensorOverResult:
 
 
 def _quotient_from_relations(ambient_dim, rel_rows) -> TensorOverResult:
-    pivots = _rref_rows(rel_rows)
+    pivots = rref(rel_rows)
     free = [c for c in range(ambient_dim) if c not in pivots]
     pos = {c: i for i, c in enumerate(free)}
     ent = {}
@@ -413,7 +378,7 @@ def quotient_bimodule(m: FiniteBimodule, vectors) -> FiniteBimodule:
     """Quotient of m by the sub-bimodule generated by the given sparse
     vectors (closed under both actions)."""
     gens = [dict(v) for v in vectors]
-    pivots = _rref_rows(gens)
+    pivots = rref(gens)
     mats = list(m.left) + list(m.right)
     changed = True
     while changed:
@@ -424,22 +389,10 @@ def quotient_bimodule(m: FiniteBimodule, vectors) -> FiniteBimodule:
                 img = mat.apply(row)
                 if not img:
                     continue
-                r = dict(img)
-                while r:
-                    lead = min(r)
-                    piv = pivots.get(lead)
-                    if piv is None:
-                        inv = 1 / r[lead]
-                        pivots[lead] = {c: v * inv for c, v in r.items()}
-                        changed = True
-                        break
-                    f = r[lead]
-                    for c, v in piv.items():
-                        s = r.get(c, 0) - f * v
-                        if s:
-                            r[c] = s
-                        else:
-                            r.pop(c, None)
+                reduce_row(img, pivots)
+                if img:
+                    add_pivot(img, pivots)
+                    changed = True
     res = _quotient_from_relations(m.dim, [dict(r) for r in pivots.values()])
     left = [res.projection.mul(l.mul(res.inclusion)) for l in m.left]
     right = [res.projection.mul(r.mul(res.inclusion)) for r in m.right]
@@ -567,10 +520,10 @@ def warmup_factorization(a: FiniteAlgebra, m: FiniteBimodule) -> WarmupReport:
                             add(vec, (ai * d + bi) * dm + r, -v)
                         if vec:
                             rel_fac.append(vec)
-    piv_pi = _rref_rows(rel_pi)
-    piv_fac = _rref_rows(rel_fac)
-    piv_union = _rref_rows([dict(r) for r in piv_pi.values()]
-                           + [dict(r) for r in piv_fac.values()])
+    piv_pi = rref(rel_pi)
+    piv_fac = rref(rel_fac)
+    piv_union = rref([dict(r) for r in piv_pi.values()]
+                     + [dict(r) for r in piv_fac.values()])
     return WarmupReport(
         lhs_dim=ambient - len(piv_pi),
         rhs_dim=ambient - len(piv_fac),

@@ -285,7 +285,7 @@ def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,
         pieces_ok = all(
             f.degrees[i].certificate == "exact"
             for f in factors for i in range(k, 1))
-        if whole.degrees[k].certificate != "Exact" or not pieces_ok:
+        if whole.degrees[k].certificate != "exact" or not pieces_ok:
             continue
         if whole.degrees[k].dim != conv.get(k, 0):
             diags.append(

@@ -27,12 +27,14 @@ from .dgcore import (
 from .qlinalg import (
     EXACT,
     RankMode,
+    RankResult,
     SparseMatrix,
     StructuralError,
+    add_pivot,
     column_space_basis,
     kernel_basis,
-    rank,
     rank_info,
+    reduce_row,
     solve,
 )
 
@@ -113,6 +115,7 @@ class StandardComplex:
         self.d2: list[SparseMatrix] = [self._build_d2(m) for m in range(max_level + 1)]
         self._block_cache: dict[int, list[tuple[int, int]]] = {}
         self._diff_cache: dict[int, SparseMatrix] = {}
+        self._rank_cache: dict[tuple[int, RankMode], RankResult] = {}
         self._homology_cache: dict[int, tuple] = {}
 
     # -- enumeration -----------------------------------------------------
@@ -287,6 +290,13 @@ class StandardComplex:
         self._diff_cache[k] = mtx
         return mtx
 
+    def differential_rank(self, k, mode: RankMode = EXACT) -> RankResult:
+        """Rank of total_differential(k); each (k, mode) is ranked once."""
+        key = (k, mode)
+        if key not in self._rank_cache:
+            self._rank_cache[key] = rank_info(self.total_differential(k), mode)
+        return self._rank_cache[key]
+
     # -- truncation certificates ----------------------------------------
 
     def certified(self, k) -> bool:
@@ -317,42 +327,22 @@ class StandardComplex:
         cycles = kernel_basis(d_out)
         boundaries = column_space_basis(d_in)
         # greedily extend the boundary basis by cycles to pick representatives
-        rows = [dict(b) for b in boundaries]
         pivots = {}
-        for r in rows:
-            self._reduce_row(r, pivots)
+        for b in boundaries:
+            r = dict(b)
+            reduce_row(r, pivots)
             if r:
-                lead = min(r)
-                inv = 1 / r[lead]
-                pivots[lead] = {c: v * inv for c, v in r.items()}
+                add_pivot(r, pivots)
         reps = []
         for z in cycles:
             r = dict(z)
-            self._reduce_row(r, pivots)
+            reduce_row(r, pivots)
             if r:
-                lead = min(r)
-                inv = 1 / r[lead]
-                pivots[lead] = {c: v * inv for c, v in r.items()}
+                add_pivot(r, pivots)
                 reps.append(z)
         result = (reps, boundaries)
         self._homology_cache[k] = result
         return result
-
-    @staticmethod
-    def _reduce_row(r, pivots):
-        while r:
-            lead = min(r)
-            piv = pivots.get(lead)
-            if piv is None:
-                return
-            f = r[lead]
-            for c, v in piv.items():
-                s = r.get(c, 0) - f * v
-                if s:
-                    r[c] = s
-                else:
-                    r.pop(c, None)
-
 
 def build_complex(c: DgCategory, twist, max_level: int,
                   normalized: bool = True) -> StandardComplex:
@@ -406,15 +396,11 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
         d_in = sc.total_differential(k - 1)
         if not d_out.mul(d_in).is_zero():
             raise StructuralError(f"differential does not square to zero at degree {k}")
-        if mode.kind == "exact":
-            dim = (d_out.cols - rank(d_out, mode)) - rank(d_in, mode)
-            primes, agreed = (), True
-        else:
-            out_info = rank_info(d_out, mode)
-            in_info = rank_info(d_in, mode)
-            dim = (d_out.cols - out_info.value) - in_info.value
-            primes = tuple(p for p, _ in out_info.per_prime)
-            agreed = out_info.agreed and in_info.agreed
+        out_info = sc.differential_rank(k, mode)
+        in_info = sc.differential_rank(k - 1, mode)
+        dim = (d_out.cols - out_info.value) - in_info.value
+        primes = tuple(p for p, _ in out_info.per_prime)
+        agreed = out_info.agreed and in_info.agreed
         cert = "exact" if sc.certified(k) else "heuristic"
         reason = "" if cert == "exact" else (
             f"levels above {sc.max_level} may contribute near degree {k}; "

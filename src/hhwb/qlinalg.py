@@ -1,21 +1,25 @@
 """Exact rational and multi-modular sparse linear algebra.
 
-Everything is done over Q with `fractions.Fraction`; the modular path
-projects to GF(p) for large primes and is only used as a fast lower-bound
-oracle for ranks (equal to the rational rank for all but finitely many
-primes).
+Matrices hold `fractions.Fraction` entries.  One elimination kernel serves
+every routine: rank splits the rows into connected components and runs a
+sparse elimination with Markowitz-style pivots, over Q or over GF(p) on
+plain ints; the row-echelon routines (kernels, column spaces, solving)
+reduce rows one at a time against a pivot dict over Q.
+
+Modular mode is the fast path for ranks.  A rank mod p never exceeds the
+rank over Q, and equals it for all but finitely many primes; when the
+primes disagree, or one divides a denominator, the rank is recomputed
+over Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 # First two primes above 2^20.
 DEFAULT_PRIMES = (1048583, 1048589)
-
-# Above this many nonzeros, callers should prefer modular ranks.
-MODULAR_NNZ_THRESHOLD = 20000
 
 
 class StructuralError(ValueError):
@@ -23,7 +27,7 @@ class StructuralError(ValueError):
 
 
 class ModularFailure(RuntimeError):
-    """A prime divides a denominator, or all supplied primes failed."""
+    """A prime divides a denominator."""
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,6 @@ class RankMode:
 EXACT = RankMode.exact()
 
 
-def default_mode(nnz: int, threshold: int = MODULAR_NNZ_THRESHOLD) -> RankMode:
-    """Exact below the nonzero threshold, two-prime modular above it."""
-    return EXACT if nnz <= threshold else RankMode.modular()
-
-
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
@@ -86,10 +85,6 @@ class SparseMatrix:
         self.entries = ent
 
     @classmethod
-    def from_triples(cls, rows, cols, triples):
-        return cls(rows, cols, {(i, j): v for i, j, v in triples})
-
-    @classmethod
     def from_dense(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
@@ -113,10 +108,6 @@ class SparseMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def to_triples(self):
-        """Canonical row-major listing for reproducible serialization."""
-        return [(i, j, self.entries[(i, j)]) for i, j in sorted(self.entries)]
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows,
@@ -199,66 +190,161 @@ def _row_dicts(m: SparseMatrix):
     return [r for r in rows.values() if r]
 
 
-def _eliminate_rank(rows) -> int:
-    """Rank of a list of sparse row dicts over a field.
+# -- the elimination kernel -------------------------------------------------
+#
+# Rows are sparse dicts {column: value} with no zero values.  Values are
+# Fractions, or (for rank only) plain ints in [0, p) when a prime p is given.
 
-    Pivot choice is sparsity-aware: the sparsest remaining row, then its
-    column with the fewest occurrences elsewhere, to limit fill-in.
+
+def _subtract(row: dict, f, piv: dict) -> None:
+    """row -= f * piv in place, over Q; f = ±1 skips the multiplications."""
+    if f == 1:
+        items = piv.items()
+    elif f == -1:
+        items = [(c, -v) for c, v in piv.items()]
+    else:
+        items = [(c, f * v) for c, v in piv.items()]
+    for c, v in items:
+        s = row.get(c, 0) - v
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+
+
+def reduce_row(row: dict, pivots: dict) -> None:
+    """Reduce `row` in place against an echelon pivot dict over Q.
+
+    `pivots` maps a column to a row whose entry there is 1 and whose other
+    entries lie in larger columns.  The leading entry is cancelled while its
+    column has a pivot, so on return `row` is zero or leads with a column
+    that has none.
     """
-    rows = [dict(r) for r in rows if r]
+    while row:
+        lead = min(row)
+        piv = pivots.get(lead)
+        if piv is None:
+            return
+        _subtract(row, row[lead], piv)
+
+
+def add_pivot(row: dict, pivots: dict) -> int:
+    """Make a reduced nonzero row, scaled to 1 at its leading column, that
+    column's pivot and return the column.  `row` itself may be stored."""
+    lead = min(row)
+    x = row[lead]
+    if x == -1:
+        row = {c: -v for c, v in row.items()}
+    elif x != 1:
+        row = {c: v / x for c, v in row.items()}
+    pivots[lead] = row
+    return lead
+
+
+def rref(rows) -> dict:
+    """Reduced row echelon form over Q of some sparse rows.
+
+    Returns {pivot column: row}: each row is 1 at its pivot column, which is
+    its least column, and every other row is zero there.  The row space
+    determines the result, so the rows may be taken in any order; taking the
+    sparsest first keeps fill-in down.
+    """
+    pivots = {}
+    for row in sorted(rows, key=len):
+        r = dict(row)
+        reduce_row(r, pivots)
+        if r:
+            add_pivot(r, pivots)
+    # back-substitute, last pivot first, so no row touches another's pivot
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for other in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row[other], pivots[other])
+    return pivots
+
+
+def _components(rows) -> list:
+    """Group nonzero rows by connected component of the graph joining each
+    row to its columns.  Rank is the sum of the components' ranks."""
+    parent = {}
+
+    def find(c):
+        root = parent.setdefault(c, c)
+        while parent[root] != root:
+            root = parent[root]
+        while c != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    for r in rows:
+        cols = iter(r)
+        a = find(next(cols))
+        for c in cols:
+            b = find(c)
+            if b != a:
+                parent[b] = a
+    groups = {}
+    for r in rows:
+        groups.setdefault(find(next(iter(r))), []).append(r)
+    return list(groups.values())
+
+
+def _component_rank(rows, p: int) -> int:
+    """Rank of nonzero rows over Q (p == 0) or GF(p), by sparse elimination.
+
+    Each pivot is the sparsest remaining row, at its column shared with the
+    fewest other rows (ties to the smaller column).  A column -> rows index,
+    updated on every fill-in and cancellation, finds the rows to eliminate
+    and the column counts; a heap of (length, row) finds the sparsest row.
+    """
+    rows = {i: dict(r) for i, r in enumerate(rows)}
+    col_rows = {}
+    for i, r in rows.items():
+        for c in r:
+            col_rows.setdefault(c, set()).add(i)
+    heap = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(heap)
     rank = 0
-    while rows:
-        rows.sort(key=len)
-        piv_row = rows.pop(0)
-        col_count = {}
-        for r in rows:
-            for c in r:
-                col_count[c] = col_count.get(c, 0) + 1
-        piv_col = min(piv_row, key=lambda c: (col_count.get(c, 0), c))
-        piv_val = piv_row[piv_col]
+    while heap:
+        n, i = heapq.heappop(heap)
+        piv = rows.get(i)
+        if piv is None or len(piv) != n:
+            continue  # stale entry: the row changed or was used
+        del rows[i]
+        for c in piv:
+            col_rows[c].discard(i)
+        pc = min(piv, key=lambda c: (len(col_rows[c]), c))
         rank += 1
-        nxt = []
-        for r in rows:
-            if piv_col in r:
-                factor = r[piv_col] / piv_val
-                for c, v in piv_row.items():
-                    s = r.get(c, 0) - factor * v
+        hits = col_rows.pop(pc)
+        if not hits:
+            continue
+        pv = piv.pop(pc)
+        inv = pow(pv, -1, p) if p else 1 / pv
+        items = list(piv.items())
+        for j in hits:
+            r = rows[j]
+            f = (-r.pop(pc) * inv) % p if p else -r.pop(pc) * inv
+            for c, v in items:
+                old = r.get(c)
+                if old is None:
+                    r[c] = f * v % p if p else f * v
+                    col_rows[c].add(j)
+                else:
+                    s = (old + f * v) % p if p else old + f * v
                     if s:
                         r[c] = s
                     else:
-                        r.pop(c, None)
+                        del r[c]
+                        col_rows[c].discard(j)
             if r:
-                nxt.append(r)
-        rows = nxt
+                heapq.heappush(heap, (len(r), j))
+            else:
+                del rows[j]
     return rank
 
 
-class _GFp:
-    """Wraps an int mod p so the generic elimination can divide."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __truediv__(self, other):
-        return _GFp(self.v * pow(other.v, -1, self.p), self.p)
-
-    def __mul__(self, other):
-        return _GFp(self.v * other.v, self.p)
-
-    def __sub__(self, other):
-        return _GFp(self.v - other.v, self.p)
-
-    def __rsub__(self, other):  # 0 - self via r.get(c, 0)
-        return _GFp(other - self.v, self.p)
-
-    def __rmul__(self, other):
-        return _GFp(other * self.v, self.p)
+def _rank(rows, p: int = 0) -> int:
+    return sum(_component_rank(comp, p) for comp in _components(rows))
 
 
 def _rows_mod_p(m: SparseMatrix, p: int):
@@ -268,8 +354,8 @@ def _rows_mod_p(m: SparseMatrix, p: int):
             raise ModularFailure(f"prime {p} divides a denominator")
         r = (v.numerator * pow(v.denominator, -1, p)) % p
         if r:
-            rows.setdefault(i, {})[j] = _GFp(r, p)
-    return [r for r in rows.values() if r]
+            rows.setdefault(i, {})[j] = r
+    return list(rows.values())
 
 
 @dataclass(frozen=True)
@@ -285,83 +371,45 @@ class RankResult:
 
 
 def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:
+    """Rank of m, exactly or modulo each prime of a modular mode.
+
+    A rank mod p never exceeds the rank over Q.  When the primes disagree or
+    one divides a denominator, `value` is recomputed over Q; `per_prime`,
+    `failed_primes` and `agreed` still report what the primes gave.
+    """
     if mode.kind == "exact":
-        return RankResult(_eliminate_rank(_row_dicts(m)), mode)
+        return RankResult(_rank(_row_dicts(m)), mode)
     per_prime = []
     failed = []
     for p in mode.primes:
         try:
-            per_prime.append((p, _eliminate_rank(_rows_mod_p(m, p))))
+            rows = _rows_mod_p(m, p)
         except ModularFailure:
             failed.append(p)
-    if not per_prime:
-        raise ModularFailure(f"all primes {mode.primes} divide some denominator")
-    value = max(r for _, r in per_prime)
-    return RankResult(value, mode, tuple(per_prime), tuple(failed))
+            continue
+        per_prime.append((p, _rank(rows, p)))
+    result = RankResult(max((r for _, r in per_prime), default=0), mode,
+                        tuple(per_prime), tuple(failed))
+    if failed or not result.agreed:
+        result = replace(result, value=_rank(_row_dicts(m)))
+    return result
 
 
 def rank(m: SparseMatrix, mode: RankMode = EXACT) -> int:
     return rank_info(m, mode).value
 
 
-def _rref(rows_list, cols):
-    """Reduced row echelon form over Q.
-
-    Returns (pivots, reduced_rows) where pivots is the sorted list of pivot
-    columns and reduced_rows[i] has leading 1 in pivots[i].
-    """
-    rows = [dict(r) for r in rows_list if r]
-    pivots = []
-    reduced = []
-    for col in range(cols):
-        hit = None
-        for idx, r in enumerate(rows):
-            if col in r:
-                hit = idx
-                break
-        if hit is None:
-            continue
-        piv = rows.pop(hit)
-        inv = 1 / piv[col]
-        piv = {c: v * inv for c, v in piv.items()}
-        for r in rows:
-            if col in r:
-                f = r[col]
-                for c, v in piv.items():
-                    s = r.get(c, 0) - f * v
-                    if s:
-                        r[c] = s
-                    else:
-                        r.pop(c, None)
-        for r in reduced:
-            if col in r:
-                f = r[col]
-                for c, v in piv.items():
-                    s = r.get(c, 0) - f * v
-                    if s:
-                        r[c] = s
-                    else:
-                        r.pop(c, None)
-        pivots.append(col)
-        reduced.append(piv)
-        rows = [r for r in rows if r]
-        if not rows:
-            break
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [reduced[i] for i in order]
-
-
 def kernel_basis(m: SparseMatrix) -> list[dict]:
     """Exact kernel basis as sparse column vectors {row index: Fraction}."""
-    pivots, reduced = _rref(_row_dicts(m), m.cols)
-    pivot_set = set(pivots)
+    pivots = rref(_row_dicts(m))
+    order = sorted(pivots)
     basis = []
     for free in range(m.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         vec = {free: Fraction(1)}
-        for pcol, row in zip(pivots, reduced):
-            v = row.get(free, 0)
+        for pcol in order:
+            v = pivots[pcol].get(free, 0)
             if v:
                 vec[pcol] = -v
         basis.append(vec)
@@ -370,8 +418,8 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
 
 def column_space_basis(m: SparseMatrix) -> list[dict]:
     """An exact basis of the column space, as sparse column vectors."""
-    _, reduced = _rref(_row_dicts(m.transpose()), m.rows)
-    return [dict(r) for r in reduced]
+    pivots = rref(_row_dicts(m.transpose()))
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def homology_dimension(d_in: SparseMatrix, d_out: SparseMatrix,
@@ -418,12 +466,12 @@ def solve(m: SparseMatrix, b: dict):
             r[BCOL] = Fraction(b[i])
         if r:
             aug.append(r)
-    pivots, reduced = _rref(aug, m.cols + 1)
+    pivots = rref(aug)
+    if BCOL in pivots:
+        return None  # leading entry in augmented column: inconsistent
     x = {}
-    for pcol, row in zip(pivots, reduced):
-        if pcol == BCOL:
-            return None  # leading entry in augmented column: inconsistent
-        v = row.get(BCOL, 0)
+    for pcol in sorted(pivots):
+        v = pivots[pcol].get(BCOL, 0)
         if v:
             x[pcol] = v
     return x  # free variables are zero

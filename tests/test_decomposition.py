@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 import sympy
 
+from hhwb import decomposition
 from hhwb.decomposition import (
     CentralizerPresentation,
     Partition,
@@ -26,17 +27,26 @@ from hhwb.qlinalg import RankMode, StructuralError
 
 def series_rhs_oracle(h, n):
     """Coefficient of t^n in Π_{i≥1} Π_d (1 ∓ q^d t^i)^{∓h_d}, computed with
-    sympy; h maps non-positive degrees to dims, output likewise."""
+    sympy; h maps non-positive degrees to dims, output likewise.
+
+    Each factor is expanded to order t^n on its own and the product is
+    truncated at t^n after every multiplication, which gives the same
+    coefficient as expanding the whole product."""
     t, q = sympy.symbols("t q")
-    expr = sympy.Integer(1)
+
+    def truncated(expr):
+        expr = sympy.expand(expr)
+        return sympy.Add(*(expr.coeff(t, j) * t ** j for j in range(n + 1)))
+
+    prod = sympy.Integer(1)
     for i in range(1, n + 1):
         for d, dim in h.items():
             if d % 2 == 0:
-                expr *= (1 - q ** (-d) * t ** i) ** (-dim)
+                factor = (1 - q ** (-d) * t ** i) ** (-dim)
             else:
-                expr *= (1 + q ** (-d) * t ** i) ** dim
-    coeff = expr.series(t, 0, n + 1).removeO().expand().coeff(t, n)
-    poly = sympy.Poly(sympy.expand(coeff), q)
+                factor = (1 + q ** (-d) * t ** i) ** dim
+            prod = truncated(prod * factor.series(t, 0, n + 1).removeO())
+    poly = sympy.Poly(prod.coeff(t, n), q)
     return {-e: int(c) for (e,), c in poly.terms() if c}
 
 
@@ -200,6 +210,20 @@ def test_kunneth_factor_check_examples(K, D):
                                 max_level=3) == []
     assert kunneth_factor_check(D, Partition((1, 2)), [0, -1],
                                 max_level=2) == []
+
+
+def test_kunneth_factor_check_reports_a_wrong_convolution(D, monkeypatch):
+    convolve = decomposition.dims_convolve
+
+    def off_by_one(a, b):
+        out = dict(convolve(a, b))
+        out[0] = out.get(0, 0) + 1
+        return out
+
+    monkeypatch.setattr(decomposition, "dims_convolve", off_by_one)
+    diags = kunneth_factor_check(D, Partition((1, 1)), [0, -1, -2],
+                                 max_level=3)
+    assert "degree 0" in [d.split(":")[0] for d in diags]
 
 
 # -- the full comparison ----------------------------------------------------

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hhwb import hochschild
 from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
@@ -180,6 +181,25 @@ def test_hh_modular_mode_agrees(D):
     modular, _ = hh_dims(D, identity_functor(D), 4, range(-3, 1),
                          mode=RankMode.modular())
     assert exact == modular
+
+
+def test_each_total_differential_is_ranked_once(D, monkeypatch):
+    ranked = []
+    rank_info = hochschild.rank_info
+
+    def counting(m, mode):
+        ranked.append(m.cols)
+        return rank_info(m, mode)
+
+    monkeypatch.setattr(hochschild, "rank_info", counting)
+    sc = build_complex(D, identity_functor(D), 4, normalized=True)
+    mod = RankMode.modular()
+    first = total_homology(sc, range(-3, 1), mod).dims()
+    assert len(ranked) == 5  # total_differential(k) for k = -4..0
+    assert total_homology(sc, range(-3, 1), mod).dims() == first
+    assert len(ranked) == 5
+    total_homology(sc, range(-3, 1), EXACT)
+    assert len(ranked) == 10
 
 
 def test_certificates(D, E):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hhwb.qlinalg import (
@@ -127,6 +128,41 @@ def test_modular_provenance():
     assert len(info.per_prime) == 2
 
 
+P1, P2 = MOD.primes
+
+
+def test_modular_rank_falls_back_when_primes_disagree():
+    info = rank_info(SparseMatrix.from_dense([[P1]]), MOD)
+    assert info.per_prime == ((P1, 0), (P2, 1))
+    assert info.failed_primes == ()
+    assert not info.agreed
+    assert info.value == 1
+
+
+def test_modular_rank_falls_back_when_a_prime_divides_a_denominator():
+    info = rank_info(SparseMatrix.from_dense([[Fraction(1, P1)]]), MOD)
+    assert info.per_prime == ((P2, 1),)
+    assert info.failed_primes == (P1,)
+    assert info.agreed
+    assert info.value == 1
+
+
+def test_modular_rank_is_exact_when_the_surviving_prime_is_wrong():
+    # P1 divides a denominator and the entry P2 vanishes mod P2
+    m = SparseMatrix.from_dense([[Fraction(1, P1), 0], [0, P2]])
+    info = rank_info(m, MOD)
+    assert info.per_prime == ((P2, 1),)
+    assert info.failed_primes == (P1,)
+    assert info.value == 2
+
+
+def test_modular_rank_is_exact_when_every_prime_fails():
+    info = rank_info(SparseMatrix.from_dense([[Fraction(1, P1 * P2)]]), MOD)
+    assert info.per_prime == ()
+    assert info.failed_primes == (P1, P2)
+    assert info.value == 1
+
+
 @st.composite
 def small_matrices(draw):
     rows = draw(st.integers(1, 6))
@@ -163,3 +199,63 @@ def test_rank_invariant_under_permutation(m, perm):
     permuted = SparseMatrix(max(m.rows, 6), m.cols, ent)
     base = SparseMatrix(max(m.rows, 6), m.cols, dict(m.entries))
     assert rank(base) == rank(permuted)
+
+
+@st.composite
+def dense_blocks(draw):
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.integers(1, 8))
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+        max_size=24))
+    return rows, cols, {(i, j): v for i, j, v in cells if v}
+
+
+@st.composite
+def block_diagonal(draw):
+    """A matrix of 2-4 blocks with its rows and columns shuffled, and the
+    blocks as (rows, cols, entries)."""
+    blocks = draw(st.lists(dense_blocks(), min_size=2, max_size=4))
+    n_rows = sum(r for r, _, _ in blocks)
+    n_cols = sum(c for _, c, _ in blocks)
+    row_at = draw(st.permutations(range(n_rows)))
+    col_at = draw(st.permutations(range(n_cols)))
+    ent = {}
+    r0 = c0 = 0
+    for rows, cols, block in blocks:
+        for (i, j), v in block.items():
+            ent[(row_at[r0 + i], col_at[c0 + j])] = v
+        r0 += rows
+        c0 += cols
+    return SparseMatrix(n_rows, n_cols, ent), blocks
+
+
+def sympy_rank(rows, cols, entries):
+    return sympy.Matrix(rows, cols, lambda i, j: sympy.Rational(
+        entries.get((i, j), 0))).rank()
+
+
+@given(block_diagonal())
+@settings(max_examples=60, deadline=None)
+def test_rank_is_the_sum_of_block_ranks(case):
+    m, blocks = case
+    expected = sum(sympy_rank(*b) for b in blocks)
+    assert rank(m, EXACT) == expected
+    assert rank(m, MOD) == expected
+
+
+@given(block_diagonal(), st.lists(st.integers(-3, 3), min_size=32,
+                                  max_size=32))
+@settings(max_examples=60, deadline=None)
+def test_kernel_and_solve_on_block_diagonal(case, coords):
+    m, _ = case
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - rank(m)
+    for v in basis:
+        assert m.apply(v) == {}
+    x0 = {j: Fraction(c) for j, c in enumerate(coords[:m.cols]) if c}
+    b = m.apply(x0)
+    x = solve(m, b)
+    assert x is not None
+    assert m.apply(x) == b
