@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_PARSE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 class InputError(Exception):
@@ -178,19 +179,22 @@ def cache_dir(args) -> str | None:
 
 
 def cache_key(input_sha: str, options: dict) -> str:
-    blob = json.dumps({"input": input_sha, "options": options},
-                      sort_keys=True).encode()
+    blob = json.dumps({"input": input_sha, "options": options,
+                       "version": __version__}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def cache_get(cdir: str | None, key: str) -> bytes | None:
+def cache_get(cdir: str | None, key: str) -> tuple | None:
+    """(payload, report) of a cache hit, else None.  An entry that cannot be
+    read or parsed is a miss."""
     if not cdir:
         return None
     path = os.path.join(cdir, key + ".json")
     try:
         with open(path, "rb") as fh:
-            return fh.read()
-    except OSError:
+            payload = fh.read()
+        return payload, json.loads(payload)
+    except (OSError, ValueError):
         return None
 
 
@@ -283,9 +287,9 @@ def cmd_compute(args) -> int:
     input_sha = hashlib.sha256(raw).hexdigest()
     key = cache_key(input_sha, options)
     cdir = cache_dir(args)
-    cached = cache_get(cdir, key)
-    if cached is not None:
-        rep = json.loads(cached)
+    hit = cache_get(cdir, key)
+    if hit is not None:
+        cached, rep = hit
         rows = [(k, v["dim"], v["certificate"])
                 for k, v in sorted(rep["results"].items(),
                                    key=lambda kv: -int(kv[0]))]
@@ -328,10 +332,9 @@ def cmd_decompose(args) -> int:
     input_sha = hashlib.sha256(raw).hexdigest()
     key = cache_key(input_sha, options)
     cdir = cache_dir(args)
-    cached = cache_get(cdir, key)
-    if cached is not None:
-        rep = json.loads(cached)
-        verdicts = rep["results"]["verdicts"]
+    hit = cache_get(cdir, key)
+    if hit is not None:
+        cached, rep = hit
     else:
         cat = category_from_dict(data)
         diags = validate_category(cat)
@@ -347,7 +350,7 @@ def cmd_decompose(args) -> int:
         rep["results"] = report.to_dict()
         cached = report_bytes(rep)
         cache_put(cdir, key, cached)
-        verdicts = rep["results"]["verdicts"]
+    verdicts = rep["results"]["verdicts"]
     rows = [(k, rep["results"]["lhs_totals"][k],
              rep["results"]["rhs_totals"][k], verdicts[k])
             for k in sorted(verdicts, key=int, reverse=True)]
@@ -443,8 +446,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception:
+        import traceback  # only on this path: it adds to every start-up
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,35 +1,40 @@
 """Partition combinatorics and the symmetric-power decomposition check.
 
 The left side sums, over partitions λ of n, the S-invariants of the twisted
-homology of the n-th tensor power with the block-cyclic twist σ_λ.  The right
-side is the t-degree-n piece of the super-symmetric algebra on one copy of
-the untwisted homology per t-power.  Both sides are compared degreewise with
+homology of the n-th tensor power with the block-cyclic twist σ_λ.  S acts on
+chains by signed permutations, so the invariants are the homology of the
+signed-orbit complex C^S, which has one basis vector per signed orbit and is
+ranked like any other differential.  This is exact by Maschke's theorem:
+over Q, averaging over S is a chain-level projector onto C^S, so
+H(C)^S = H(C^S); over GF(p) the same holds for p > |S|.  The right side is
+the t-degree-n piece of the super-symmetric algebra on one copy of the
+untwisted homology per t-power.  Both sides are compared degreewise with
 truncation certificates tracked throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
-from .dgcore import DgCategory, Permutation, identity_nat, permutation_functor
+from .dgcore import DgCategory, Permutation, permutation_functor
 from .hochschild import (
     HomologySummary,
     StandardComplex,
     TwistSpec,
     build_complex,
-    homology_action,
-    induced_chain_map,
+    check_equivariant,
+    signed_chain_permutation,
     total_homology,
 )
 from .kunneth import dims_convolve
 from .qlinalg import (
     EXACT,
     RankMode,
+    RankResult,
     SparseMatrix,
     StructuralError,
-    projector_invariant_dim,
+    rank_info,
 )
 
 
@@ -166,49 +171,158 @@ def twisted_summand_dims(c: DgCategory, n: int, lam: Partition, degrees,
     return total_homology(sc, degrees, mode=mode)
 
 
-def _action_matrices(base: DgCategory, sc: StandardComplex, h: Permutation,
-                     degrees, mode: RankMode = EXACT) -> dict:
-    phi = permutation_functor(base, len(h.images), h, power=sc.category)
-    cm = induced_chain_map(phi, identity_nat(phi), sc, sc)
-    return homology_action(cm, degrees, mode=mode)
+class OrbitComplex:
+    """The invariant subcomplex C^G of a group G that acts on a standard
+    complex C by signed chain permutations, given by generators alone.
+
+    A signed orbit O with representative x spans the invariant vector
+    v_O = Σ_{y∈O} s(y)·y, where g·x = s(y)·y; an orbit whose stabilizer
+    acts on x by -1 has v_O = 0 and drops out.  The v_O form a basis of
+    C^G, and d(v_O) = Σ_{O'} D[O', O]·v_{O'} with
+    D[O', O] = Σ_{y∈O} s(y)·d[rep(O'), y].
+
+    Over Q averaging over G is a chain-level projector onto C^G (Maschke),
+    so H(C^G) = H(C)^G; over GF(p) the same holds for p > |G|.
+    """
+
+    def __init__(self, sc: StandardComplex, perms: list, mode: RankMode):
+        self.sc = sc
+        self.perms = perms
+        self.mode = mode
+        self._orbit_cache: dict = {}
+        self._rank_cache: dict = {}
+
+    def orbits(self, k):
+        """(reps, orbit_of, sign) on degree_block(k): the surviving orbits'
+        representatives, each position's orbit index (-1 when its orbit
+        drops out) and s(y)."""
+        if k in self._orbit_cache:
+            return self._orbit_cache[k]
+        block = self.sc.degree_block(k)
+        pos = {coord: j for j, coord in enumerate(block)}
+        gens = [[(pos[(m, perm[m][i][0])], perm[m][i][1]) for m, i in block]
+                for perm in self.perms]
+        sign = [0] * len(block)
+        orbit_of = [-1] * len(block)
+        reps = []
+        for start in range(len(block)):
+            if sign[start]:
+                continue
+            sign[start] = 1
+            members = [start]
+            alive = True
+            for x in members:  # grows while it is walked
+                for g in gens:
+                    y, s = g[x]
+                    want = s * sign[x]
+                    if not sign[y]:
+                        sign[y] = want
+                        members.append(y)
+                    elif sign[y] != want:
+                        alive = False
+            if alive:
+                for x in members:
+                    orbit_of[x] = len(reps)
+                reps.append(start)
+        self._orbit_cache[k] = (reps, orbit_of, sign)
+        return self._orbit_cache[k]
+
+    def dim(self, k) -> int:
+        if not self.perms:
+            return self.sc.block_dim(k)
+        return len(self.orbits(k)[0])
+
+    def differential(self, k) -> SparseMatrix:
+        """The orbit differential D from degree k to k+1, read off the
+        cached total_differential(k)."""
+        _, orbit_of, sign = self.orbits(k)
+        reps_out = self.orbits(k + 1)[0]
+        row_of = {r: o for o, r in enumerate(reps_out)}
+        ent = {}
+        for (r, c), v in self.sc.total_differential(k).entries.items():
+            row = row_of.get(r)
+            col = orbit_of[c]
+            if row is None or col < 0:
+                continue
+            s = ent.get((row, col), 0) + (v if sign[c] == 1 else -v)
+            if s:
+                ent[(row, col)] = s
+            else:
+                del ent[(row, col)]
+        return SparseMatrix(len(reps_out), self.dim(k), ent)
+
+    def differential_rank(self, k) -> RankResult:
+        """Rank of the orbit differential from degree k to k+1; without
+        generators, the complex's own cached rank."""
+        if not self.perms:
+            return self.sc.differential_rank(k, self.mode)
+        if k not in self._rank_cache:
+            self._rank_cache[k] = rank_info(self.differential(k), self.mode)
+        return self._rank_cache[k]
+
+    def homology(self, k) -> tuple:
+        """(dim H_k(C^G), whether every prime agreed on both ranks)."""
+        out_info = self.differential_rank(k)
+        in_info = self.differential_rank(k - 1)
+        dim = self.dim(k) - out_info.value - in_info.value
+        return dim, out_info.agreed and in_info.agreed
+
+
+def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
+                               h: Permutation) -> list:
+    phi = permutation_functor(c, len(h.images), h, power=sc.category)
+    perm = signed_chain_permutation(sc, phi)
+    check_equivariant(sc, perm)
+    return perm
 
 
 def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
                    max_level: int, normalized: bool = True,
                    mode: RankMode = EXACT, check_rotations: bool = True,
-                   strict: bool = False, _sc: StandardComplex | None = None
-                   ) -> dict:
+                   strict: bool = False, _sc: StandardComplex | None = None,
+                   _agreed: dict | None = None) -> dict:
     """Dimensions of the S-invariants of the λ-summand per degree.
 
-    Rotations act trivially on homology, so only the block-permutation part
-    S of the centralizer is averaged; strict=True additionally averages over
-    the rotations as a redundancy check.
+    Each is the homology of the signed-orbit complex of S (OrbitComplex).
+    Every generator's chain permutation is checked to commute with the
+    differential.  Rotations act trivially on homology, so only the
+    block-permutation part S of the centralizer is needed; check_rotations
+    verifies it as the rank identity dim H(C^<c>) = dim H(C), and
+    strict=True adds the rotations to the generators as well.  When given,
+    `_agreed` gets each degree mapped to False once a rank it used had
+    primes that disagreed.
     """
     sc = _sc if _sc is not None else _lambda_complex(c, n, lam, max_level,
                                                      normalized)
-    pres = centralizer_gens(lam)
-    gens = list(pres.s_generators)
-    if strict:
-        gens += pres.c_generators
-    group = group_closure(gens, n)
-    if not strict and len(group) != pres.s_order:
-        raise StructuralError("block-swap group has unexpected order")
-    actions = [_action_matrices(c, sc, h, degrees, mode=mode) for h in group]
-    out = {}
     for k in degrees:
-        hdim = actions[0][k].rows
-        acc = SparseMatrix.zeros(hdim, hdim)
-        for act in actions:
-            acc = acc.add(act[k])
-        proj = acc.scale(Fraction(1, len(group)))
-        out[k] = projector_invariant_dim(proj, mode=mode)
-    if check_rotations:
-        for rot in pres.c_generators:
-            act = _action_matrices(c, sc, rot, degrees, mode=mode)
-            for k in degrees:
-                if act[k] != SparseMatrix.identity(act[k].rows):
-                    raise StructuralError(
-                        f"rotation {rot} acts non-trivially in degree {k}")
+        if not sc.certified(k):
+            raise StructuralError(
+                f"degree {k} lacks an exact truncation certificate")
+    pres = centralizer_gens(lam)
+    s_perms = [_checked_chain_permutation(c, sc, g)
+               for g in pres.s_generators]
+    c_perms = ([_checked_chain_permutation(c, sc, g)
+                for g in pres.c_generators]
+               if check_rotations or strict else [])
+    agreed = _agreed if _agreed is not None else {}
+
+    def homology(perms) -> dict:
+        oc = OrbitComplex(sc, perms, mode)
+        dims = {}
+        for k in degrees:
+            dims[k], ok = oc.homology(k)
+            agreed[k] = agreed.get(k, True) and ok
+        return dims
+
+    out = homology(s_perms + (c_perms if strict else []))
+    if check_rotations and c_perms:
+        full = homology([])
+        rotated = homology(c_perms)
+        for k in degrees:
+            if rotated[k] != full[k]:
+                raise StructuralError(
+                    f"rotations act non-trivially in degree {k}: "
+                    f"dim H(C^<c>) = {rotated[k]} != dim H(C) = {full[k]}")
     return out
 
 
@@ -318,6 +432,7 @@ class DecompositionReport:
     max_level: int
     normalized: bool
     mode: str
+    agreed: dict         # degree -> every rank it used had agreeing primes
 
     @property
     def all_equal(self) -> bool:
@@ -343,6 +458,7 @@ class DecompositionReport:
             "lhs_totals": {str(k): v for k, v in sorted(self.lhs_totals.items())},
             "rhs_totals": {str(k): v for k, v in sorted(self.rhs_totals.items())},
             "verdicts": {str(k): v for k, v in sorted(self.verdicts.items())},
+            "agreed": {str(k): v for k, v in sorted(self.agreed.items())},
             "max_level": self.max_level,
             "normalized": self.normalized,
             "mode": self.mode,
@@ -354,20 +470,27 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
                          strict: bool = False) -> DecompositionReport:
     """Compare, degree by degree, the sum over partitions of invariant
     twisted dims with the super-symmetric-power prediction from the
-    untwisted homology of a single factor."""
+    untwisted homology of a single factor.
+
+    `agreed` is, per degree, whether the primes agreed on every rank that
+    degree used: the λ complexes, their orbit complexes and the factor
+    complex (always True in exact mode)."""
     degrees = sorted(set(degrees), reverse=True)
     window = list(range(min(degrees), 1))
     per_partition = []
     lhs_totals = {k: 0 for k in degrees}
     lhs_cert = {k: True for k in degrees}
+    agreed = {k: True for k in degrees}
     for lam in partitions(n):
         sc = _lambda_complex(c, n, lam, max_level, normalized)
         summary = total_homology(sc, window, mode=mode)
         certified = {k: summary.degrees[k].certificate == "exact"
                      for k in degrees}
+        for k in degrees:
+            agreed[k] = agreed[k] and summary.degrees[k].agreed
         action_degrees = [k for k in degrees if certified[k]]
         inv = invariant_dims(c, n, lam, action_degrees, max_level, normalized,
-                             mode=mode, strict=strict, _sc=sc)
+                             mode=mode, strict=strict, _sc=sc, _agreed=agreed)
         pres = centralizer_gens(lam)
         per_partition.append(PartitionSummary(
             partition=lam,
@@ -392,6 +515,9 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
                for i in range(k, 1))
         for k in degrees
     }
+    for k in degrees:
+        agreed[k] = agreed[k] and all(factor_summary.degrees[i].agreed
+                                      for i in range(k, 1))
     verdicts = {}
     for k in degrees:
         if not (lhs_cert[k] and rhs_cert[k]):
@@ -411,4 +537,5 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         max_level=max_level,
         normalized=normalized,
         mode=mode.kind if hasattr(mode, "kind") else str(mode),
+        agreed=agreed,
     )

@@ -10,7 +10,7 @@ that iterated tensor powers flatten automatically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 TENSOR_SEP = "⊗"
@@ -566,9 +566,3 @@ def star_transform(phi1: DgFunctor, alpha1: NatTransform,
     return NatTransform(src or phi, dst or phi, comps,
                         alpha1.degree + alpha2.degree)
 
-
-GradedDims = dict  # total degree -> dimension
-
-
-def dims_equal_on(d1: GradedDims, d2: GradedDims, degrees) -> bool:
-    return all(d1.get(k, 0) == d2.get(k, 0) for k in degrees)

@@ -21,7 +21,6 @@ from .dgcore import (
     identity_functor,
     permutation_functor,
     tensor_power,
-    validate_functor,
     validate_nat_transform,
 )
 from .qlinalg import (
@@ -60,13 +59,6 @@ class TwistSpec:
     @staticmethod
     def functor(name: str):
         return TwistSpec("functor", functor_name=name)
-
-    def describe(self) -> str:
-        if self.kind == "identity":
-            return "identity"
-        if self.kind == "permutation":
-            return f"perm:{self.n}:{Permutation(self.permutation).cycle_string()}"
-        return f"functor:{self.functor_name}"
 
 
 def resolve_twist(c: DgCategory, spec: TwistSpec,
@@ -154,9 +146,6 @@ class StandardComplex:
                         chains.append(Chain(objs, coeff, tuple(slots), deg))
             self.levels.append(chains)
             self.index.append({ch: i for i, ch in enumerate(chains)})
-
-    def chain_index(self, ch: Chain):
-        return self.index[ch.level].get(ch)
 
     def _emit(self, acc, col, m_target, objects, coeff_lin, slot_lins, scalar):
         """Accumulate scalar * (coeff ⊗ slots) expanded over linear
@@ -377,12 +366,6 @@ class HomologySummary:
     def dims(self):
         return {k: r.dim for k, r in self.degrees.items()}
 
-    def certified_dims(self):
-        return {k: r.dim for k, r in self.degrees.items() if r.certificate == "exact"}
-
-    def all_exact(self) -> bool:
-        return all(r.certificate == "exact" for r in self.degrees.values())
-
 
 def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
                    ) -> HomologySummary:
@@ -428,18 +411,6 @@ class ChainMapData:
                 if lhs != rhs:
                     diags.append(f"face differential not respected at level {m}")
         return diags
-
-    def block_map(self, k) -> SparseMatrix:
-        """The induced map on total-degree-k blocks."""
-        src = self.source.degree_block(k)
-        tgt = self.target.degree_block(k)
-        tgt_pos = {coord: i for i, coord in enumerate(tgt)}
-        ent = {}
-        for j, (m, i) in enumerate(src):
-            for (r, c), v in self.blocks[m].entries.items():
-                if c == i and (m, r) in tgt_pos:
-                    ent[(tgt_pos[(m, r)], j)] = v
-        return SparseMatrix(len(tgt), len(src), ent)
 
     def apply_block_vector(self, k, vec):
         """Push a sparse vector in source degree-k coordinates to target."""
@@ -510,6 +481,80 @@ def twist_endo_map(sc: StandardComplex) -> ChainMapData:
                                 Fraction(1)}
                           for obj in sc.category.objects}, 0)
     return induced_chain_map(F, alpha, sc, sc)
+
+
+def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor) -> list:
+    """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
+    automorphism phi that sends every basis morphism to ±1 times another.
+
+    One list per level m: entry i is (j, s) when chain i goes to s times
+    chain j.  This is the chain map of phi whose coefficient transform is
+    the unit at F(phi(c0)); it is a chain map only when phi commutes with
+    the twist F, which check_equivariant verifies.
+    """
+    images = {}
+
+    def image(bid):
+        if bid not in images:
+            img = phi.apply_basis(bid)
+            if len(img) != 1 or next(iter(img.values())) not in (1, -1):
+                raise StructuralError(
+                    f"{phi.name or 'functor'} does not send {bid} to ±1 "
+                    f"times a basis morphism")
+            ((t, v),) = img.items()
+            images[bid] = (t, int(v))
+        return images[bid]
+
+    perm = []
+    for m, chains in enumerate(sc.levels):
+        index = sc.index[m]
+        level = []
+        for ch in chains:
+            coeff, sign = image(ch.coeff)
+            slots = []
+            for s in ch.slots:
+                t, v = image(s)
+                slots.append(t)
+                sign *= v
+            objs = tuple(phi.apply_obj(o) for o in ch.objects)
+            j = index.get(Chain(objs, coeff, tuple(slots), ch.degree))
+            if j is None:
+                raise StructuralError(
+                    f"{phi.name or 'functor'} sends a level-{m} chain out of "
+                    f"the complex")
+            level.append((j, sign))
+        if len({j for j, _ in level}) != len(level):
+            raise StructuralError(
+                f"{phi.name or 'functor'} is not injective on level {m}")
+        perm.append(level)
+    return perm
+
+
+def check_equivariant(sc: StandardComplex, perm: list) -> None:
+    """Raise StructuralError unless the signed chain permutation `perm`
+    commutes with d1 and d2: d[g r, g c] = s(r) s(c) d[r, c] for every
+    nonzero entry.  `perm` is a bijection on each level (as
+    signed_chain_permutation ensures), so this maps the nonzero entries of
+    each block injectively into themselves, which makes g d = d g exact."""
+
+    def respects(mtx, row_perm, col_perm) -> bool:
+        ent = mtx.entries
+        for (r, c), v in ent.items():
+            r2, sr = row_perm[r]
+            c2, sc_ = col_perm[c]
+            if ent.get((r2, c2)) != (v if sr == sc_ else -v):
+                return False
+        return True
+
+    for m in range(sc.max_level + 1):
+        if not respects(sc.d1[m], perm[m], perm[m]):
+            raise StructuralError(
+                f"chain permutation does not commute with the internal "
+                f"differential at level {m}")
+        if m >= 1 and not respects(sc.d2[m], perm[m - 1], perm[m]):
+            raise StructuralError(
+                f"chain permutation does not commute with the face "
+                f"differential at level {m}")
 
 
 def homotopy_H(sc: StandardComplex) -> list[SparseMatrix]:

@@ -8,7 +8,7 @@ levels (k, l), with columns indexed by pairs of source chains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dgcore import TENSOR_SEP, functor_equal, tensor, tensor_functor
@@ -29,10 +29,6 @@ class ShuffleMap:
 
     def col(self, k, l, i, j) -> int:
         return i * len(self.b.levels[l]) + j
-
-    def block_shape(self, k, l):
-        return (len(self.target.levels[k + l]),
-                len(self.a.levels[k]) * len(self.b.levels[l]))
 
 
 def _total_deg(ch, level):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from hhwb.cli import main
+from hhwb import cli
+from hhwb.cli import EXIT_INTERNAL, main
+from hhwb.qlinalg import StructuralError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GROUND = str(FIXTURES / "ground_field.json")
@@ -138,6 +140,38 @@ def test_compute_cache_is_byte_identical(tmp_path, capsys):
     assert len(list(cdir.glob("*.json"))) == 2
 
 
+def test_cache_key_includes_version(tmp_path, capsys, monkeypatch):
+    cdir = tmp_path / "cache"
+    args = ["compute", GROUND, "--mode", "exact", "--max-level", "2",
+            "--degrees=0..0", "--cache-dir", str(cdir)]
+    assert run(capsys, *args)[0] == 0
+    monkeypatch.setattr(cli, "__version__", cli.__version__ + ".post1")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert json.loads(out)["version"] == cli.__version__
+    assert len(list(cdir.glob("*.json"))) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", DUAL, "--mode", "exact", "--max-level", "3",
+     "--degrees=-2..0"],
+    ["decompose", DUAL, "--n", "2", "--max-level", "3", "--degrees=-1..0"],
+], ids=["compute", "decompose"])
+def test_truncated_cache_entry_is_a_miss(tmp_path, capsys, argv):
+    cdir = tmp_path / "cache"
+    args = argv + ["--cache-dir", str(cdir)]
+    code1, out1, _ = run(capsys, *args)
+    (entry,) = cdir.glob("*.json")
+    entry.write_bytes(entry.read_bytes()[:40])
+    code2, out2, err2 = run(capsys, *args)
+    assert code1 == code2 == 0, err2
+    first, second = json.loads(out1), json.loads(out2)
+    for rep in (first, second):
+        rep["timings"].pop("wall_seconds")
+    assert first == second
+    assert json.loads(entry.read_bytes()) == json.loads(out2)
+
+
 def test_cache_dir_from_env(tmp_path, capsys, monkeypatch):
     cdir = tmp_path / "envcache"
     monkeypatch.setenv("HHWB_CACHE_DIR", str(cdir))
@@ -174,6 +208,33 @@ def test_decompose_heuristic_exit_code(capsys):
     rep = json.loads(out)
     assert rep["results"]["verdicts"]["-2"] == "Heuristic"
     assert rep["results"]["verdicts"]["0"] == "Equal"
+
+
+@pytest.mark.parametrize("mode", ["exact", "modular"])
+@pytest.mark.parametrize("n,total", [(2, 5), (3, 10)])
+def test_decompose_multi_object_quiver(capsys, mode, n, total):
+    rep = run_json(capsys, "decompose", QUIVER, "--n", str(n),
+                   "--mode", mode)
+    res = rep["results"]
+    assert res["lhs_totals"]["0"] == res["rhs_totals"]["0"] == total
+    assert res["lhs_totals"] == res["rhs_totals"]
+    assert set(res["verdicts"].values()) == {"Equal"}
+    assert all(res["agreed"].values())
+
+
+@pytest.mark.parametrize("exc", [StructuralError("broken"),
+                                 RuntimeError("bug")],
+                         ids=["structural", "other"])
+def test_internal_error_is_not_a_mismatch(capsys, monkeypatch, exc):
+    def crash(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "verify_decomposition", crash)
+    code, out, err = run(capsys, "decompose", GROUND, "--n", "2",
+                         "--max-level", "2", "--degrees=0..0")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert str(exc) in err
 
 
 # -- series -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -6,6 +8,7 @@ import sympy
 from hhwb import decomposition
 from hhwb.decomposition import (
     CentralizerPresentation,
+    OrbitComplex,
     Partition,
     centralizer_gens,
     group_closure,
@@ -18,8 +21,68 @@ from hhwb.decomposition import (
     twisted_summand_dims,
     verify_decomposition,
 )
-from hhwb.dgcore import Permutation
-from hhwb.qlinalg import RankMode, StructuralError
+from hhwb.dgcore import (
+    BasisInfo,
+    DgCategory,
+    Permutation,
+    identity_nat,
+    permutation_functor,
+)
+from hhwb.hochschild import (
+    TwistSpec,
+    build_complex,
+    check_equivariant,
+    homology_action,
+    induced_chain_map,
+    signed_chain_permutation,
+)
+from hhwb.qlinalg import (
+    EXACT,
+    RankMode,
+    SparseMatrix,
+    StructuralError,
+    projector_invariant_dim,
+)
+
+from conftest import dual_numbers
+
+
+def odd_negative_dual():
+    """k[z]/z^2 with |z| = -1: swapping tensor factors of z⊗z costs a sign,
+    so some signed orbits drop out, while every degree stays certified."""
+    return DgCategory(
+        objects=["*"],
+        basis={"1": BasisInfo("*", "*", 0), "z": BasisInfo("*", "*", -1)},
+        units={"*": "1"},
+        compose={("z", "z"): {}},
+        diff={},
+        name="Z",
+    )
+
+
+def lambda_complex(c, lam, max_level):
+    return build_complex(c, TwistSpec.perm(lam.n, sigma_of(lam)), max_level)
+
+
+def projector_invariants_oracle(c, lam, degrees, max_level):
+    """S-invariant dims by the projector pipeline: every group element's
+    induced chain map (checked to commute), its exact action on homology,
+    the averaged projector and its rank."""
+    sc = lambda_complex(c, lam, max_level)
+    group = group_closure(centralizer_gens(lam).s_generators, lam.n)
+    actions = []
+    for h in group:
+        phi = permutation_functor(c, lam.n, h, power=sc.category)
+        cm = induced_chain_map(phi, identity_nat(phi), sc, sc)
+        actions.append(homology_action(cm, degrees))
+    out = {}
+    for k in degrees:
+        dim = actions[0][k].rows
+        acc = SparseMatrix.zeros(dim, dim)
+        for act in actions:
+            acc = acc.add(act[k])
+        out[k] = projector_invariant_dim(acc.scale(Fraction(1, len(group))))
+    return out
 
 
 # -- series oracle ----------------------------------------------------------
@@ -204,6 +267,138 @@ def test_invariants_strict_mode_agrees(D):
     assert strict == {0: 2, -1: 1}
 
 
+@pytest.mark.parametrize("make", [dual_numbers, odd_negative_dual],
+                         ids=["D", "Z"])
+@pytest.mark.parametrize("lam", partitions(2) + partitions(3), ids=str)
+def test_orbit_invariants_match_projector_oracle(make, lam):
+    c = make()
+    degrees = [0, -1, -2]
+    assert invariant_dims(c, lam.n, lam, degrees, max_level=3) == \
+        projector_invariants_oracle(c, lam, degrees, max_level=3)
+
+
+def test_orbits_with_sign_stabilizer_drop_out():
+    # on Z^{⊗2}, the swap sends the level-0 chain z⊗z to -z⊗z (Koszul sign)
+    Z = odd_negative_dual()
+    lam = Partition((1, 1))
+    sc = lambda_complex(Z, lam, 3)
+    swap = permutation_functor(Z, 2, centralizer_gens(lam).s_generators[0],
+                               power=sc.category)
+    oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap)], EXACT)
+    reps, orbit_of, sign = oc.orbits(-2)
+    (zz,) = [j for j, (m, i) in enumerate(sc.degree_block(-2))
+             if sc.levels[m][i].coeff == "z⊗z"]
+    assert orbit_of[zz] == -1
+    assert all(s in (1, -1) for s in sign)
+    assert len(reps) < sc.block_dim(-2)
+
+
+@pytest.mark.parametrize("make,lam", [
+    (odd_negative_dual, Partition((1, 1))),
+    (odd_negative_dual, Partition((1, 1, 1))),
+    (dual_numbers, Partition((1, 1, 1))),
+], ids=["Z-(1,1)", "Z-(1,1,1)", "D-(1,1,1)"])
+def test_orbit_vectors_span_an_invariant_subcomplex(make, lam):
+    # v_O = Σ s(y)·y is fixed by every generator, and d(v_O) expands as
+    # Σ D[O', O]·v_{O'} with the orbit differential D
+    c = make()
+    sc = lambda_complex(c, lam, 3)
+    perms = []
+    for g in centralizer_gens(lam).s_generators:
+        phi = permutation_functor(c, lam.n, g, power=sc.category)
+        perms.append(signed_chain_permutation(sc, phi))
+    oc = OrbitComplex(sc, perms, EXACT)
+
+    def vectors(k):
+        _, orbit_of, sign = oc.orbits(k)
+        vecs = [{} for _ in oc.orbits(k)[0]]
+        for j, o in enumerate(orbit_of):
+            if o >= 0:
+                vecs[o][j] = Fraction(sign[j])
+        return vecs
+
+    negative = 0
+    for k in range(-6, 1):  # on Z, signs -1 appear from degree -4 down
+        block = sc.degree_block(k)
+        pos = {coord: j for j, coord in enumerate(block)}
+        src, tgt = vectors(k), vectors(k + 1)
+        negative += sum(v < 0 for vec in src for v in vec.values())
+        for perm in perms:
+            for vec in src:
+                moved = {}
+                for j, v in vec.items():
+                    m, i = block[j]
+                    t, s = perm[m][i]
+                    moved[pos[(m, t)]] = s * v
+                assert moved == vec
+        dmat = oc.differential(k)
+        for o, vec in enumerate(src):
+            want = {}
+            for (r, col), v in dmat.entries.items():
+                if col == o:
+                    for j, w in tgt[r].items():
+                        want[j] = want.get(j, 0) + v * w
+            want = {j: v for j, v in want.items() if v}
+            assert sc.total_differential(k).apply(vec) == want
+    if c.name == "Z":
+        assert negative
+
+
+def test_decomposition_odd_negative_dual():
+    Z = odd_negative_dual()
+    two = verify_decomposition(Z, 2, [0, -1, -2, -3], max_level=4)
+    assert two.all_equal
+    three = verify_decomposition(Z, 3, [0, -1, -2], max_level=3,
+                                 mode=RankMode.modular())
+    assert three.all_equal
+    assert three.lhs_totals == three.rhs_totals == {0: 3, -1: 4, -2: 5}
+
+
+def test_flipped_sign_breaks_equivariance(D):
+    lam = Partition((1, 1))
+    sc = lambda_complex(D, lam, 3)
+    swap = permutation_functor(D, 2, centralizer_gens(lam).s_generators[0],
+                               power=sc.category)
+    perm = signed_chain_permutation(sc, swap)
+    check_equivariant(sc, perm)
+    # d2 vanishes on level 1 of the commutative D^{⊗2}, not on level 2
+    cols = sorted({c for _, c in sc.d2[2].entries})
+    assert cols
+    for col in cols:
+        flipped = [list(level) for level in perm]
+        j, s = flipped[2][col]
+        flipped[2][col] = (j, -s)
+        with pytest.raises(StructuralError, match="does not commute"):
+            check_equivariant(sc, flipped)
+
+
+def test_non_commuting_generator_is_rejected(D, monkeypatch):
+    # (1 2) does not commute with sigma = (2 3), so its chain permutation
+    # does not commute with the face differential
+    lam = Partition((1, 2))
+    bad = CentralizerPresentation(3, lam, [],
+                                  [Permutation.from_cycles(3, [(1, 2)])])
+    monkeypatch.setattr(decomposition, "centralizer_gens", lambda _lam: bad)
+    with pytest.raises(StructuralError, match="face differential"):
+        invariant_dims(D, 3, lam, [0, -1], max_level=2)
+
+
+def test_nontrivial_rotation_is_rejected(D, monkeypatch):
+    # pass the swap off as a rotation of (1,1): it acts non-trivially on
+    # homology, which the rank identity dim H(C^<c>) = dim H(C) must catch
+    lam = Partition((1, 1))
+    swap = Permutation.from_cycles(2, [(1, 2)])
+    fake = CentralizerPresentation(2, lam, [swap], [])
+    monkeypatch.setattr(decomposition, "centralizer_gens", lambda _lam: fake)
+    with pytest.raises(StructuralError, match="act non-trivially in degree 0"):
+        invariant_dims(D, 2, lam, [0, -1], max_level=3)
+
+
+def test_invariants_refuse_uncertified_degree(D):
+    with pytest.raises(StructuralError, match="certificate"):
+        invariant_dims(D, 2, Partition((1, 1)), [-2], max_level=2)
+
+
 def test_kunneth_factor_check_examples(K, D):
     assert kunneth_factor_check(K, Partition((1, 2)), [0], max_level=2) == []
     assert kunneth_factor_check(D, Partition((1, 1)), [0, -1, -2],
@@ -258,6 +453,29 @@ def test_decomposition_report_roundtrip(K):
     d = rep.to_dict()
     assert d["lhs_totals"] == {"0": 3, "-1": 0}
     assert d["verdicts"]["0"] == "Equal"
+
+
+def test_decomposition_reports_prime_agreement(D):
+    rep = verify_decomposition(D, 2, [0, -1, -2, -3], max_level=4,
+                               mode=RankMode.modular())
+    assert rep.agreed == {0: True, -1: True, -2: True, -3: True}
+    assert rep.to_dict()["agreed"] == {"0": True, "-1": True, "-2": True,
+                                       "-3": True}
+
+
+def test_decomposition_reports_orbit_rank_disagreement(D, monkeypatch):
+    # a disagreement on an orbit-complex rank must reach `agreed`
+    rank_info = decomposition.rank_info
+
+    def disagreeing(m, mode=EXACT):
+        r = rank_info(m, mode)
+        return replace(r, per_prime=((1048583, r.value), (1048589, -1)))
+
+    monkeypatch.setattr(decomposition, "rank_info", disagreeing)
+    rep = verify_decomposition(D, 2, [0, -1], max_level=3,
+                               mode=RankMode.modular())
+    assert rep.agreed == {0: False, -1: False}
+    assert rep.all_equal
 
 
 @pytest.mark.slow

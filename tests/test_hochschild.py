@@ -19,14 +19,22 @@ from hhwb.dgcore import (
 from hhwb.hochschild import (
     TwistSpec,
     build_complex,
+    check_equivariant,
     homology_action,
     homotopy_H,
     identity_chain_map,
     induced_chain_map,
+    signed_chain_permutation,
     total_homology,
     twist_endo_map,
 )
-from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, projector_invariant_dim
+from hhwb.qlinalg import (
+    EXACT,
+    RankMode,
+    SparseMatrix,
+    StructuralError,
+    projector_invariant_dim,
+)
 
 from conftest import dual_numbers, odd_dual, quiver_a2, square_zero_with_diff
 
@@ -356,6 +364,30 @@ def test_swap_action_on_hh0_of_square(D):
     assert a0.rows == a0.cols == 4
     proj = a0.add(SparseMatrix.identity(4)).scale(Fraction(1, 2))
     assert projector_invariant_dim(proj) == 3
+
+
+# -- signed chain permutations ----------------------------------------------
+
+
+def test_signed_chain_permutation_matches_induced_chain_map(D):
+    F = negx(D)
+    sc = build_complex(D, F, 3, normalized=True)
+    perm = signed_chain_permutation(sc, F)
+    check_equivariant(sc, perm)
+    cm = induced_chain_map(F, identity_nat(F), sc, sc)
+    for m, level in enumerate(perm):
+        assert cm.blocks[m].entries == {(j, i): Fraction(s)
+                                        for i, (j, s) in enumerate(level)}
+
+
+def test_signed_chain_permutation_refuses_a_scaling(D):
+    from hhwb.dgcore import DgFunctor
+    twice = DgFunctor(D, D, {"*": "*"},
+                      {"1": {"1": Fraction(1)}, "x": {"x": Fraction(2)}},
+                      name="twox")
+    sc = build_complex(D, identity_functor(D), 2, normalized=True)
+    with pytest.raises(StructuralError, match="±1"):
+        signed_chain_permutation(sc, twice)
 
 
 def test_twist_endo_acts_as_identity_on_homology(D):
