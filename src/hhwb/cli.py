@@ -312,6 +312,7 @@ def cmd_compute(args) -> int:
             "mode": r.mode,
             "primes": list(r.primes) if r.primes else None,
             "agreed": r.agreed,
+            "exact_fallback": r.exact_fallback,
             "reason": r.reason,
         }
         for k, r in summary.degrees.items()

@@ -261,11 +261,11 @@ class OrbitComplex:
         return self._rank_cache[k]
 
     def homology(self, k) -> tuple:
-        """(dim H_k(C^G), whether every prime agreed on both ranks)."""
+        """(dim H_k(C^G), the two RankResults it was computed from)."""
         out_info = self.differential_rank(k)
         in_info = self.differential_rank(k - 1)
         dim = self.dim(k) - out_info.value - in_info.value
-        return dim, out_info.agreed and in_info.agreed
+        return dim, (out_info, in_info)
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
@@ -280,7 +280,7 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
                    max_level: int, normalized: bool = True,
                    mode: RankMode = EXACT, check_rotations: bool = True,
                    strict: bool = False, _sc: StandardComplex | None = None,
-                   _agreed: dict | None = None) -> dict:
+                   _ranks: dict | None = None) -> dict:
     """Dimensions of the S-invariants of the λ-summand per degree.
 
     Each is the homology of the signed-orbit complex of S (OrbitComplex).
@@ -289,8 +289,7 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
     block-permutation part S of the centralizer is needed; check_rotations
     verifies it as the rank identity dim H(C^<c>) = dim H(C), and
     strict=True adds the rotations to the generators as well.  When given,
-    `_agreed` gets each degree mapped to False once a rank it used had
-    primes that disagreed.
+    `_ranks` gets, per degree, the RankResults of every rank it used.
     """
     sc = _sc if _sc is not None else _lambda_complex(c, n, lam, max_level,
                                                      normalized)
@@ -304,14 +303,14 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
     c_perms = ([_checked_chain_permutation(c, sc, g)
                 for g in pres.c_generators]
                if check_rotations or strict else [])
-    agreed = _agreed if _agreed is not None else {}
+    ranks = _ranks if _ranks is not None else {}
 
     def homology(perms) -> dict:
         oc = OrbitComplex(sc, perms, mode)
         dims = {}
         for k in degrees:
-            dims[k], ok = oc.homology(k)
-            agreed[k] = agreed.get(k, True) and ok
+            dims[k], used = oc.homology(k)
+            ranks.setdefault(k, []).extend(used)
         return dims
 
     out = homology(s_perms + (c_perms if strict else []))
@@ -433,6 +432,7 @@ class DecompositionReport:
     normalized: bool
     mode: str
     agreed: dict         # degree -> every rank it used had agreeing primes
+    exact_fallback: dict  # degree -> a rank it used was recomputed over Q
 
     @property
     def all_equal(self) -> bool:
@@ -459,6 +459,8 @@ class DecompositionReport:
             "rhs_totals": {str(k): v for k, v in sorted(self.rhs_totals.items())},
             "verdicts": {str(k): v for k, v in sorted(self.verdicts.items())},
             "agreed": {str(k): v for k, v in sorted(self.agreed.items())},
+            "exact_fallback": {str(k): v
+                               for k, v in sorted(self.exact_fallback.items())},
             "max_level": self.max_level,
             "normalized": self.normalized,
             "mode": self.mode,
@@ -474,23 +476,25 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
 
     `agreed` is, per degree, whether the primes agreed on every rank that
     degree used: the λ complexes, their orbit complexes and the factor
-    complex (always True in exact mode)."""
+    complex (always True in exact mode).  `exact_fallback` is, per degree,
+    whether any of those ranks was recomputed over Q because a prime
+    failed or the primes disagreed."""
     degrees = sorted(set(degrees), reverse=True)
     window = list(range(min(degrees), 1))
     per_partition = []
     lhs_totals = {k: 0 for k in degrees}
     lhs_cert = {k: True for k in degrees}
-    agreed = {k: True for k in degrees}
+    used = {k: [] for k in degrees}  # the RankResults and DegreeResults of k
     for lam in partitions(n):
         sc = _lambda_complex(c, n, lam, max_level, normalized)
         summary = total_homology(sc, window, mode=mode)
         certified = {k: summary.degrees[k].certificate == "exact"
                      for k in degrees}
         for k in degrees:
-            agreed[k] = agreed[k] and summary.degrees[k].agreed
+            used[k].append(summary.degrees[k])
         action_degrees = [k for k in degrees if certified[k]]
         inv = invariant_dims(c, n, lam, action_degrees, max_level, normalized,
-                             mode=mode, strict=strict, _sc=sc, _agreed=agreed)
+                             mode=mode, strict=strict, _sc=sc, _ranks=used)
         pres = centralizer_gens(lam)
         per_partition.append(PartitionSummary(
             partition=lam,
@@ -516,8 +520,7 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         for k in degrees
     }
     for k in degrees:
-        agreed[k] = agreed[k] and all(factor_summary.degrees[i].agreed
-                                      for i in range(k, 1))
+        used[k] += [factor_summary.degrees[i] for i in range(k, 1)]
     verdicts = {}
     for k in degrees:
         if not (lhs_cert[k] and rhs_cert[k]):
@@ -537,5 +540,7 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         max_level=max_level,
         normalized=normalized,
         mode=mode.kind if hasattr(mode, "kind") else str(mode),
-        agreed=agreed,
+        agreed={k: all(u.agreed for u in used[k]) for k in degrees},
+        exact_fallback={k: any(u.exact_fallback for u in used[k])
+                        for k in degrees},
     )

@@ -4,13 +4,22 @@ Chains at level m are a coefficient morphism a0 in hom(c1, F(c0)) followed
 by bar slots a_i in hom(c_{i+1}, c_i), cyclically (the last slot starts at
 c0).  The complex is graded by total cohomological degree
 k = (internal degree) - (level), and both differentials raise k by one.
+
+A chain is stored as the tuple (a0, a1, ..., am) of its basis morphisms,
+each interned as an int (its position in the sorted basis ids).  The
+objects follow from the ids: c_i = tgt(a_i) for i >= 1, and c0 = src(am),
+or src(a0) at level 0.  The differentials are assembled from per-basis-int
+tables (degree, differential, twist, and a lazily filled composition
+table) whose coefficients are ints where the structure constants are
+integral and Fractions where they are not; nothing divides, and every
+finished matrix holds Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import prod
 
 from .dgcore import (
     DgCategory,
@@ -40,13 +49,12 @@ from .qlinalg import (
 
 @dataclass(frozen=True)
 class TwistSpec:
-    """How the coefficient bimodule is twisted: identity, a named
-    endofunctor, or a signed permutation of tensor factors."""
+    """How the coefficient bimodule is twisted: identity, or a signed
+    permutation of tensor factors."""
 
-    kind: str = "identity"  # "identity" | "functor" | "permutation"
+    kind: str = "identity"  # "identity" | "permutation"
     n: int = 0
     permutation: tuple[int, ...] = ()
-    functor_name: str = ""
 
     @staticmethod
     def identity():
@@ -56,13 +64,8 @@ class TwistSpec:
     def perm(n: int, p: Permutation):
         return TwistSpec("permutation", n=n, permutation=p.images)
 
-    @staticmethod
-    def functor(name: str):
-        return TwistSpec("functor", functor_name=name)
 
-
-def resolve_twist(c: DgCategory, spec: TwistSpec,
-                  functors: dict | None = None) -> tuple[DgCategory, DgFunctor]:
+def resolve_twist(c: DgCategory, spec: TwistSpec) -> tuple[DgCategory, DgFunctor]:
     """Returns (category, endofunctor); for permutation twists the category
     is replaced by the n-th tensor power."""
     if spec.kind == "identity":
@@ -71,26 +74,72 @@ def resolve_twist(c: DgCategory, spec: TwistSpec,
         power = tensor_power(c, spec.n)
         return power, permutation_functor(c, spec.n, Permutation(spec.permutation),
                                           power=power)
-    if functors is None or spec.functor_name not in functors:
-        raise StructuralError(f"unknown twist functor {spec.functor_name!r}")
-    return c, functors[spec.functor_name]
+    raise StructuralError(f"unknown twist kind {spec.kind!r}")
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Basis chain: objects (c0..cm), coefficient basis id, bar slot ids."""
+def _lin(index: dict, x: dict) -> tuple:
+    """A linear combination {basis id: Fraction} as ((basis int, c), ...),
+    where c is an int when it is integral and a Fraction otherwise."""
+    return tuple((index[b], c.numerator if c.denominator == 1 else c)
+                 for b, c in x.items())
 
-    objects: tuple[str, ...]
-    coeff: str
-    slots: tuple[str, ...]
-    degree: int  # internal degree: |coeff| + sum |slots|
 
-    @property
-    def level(self):
-        return len(self.slots)
+def _emit(acc, col, row_of, head, lin, tail, scalar):
+    """acc[(row, col)] += scalar * c for each term (b, c) of `lin` whose
+    chain head + (b,) + tail has a row in `row_of`; chains outside the
+    (normalized) catalog are dropped."""
+    for b, c in lin:
+        row = row_of.get(head + (b,) + tail)
+        if row is not None:
+            key = (row, col)
+            s = acc.get(key, 0) + scalar * c
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+
+
+def _emit_product(acc, col, row_of, lins, scalar):
+    """acc[(row, col)] += scalar * (lins[0] ⊗ ... ⊗ lins[m]), expanded over
+    the linear combinations ((b, c), ...) given per chain position."""
+    for combo in itertools.product(*lins):
+        row = row_of.get(tuple(b for b, _ in combo))
+        if row is None:
+            continue
+        val = scalar
+        for _, c in combo:
+            val *= c
+        key = (row, col)
+        s = acc.get(key, 0) + val
+        if s:
+            acc[key] = s
+        else:
+            acc.pop(key, None)
+
+
+class _ComposeTable(dict):
+    """(g, f) -> g∘f on basis ints (f applied first) as ((b, c), ...),
+    filled on first use; empty unless f and g compose."""
+
+    def __init__(self, category: DgCategory, basis_ids: tuple, index: dict):
+        super().__init__()
+        self.category = category
+        self.basis_ids = basis_ids
+        self.index = index
+
+    def __missing__(self, key):
+        g, f = self.basis_ids[key[0]], self.basis_ids[key[1]]
+        cat = self.category
+        out = (_lin(self.index, cat.compose_basis(g, f))
+               if cat.basis[f].tgt == cat.basis[g].src else ())
+        self[key] = out
+        return out
 
 
 class StandardComplex:
+    """The truncated standard complex; `levels[m]` lists the level-m chains
+    as tuples of basis ints and `row_of[m]` maps each chain to its row."""
+
     def __init__(self, category: DgCategory, twist: DgFunctor, max_level: int,
                  normalized: bool, twist_spec: TwistSpec | None = None):
         if max_level < 0:
@@ -100,156 +149,121 @@ class StandardComplex:
         self.max_level = max_level
         self.normalized = normalized
         self.twist_spec = twist_spec
-        self.levels: list[list[Chain]] = []
-        self.index: list[dict[Chain, int]] = []
+        self.basis_ids: tuple[str, ...] = tuple(sorted(category.basis))
+        self.basis_index = {b: i for i, b in enumerate(self.basis_ids)}
+        self._deg = [category.deg(b) for b in self.basis_ids]
+        self._diff = [_lin(self.basis_index, category.diff_basis(b))
+                      for b in self.basis_ids]
+        self._twist = [_lin(self.basis_index, twist.apply_basis(b))
+                       for b in self.basis_ids]
+        self.compose = _ComposeTable(category, self.basis_ids, self.basis_index)
+        self.levels: list[list[tuple[int, ...]]] = []
+        self.row_of: list[dict[tuple[int, ...], int]] = []
         self._enumerate_levels()
         self.d1: list[SparseMatrix] = [self._build_d1(m) for m in range(max_level + 1)]
         self.d2: list[SparseMatrix] = [self._build_d2(m) for m in range(max_level + 1)]
-        self._block_cache: dict[int, list[tuple[int, int]]] = {}
+        self._blocks: dict[int, list[tuple[int, int]]] | None = None
         self._diff_cache: dict[int, SparseMatrix] = {}
         self._rank_cache: dict[tuple[int, RankMode], RankResult] = {}
         self._homology_cache: dict[int, tuple] = {}
 
-    # -- enumeration -----------------------------------------------------
+    # -- basis ints and chains ----------------------------------------------
 
-    def _slot_choices(self, src, tgt):
-        ids = self.category.hom(src, tgt)
-        if self.normalized:
-            ids = tuple(b for b in ids if not self.category.is_unit(b))
-        return ids
+    def degree(self, chain) -> int:
+        """Internal degree |a0| + |a1| + ... + |am| of a chain."""
+        return sum(map(self._deg.__getitem__, chain))
+
+    def objects(self, chain) -> tuple[str, ...]:
+        """(c0, c1, ..., cm): c_i = tgt(a_i) for i >= 1, c0 = src(am)."""
+        basis, ids = self.category.basis, self.basis_ids
+        return ((basis[ids[chain[-1]]].src,)
+                + tuple(basis[ids[b]].tgt for b in chain[1:]))
+
+    def chain_ids(self, m: int, i: int) -> tuple[str, ...]:
+        """The basis ids (a0, a1, ..., am) of chain i at level m."""
+        ids = self.basis_ids
+        return tuple(ids[b] for b in self.levels[m][i])
+
+    # -- enumeration -----------------------------------------------------
 
     def _enumerate_levels(self):
         cat, F = self.category, self.twist
+        index = self.basis_index
+        homs = {}
+
+        def hom(src, tgt):
+            """(every basis int, the bar-slot choices) of hom(src, tgt)."""
+            key = (src, tgt)
+            if key not in homs:
+                ids = cat.hom(src, tgt)
+                homs[key] = (tuple(index[b] for b in ids),
+                             tuple(index[b] for b in ids
+                                   if not (self.normalized and cat.is_unit(b))))
+            return homs[key]
+
         for m in range(self.max_level + 1):
             chains = []
             for objs in itertools.product(cat.objects, repeat=m + 1):
                 c0 = objs[0]
-                coeff_src = objs[1] if m >= 1 else objs[0]
-                coeffs = cat.hom(coeff_src, F.apply_obj(c0))
-                if not coeffs:
-                    continue
-                slot_ranges = []
-                ok = True
+                ranges = [hom(objs[1] if m else c0, F.apply_obj(c0))[0]]
                 for i in range(1, m + 1):
-                    src = objs[i + 1] if i < m else objs[0]
-                    choices = self._slot_choices(src, objs[i])
-                    if not choices:
-                        ok = False
-                        break
-                    slot_ranges.append(choices)
-                if not ok:
-                    continue
-                for coeff in coeffs:
-                    base_deg = cat.deg(coeff)
-                    for slots in itertools.product(*slot_ranges):
-                        deg = base_deg + sum(cat.deg(s) for s in slots)
-                        chains.append(Chain(objs, coeff, tuple(slots), deg))
+                    ranges.append(hom(objs[i + 1] if i < m else c0, objs[i])[1])
+                if all(ranges):
+                    chains.extend(itertools.product(*ranges))
             self.levels.append(chains)
-            self.index.append({ch: i for i, ch in enumerate(chains)})
-
-    def _emit(self, acc, col, m_target, objects, coeff_lin, slot_lins, scalar):
-        """Accumulate scalar * (coeff ⊗ slots) expanded over linear
-        combinations into level m_target chains; silently drops chains that
-        fall outside the (normalized) catalog."""
-        if not scalar:
-            return
-        cat = self.category
-        for coeff, c0 in coeff_lin.items():
-            for combo in itertools.product(*[list(l.items()) for l in slot_lins]):
-                slots = tuple(b for b, _ in combo)
-                if self.normalized and any(cat.is_unit(b) for b in slots):
-                    continue
-                val = scalar * c0
-                for _, cv in combo:
-                    val *= cv
-                deg = cat.deg(coeff) + sum(cat.deg(s) for s in slots)
-                ch = Chain(objects, coeff, slots, deg)
-                row = self.index[m_target].get(ch)
-                if row is None:
-                    continue
-                s = acc.get((row, col), 0) + val
-                if s:
-                    acc[(row, col)] = s
-                else:
-                    acc.pop((row, col), None)
+            self.row_of.append({ch: i for i, ch in enumerate(chains)})
 
     # -- differentials ---------------------------------------------------
 
     def _build_d1(self, m) -> SparseMatrix:
-        """Internal differential with the total-complex sign (-1)^m."""
-        cat = self.category
-        dim = len(self.levels[m])
+        """Internal differential with the total-complex sign (-1)^m; the
+        differential of a_p carries the Koszul sign of a0 ... a_{p-1}."""
+        deg, diff, row_of = self._deg, self._diff, self.row_of[m]
         acc = {}
-        alt = (-1) ** m
         for col, ch in enumerate(self.levels[m]):
-            one = {ch.coeff: Fraction(1)}
-            slot_ids = [{s: Fraction(1)} for s in ch.slots]
-            # differentiate the coefficient
-            dcoeff = cat.diff_basis(ch.coeff)
-            if dcoeff:
-                self._emit(acc, col, m, ch.objects, dcoeff, slot_ids, Fraction(alt))
-            # differentiate each slot with the Koszul prefix sign
-            prefix = cat.deg(ch.coeff)
-            for i, s in enumerate(ch.slots):
-                ds = cat.diff_basis(s)
-                if ds:
-                    lins = list(slot_ids)
-                    lins[i] = ds
-                    self._emit(acc, col, m, ch.objects, one, lins,
-                               Fraction(alt * (-1) ** prefix))
-                prefix += cat.deg(s)
+            sign = -1 if m % 2 else 1
+            for p, a in enumerate(ch):
+                if diff[a]:
+                    _emit(acc, col, row_of, ch[:p], diff[a], ch[p + 1:], sign)
+                if deg[a] % 2:
+                    sign = -sign
+        dim = len(self.levels[m])
         return SparseMatrix(dim, dim, acc)
 
     def _build_d2(self, m) -> SparseMatrix:
-        cat, F = self.category, self.twist
-        rows = len(self.levels[m - 1]) if m >= 1 else 0
+        """Faces a_i∘a_{i+1} with sign (-1)^i, then the wrap-around face
+        where the last slot acts through the twist."""
         cols = len(self.levels[m])
         if m == 0:
             return SparseMatrix(0, cols)
+        deg, twist, compose = self._deg, self._twist, self.compose
+        row_of = self.row_of[m - 1]
         acc = {}
         for col, ch in enumerate(self.levels[m]):
-            objs = ch.objects
-            slots = ch.slots
-            # first face: compose the coefficient with the first slot
-            comp = cat.compose_basis(ch.coeff, slots[0])
-            if comp:
-                new_objs = (objs[0],) + objs[2:]
-                self._emit(acc, col, m - 1, new_objs, comp,
-                           [{s: Fraction(1)} for s in slots[1:]], Fraction(1))
-            # inner faces
-            for i in range(1, m):
-                comp = cat.compose_basis(slots[i - 1], slots[i])
-                if comp:
-                    new_objs = objs[:i + 1] + objs[i + 2:]
-                    lins = ([{s: Fraction(1)} for s in slots[:i - 1]] + [comp]
-                            + [{s: Fraction(1)} for s in slots[i + 1:]])
-                    self._emit(acc, col, m - 1, new_objs,
-                               {ch.coeff: Fraction(1)}, lins, Fraction((-1) ** i))
-            # wrap-around face: last slot acts through the twist
-            last = slots[m - 1]
-            rest_deg = ch.degree - cat.deg(last)
-            sign = (-1) ** (m + cat.deg(last) * rest_deg)
-            new_coeff = cat.compose_lin(F.apply_basis(last),
-                                        {ch.coeff: Fraction(1)})
-            if new_coeff:
-                new_objs = (objs[m],) + objs[1:m]
-                self._emit(acc, col, m - 1, new_objs, new_coeff,
-                           [{s: Fraction(1)} for s in slots[:m - 1]],
-                           Fraction(sign))
-        return SparseMatrix(rows, cols, acc)
+            for i in range(m):
+                lin = compose[ch[i], ch[i + 1]]
+                if lin:
+                    _emit(acc, col, row_of, ch[:i], lin, ch[i + 2:],
+                          -1 if i % 2 else 1)
+            last, a0 = ch[m], ch[0]
+            lin = [(b, ct * c) for t, ct in twist[last] for b, c in compose[t, a0]]
+            if lin:
+                d = deg[last]
+                sign = -1 if (m + d * (self.degree(ch) - d)) % 2 else 1
+                _emit(acc, col, row_of, (), lin, ch[1:m], sign)
+        return SparseMatrix(len(self.levels[m - 1]), cols, acc)
 
     # -- total-degree bookkeeping ---------------------------------------
 
     def degree_block(self, k) -> list[tuple[int, int]]:
         """Global coordinates of total degree k: list of (level, local index)."""
-        if k not in self._block_cache:
-            coords = []
+        if self._blocks is None:
+            blocks = {}
             for m, chains in enumerate(self.levels):
                 for i, ch in enumerate(chains):
-                    if ch.degree - m == k:
-                        coords.append((m, i))
-            self._block_cache[k] = coords
-        return self._block_cache[k]
+                    blocks.setdefault(self.degree(ch) - m, []).append((m, i))
+            self._blocks = blocks
+        return self._blocks.get(k, [])
 
     def block_dim(self, k) -> int:
         return len(self.degree_block(k))
@@ -270,12 +284,11 @@ class StandardComplex:
             for (r, c), v in self.d1[m].entries.items():
                 if c in local and (m, r) in tgt_pos:
                     ent[(tgt_pos[(m, r)], local[c])] = v
+            # d2 lands one level below d1, so the two never share an entry
             for (r, c), v in self.d2[m].entries.items():
                 if c in local and (m - 1, r) in tgt_pos:
-                    key = (tgt_pos[(m - 1, r)], local[c])
-                    ent[key] = ent.get(key, 0) + v
-        mtx = SparseMatrix(len(tgt), len(src),
-                           {k_: v for k_, v in ent.items() if v})
+                    ent[(tgt_pos[(m - 1, r)], local[c])] = v
+        mtx = SparseMatrix(len(tgt), len(src), ent)
         self._diff_cache[k] = mtx
         return mtx
 
@@ -357,6 +370,7 @@ class DegreeResult:
     primes: tuple[int, ...] = ()
     agreed: bool = True
     reason: str = ""
+    exact_fallback: bool = False  # a rank it used was recomputed over Q
 
 
 @dataclass
@@ -388,7 +402,8 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
         reason = "" if cert == "exact" else (
             f"levels above {sc.max_level} may contribute near degree {k}; "
             f"compare max_level {sc.max_level} and {sc.max_level + 1}")
-        out[k] = DegreeResult(dim, cert, mode.kind, primes, agreed, reason)
+        out[k] = DegreeResult(dim, cert, mode.kind, primes, agreed, reason,
+                              out_info.exact_fallback or in_info.exact_fallback)
     return HomologySummary(out)
 
 
@@ -416,17 +431,23 @@ class ChainMapData:
         """Push a sparse vector in source degree-k coordinates to target."""
         src = self.source.degree_block(k)
         tgt_pos = {coord: i for i, coord in enumerate(self.target.degree_block(k))}
+        by_col = {}  # level -> {column: [(row, value), ...]}, indexed on use
         out = {}
         for j, coef in vec.items():
             m, i = src[j]
-            for (r, c), v in self.blocks[m].entries.items():
-                if c == i and (m, r) in tgt_pos:
-                    key = tgt_pos[(m, r)]
-                    s = out.get(key, 0) + v * coef
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+            if m not in by_col:
+                index = by_col[m] = {}
+                for (r, c), v in self.blocks[m].entries.items():
+                    index.setdefault(c, []).append((r, v))
+            for r, v in by_col[m].get(i, ()):
+                key = tgt_pos.get((m, r))
+                if key is None:
+                    continue
+                s = out.get(key, 0) + v * coef
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
         return out
 
 
@@ -449,16 +470,21 @@ def induced_chain_map(phi: DgFunctor, alpha: NatTransform,
                     raise StructuralError(
                         f"coefficient transform at {obj} does not run "
                         f"phi∘F -> F'∘phi")
-    blocks = []
     cat_t = tgt.category
+    images = [_lin(tgt.basis_index, phi.apply_basis(b)) for b in src.basis_ids]
+    coeffs = {}  # (c0, a0) -> alpha_{c0} ∘ phi(a0) on target basis ints
+    blocks = []
     for m in range(src.max_level + 1):
         acc = {}
+        row_of = tgt.row_of[m]
         for col, ch in enumerate(src.levels[m]):
-            new_objs = tuple(phi.apply_obj(o) for o in ch.objects)
-            coeff_lin = cat_t.compose_lin(alpha.component(ch.objects[0]),
-                                          phi.apply_basis(ch.coeff))
-            slot_lins = [phi.apply_basis(s) for s in ch.slots]
-            tgt._emit(acc, col, m, new_objs, coeff_lin, slot_lins, Fraction(1))
+            key = (src.objects(ch)[0], ch[0])
+            if key not in coeffs:
+                coeffs[key] = _lin(tgt.basis_index, cat_t.compose_lin(
+                    alpha.component(key[0]),
+                    phi.apply_basis(src.basis_ids[ch[0]])))
+            _emit_product(acc, col, row_of,
+                          [coeffs[key]] + [images[b] for b in ch[1:]], 1)
         blocks.append(SparseMatrix(len(tgt.levels[m]), len(src.levels[m]), acc))
     cm = ChainMapData(src, tgt, blocks)
     if check:
@@ -477,8 +503,7 @@ def twist_endo_map(sc: StandardComplex) -> ChainMapData:
     """(F, id)_* for the complex's own twist F."""
     F = sc.twist
     alpha = NatTransform(compose_functors(F, F), compose_functors(F, F),
-                         {obj: {sc.category.unit(F.apply_obj(F.apply_obj(obj))):
-                                Fraction(1)}
+                         {obj: {sc.category.unit(F.apply_obj(F.apply_obj(obj))): 1}
                           for obj in sc.category.objects}, 0)
     return induced_chain_map(F, alpha, sc, sc)
 
@@ -492,37 +517,28 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor) -> list:
     the unit at F(phi(c0)); it is a chain map only when phi commutes with
     the twist F, which check_equivariant verifies.
     """
-    images = {}
-
-    def image(bid):
-        if bid not in images:
-            img = phi.apply_basis(bid)
-            if len(img) != 1 or next(iter(img.values())) not in (1, -1):
-                raise StructuralError(
-                    f"{phi.name or 'functor'} does not send {bid} to ±1 "
-                    f"times a basis morphism")
-            ((t, v),) = img.items()
-            images[bid] = (t, int(v))
-        return images[bid]
+    target, sign = [], []  # basis int -> its image's basis int and sign
+    for bid in sc.basis_ids:
+        img = phi.apply_basis(bid)
+        if len(img) != 1 or next(iter(img.values())) not in (1, -1):
+            raise StructuralError(
+                f"{phi.name or 'functor'} does not send {bid} to ±1 "
+                f"times a basis morphism")
+        ((t, v),) = img.items()
+        target.append(sc.basis_index[t])
+        sign.append(int(v))
 
     perm = []
     for m, chains in enumerate(sc.levels):
-        index = sc.index[m]
+        row_of = sc.row_of[m]
         level = []
         for ch in chains:
-            coeff, sign = image(ch.coeff)
-            slots = []
-            for s in ch.slots:
-                t, v = image(s)
-                slots.append(t)
-                sign *= v
-            objs = tuple(phi.apply_obj(o) for o in ch.objects)
-            j = index.get(Chain(objs, coeff, tuple(slots), ch.degree))
+            j = row_of.get(tuple(map(target.__getitem__, ch)))
             if j is None:
                 raise StructuralError(
                     f"{phi.name or 'functor'} sends a level-{m} chain out of "
                     f"the complex")
-            level.append((j, sign))
+            level.append((j, prod(map(sign.__getitem__, ch))))
         if len({j for j, _ in level}) != len(level):
             raise StructuralError(
                 f"{phi.name or 'functor'} is not injective on level {m}")
@@ -565,32 +581,27 @@ def homotopy_H(sc: StandardComplex) -> list[SparseMatrix]:
     where both sides are defined.
     """
     cat, F = sc.category, sc.twist
+    deg, twist = sc._deg, sc._twist
     out = []
     for k in range(sc.max_level):
         acc = {}
+        row_of = sc.row_of[k + 1]
         for col, ch in enumerate(sc.levels[k]):
-            objs = ch.objects
-            all_slots = (ch.coeff,) + ch.slots  # a0, a1, ..., ak
-            degs = [cat.deg(s) for s in all_slots]
+            objs = sc.objects(ch)
+            degs = [deg[b] for b in ch]  # a0, a1, ..., ak
             for j in range(k + 1):
                 # move the last j bar slots (through F) in front of a0
-                moved = ch.slots[k - j:]
-                kept = ch.slots[:k - j]
+                moved = ch[k - j + 1:]
+                kept = ch[1:k - j + 1]
                 moved_deg = sum(degs[k - j + 1:])
                 kept_deg = sum(degs[:k - j + 1])
                 sign = (-1) ** (j * k + moved_deg * kept_deg)
                 # anchor object: source of the first moved slot, or c0
                 anchor = objs[(k - j + 1) % (k + 1)] if j else objs[0]
-                new_objs = ((anchor, F.apply_obj(anchor))
-                            + tuple(F.apply_obj(objs[(t + 1) % (k + 1)])
-                                    for t in range(k - j + 1, k + 1))
-                            + objs[1:k - j + 1])
-                coeff_lin = {cat.unit(F.apply_obj(anchor)): Fraction(1)}
-                slot_lins = ([F.apply_basis(s) for s in moved]
-                             + [{ch.coeff: Fraction(1)}]
-                             + [{s: Fraction(1)} for s in kept])
-                sc._emit(acc, col, k + 1, new_objs, coeff_lin, slot_lins,
-                         Fraction(sign))
+                unit = sc.basis_index[cat.unit(F.apply_obj(anchor))]
+                lins = ([((unit, 1),)] + [twist[s] for s in moved]
+                        + [((ch[0], 1),)] + [((s, 1),) for s in kept])
+                _emit_product(acc, col, row_of, lins, sign)
         out.append(SparseMatrix(len(sc.levels[k + 1]), len(sc.levels[k]), acc))
     return out
 

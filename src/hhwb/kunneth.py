@@ -31,10 +31,6 @@ class ShuffleMap:
         return i * len(self.b.levels[l]) + j
 
 
-def _total_deg(ch, level):
-    return ch.degree - level
-
-
 def shuffle_map(a: StandardComplex, b: StandardComplex,
                 target: StandardComplex | None = None) -> ShuffleMap:
     if target is None:
@@ -49,51 +45,49 @@ def shuffle_map(a: StandardComplex, b: StandardComplex,
     if not functor_equal(target.twist, expected_twist):
         raise StructuralError("target twist is not the tensor of the factor twists")
     cat_a, cat_b = a.category, b.category
+    tgt_index = target.basis_index
     blocks = {}
     for k in range(a.max_level + 1):
         for l in range(b.max_level + 1):
             if k + l > target.max_level:
                 continue
             nb = len(b.levels[l])
+            row_of = target.row_of[k + l]
             acc = {}
             for i, x in enumerate(a.levels[k]):
-                f_degs = [cat_a.deg(s) for s in x.slots]
+                x_ids, x_objs = a.chain_ids(k, i), a.objects(x)
+                f_degs = [cat_a.deg(s) for s in x_ids[1:]]
                 for j, y in enumerate(b.levels[l]):
                     col = i * nb + j
-                    g_degs = [cat_b.deg(s) for s in y.slots]
-                    base_eps = cat_b.deg(y.coeff) * sum(f_degs)
-                    coeff_id = _tid(x.coeff, y.coeff)
+                    y_ids, y_objs = b.chain_ids(l, j), b.objects(y)
+                    g_degs = [cat_b.deg(s) for s in y_ids[1:]]
+                    base_eps = cat_b.deg(y_ids[0]) * sum(f_degs)
+                    coeff_id = _tid(x_ids[0], y_ids[0])
                     for f_pos in itertools.combinations(range(k + l), k):
                         fset = set(f_pos)
                         cur_c, cur_b = 1, 1
-                        objs = [_tid(x.objects[0], y.objects[0])]
-                        slots = []
+                        ids = [coeff_id]
                         exp = base_eps
                         gs_placed = 0
                         gs_deg = 0
                         for p in range(k + l):
-                            oc = x.objects[cur_c % (k + 1)]
-                            ob = y.objects[cur_b % (l + 1)]
-                            objs.append(_tid(oc, ob))
+                            oc = x_objs[cur_c % (k + 1)]
+                            ob = y_objs[cur_b % (l + 1)]
                             if p in fset:
-                                slots.append(_tid(x.slots[cur_c - 1],
-                                                  cat_b.unit(ob)))
+                                ids.append(_tid(x_ids[cur_c], cat_b.unit(ob)))
                                 exp += gs_placed + gs_deg * f_degs[cur_c - 1]
                                 cur_c += 1
                             else:
-                                slots.append(_tid(cat_a.unit(oc),
-                                                  y.slots[cur_b - 1]))
+                                ids.append(_tid(cat_a.unit(oc), y_ids[cur_b]))
                                 gs_placed += 1
                                 gs_deg += g_degs[cur_b - 1]
                                 cur_b += 1
-                        ch_deg = x.degree + y.degree
-                        from .hochschild import Chain
-                        ch = Chain(tuple(objs), coeff_id, tuple(slots), ch_deg)
-                        row = target.index[k + l].get(ch)
+                        row = row_of.get(tuple(tgt_index.get(s) for s in ids))
                         if row is None:
                             raise StructuralError(
-                                f"shuffle image missing from target catalog: {ch}")
-                        s = acc.get((row, col), 0) + Fraction((-1) ** exp)
+                                f"shuffle image missing from target catalog: "
+                                f"{ids}")
+                        s = acc.get((row, col), 0) + (-1) ** exp
                         if s:
                             acc[(row, col)] = s
                         else:
@@ -129,7 +123,7 @@ def verify_shuffle_chain_map(sh: ShuffleMap) -> list[str]:
         if k + l > tgt.max_level - 1:
             continue
         na, nb = len(a.levels[k]), len(b.levels[l])
-        signs = [Fraction((-1) ** _total_deg(ch, k)) for ch in a.levels[k]]
+        signs = [Fraction((-1) ** (a.degree(ch) - k)) for ch in a.levels[k]]
         # level-raising (internal) part; the (-1)^l compensates the level
         # alteration (-1)^m being taken at level k on the factor but k + l
         # on the target
@@ -171,6 +165,7 @@ def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
     blk_a = a.degree_block(i)
     blk_b = b.degree_block(j)
     tgt_pos = {coord: t for t, coord in enumerate(tgt.degree_block(i + j))}
+    by_col = {}  # (k, l) -> {column: [(row, value), ...]}, indexed on use
     out = {}
     for pa, ca in za.items():
         k, ia = blk_a[pa]
@@ -179,10 +174,12 @@ def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
             if (k, l) not in sh.blocks:
                 raise StructuralError(
                     f"needed shuffle block ({k},{l}) outside truncation")
+            if (k, l) not in by_col:
+                index = by_col[(k, l)] = {}
+                for (r, c), v in sh.blocks[(k, l)].entries.items():
+                    index.setdefault(c, []).append((r, v))
             col = ia * len(b.levels[l]) + ib
-            for (r, c), v in sh.blocks[(k, l)].entries.items():
-                if c != col:
-                    continue
+            for r, v in by_col[(k, l)].get(col, ()):
                 key = tgt_pos[(k + l, r)]
                 s = out.get(key, 0) + v * ca * cb
                 if s:
@@ -290,7 +287,7 @@ def s2_check(a: StandardComplex, target: StandardComplex | None = None) -> list[
         ent = {}
         for i, x in enumerate(a.levels[k]):
             for j, y in enumerate(a.levels[l]):
-                sign = (-1) ** (x.degree * y.degree + k * l)
+                sign = (-1) ** (a.degree(x) * a.degree(y) + k * l)
                 ent[(j * na + i, i * nb + j)] = Fraction(sign)
         tau = SparseMatrix(nb * na, na * nb, ent)
         lhs = sh.blocks[(l, k)].mul(tau)

@@ -77,7 +77,8 @@ class SparseMatrix:
             for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise StructuralError(f"entry ({i},{j}) out of range {rows}x{cols}")
-                v = Fraction(v)
+                if type(v) is not Fraction:
+                    v = Fraction(v)
                 if v:
                     if (i, j) in ent:
                         raise StructuralError(f"duplicate entry at ({i},{j})")
@@ -138,11 +139,15 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise StructuralError("shape mismatch in mul")
+        # integral entries multiply as ints; the result converts back
         by_row = {}
         for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
+            by_row.setdefault(i, []).append(
+                (j, v.numerator if v.denominator == 1 else v))
         ent = {}
         for (i, k), v in self.entries.items():
+            if v.denominator == 1:
+                v = v.numerator
             for j, w in by_row.get(k, ()):
                 s = ent.get((i, j), 0) + v * w
                 if s:
@@ -368,6 +373,11 @@ class RankResult:
     @property
     def agreed(self) -> bool:
         return len({r for _, r in self.per_prime}) <= 1
+
+    @property
+    def exact_fallback(self) -> bool:
+        """True when a modular rank was recomputed over Q."""
+        return bool(self.failed_primes) or not self.agreed
 
 
 def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:

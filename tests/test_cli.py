@@ -237,6 +237,62 @@ def test_internal_error_is_not_a_mismatch(capsys, monkeypatch, exc):
     assert str(exc) in err
 
 
+# -- exact fallback ---------------------------------------------------------
+
+
+def truncated_cube_file(tmp_path, den):
+    """k[x]/x^3 on the basis 1, x, y = den·x^2, so x∘x = y / den."""
+    path = tmp_path / f"cube-{den}.json"
+    path.write_text(json.dumps({
+        "name": "cube",
+        "objects": ["*"],
+        "homs": [{"name": b, "src": "*", "tgt": "*"} for b in ("1", "x", "y")],
+        "units": {"*": "1"},
+        "compose": [{"g": "x", "f": "x",
+                     "result": [{"basis": "y", "num": 1, "den": den}]}],
+        "diff": [],
+    }))
+    return str(path)
+
+
+def test_exact_fallback_when_a_prime_divides_a_denominator(tmp_path, capsys):
+    # the first default prime divides the structure constant 1/1048583, so
+    # every rank that sees it is recomputed over Q
+    cube = truncated_cube_file(tmp_path, 1048583)
+    rep = run_json(capsys, "compute", cube, "--max-level", "4",
+                   "--degrees=-3..0")
+    res = rep["results"]
+    assert {k: v["dim"] for k, v in res.items()} == \
+        {"0": 3, "-1": 2, "-2": 2, "-3": 2}
+    assert {k: v["exact_fallback"] for k, v in res.items()} == \
+        {"0": False, "-1": True, "-2": True, "-3": True}
+    assert all(v["agreed"] for v in res.values())
+    rep = run_json(capsys, "decompose", cube, "--n", "2", "--max-level", "3",
+                   "--degrees=-1..0")
+    res = rep["results"]
+    integral = run_json(capsys, "decompose", truncated_cube_file(tmp_path, 1),
+                        "--n", "2", "--max-level", "3", "--degrees=-1..0")
+    assert res["exact_fallback"] == {"0": True, "-1": True}
+    assert integral["results"]["exact_fallback"] == {"0": False, "-1": False}
+    assert res["lhs_totals"] == integral["results"]["lhs_totals"]
+    assert set(res["verdicts"].values()) == {"Equal"}
+
+
+@pytest.mark.parametrize("workload", ["compute-modular", "decompose"])
+def test_seeded_workloads_need_no_exact_fallback(tmp_path, capsys, workload):
+    import sys
+    sys.path.insert(0, str(FIXTURES.parent / "bench"))
+    try:
+        from workloads import generate
+    finally:
+        sys.path.pop(0)
+    rep = run_json(capsys, *generate(workload, 1, str(FIXTURES), str(tmp_path)))
+    res = rep["results"]
+    flags = (res["exact_fallback"].values() if workload == "decompose"
+             else [v["exact_fallback"] for v in res.values()])
+    assert list(flags) and not any(flags)
+
+
 # -- series -----------------------------------------------------------------
 
 

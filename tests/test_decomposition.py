@@ -287,7 +287,7 @@ def test_orbits_with_sign_stabilizer_drop_out():
     oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap)], EXACT)
     reps, orbit_of, sign = oc.orbits(-2)
     (zz,) = [j for j, (m, i) in enumerate(sc.degree_block(-2))
-             if sc.levels[m][i].coeff == "z⊗z"]
+             if sc.chain_ids(m, i)[0] == "z⊗z"]
     assert orbit_of[zz] == -1
     assert all(s in (1, -1) for s in sign)
     assert len(reps) < sc.block_dim(-2)

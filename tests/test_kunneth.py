@@ -63,8 +63,8 @@ def test_single_slot_sign_rule(E, K):
     blk = sh.blocks[(1, 0)]
     for (r, c), v in blk.entries.items():
         i, j = divmod(c, len(b.levels[0]))
-        x, y = a.levels[1][i], b.levels[0][j]
-        expected = (-1) ** (a.category.deg(x.slots[0]) * b.category.deg(y.coeff))
+        x, y = a.chain_ids(1, i), b.chain_ids(0, j)
+        expected = (-1) ** (a.category.deg(x[1]) * b.category.deg(y[0]))
         assert v == Fraction(expected), (x, y)
 
 
