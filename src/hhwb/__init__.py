@@ -2,35 +2,3 @@
 with a numerical checker for the symmetric-power decomposition."""
 
 __version__ = "0.1.0"
-
-from .dgcore import (  # noqa: F401
-    BasisInfo,
-    DgCategory,
-    DgFunctor,
-    NatTransform,
-    Permutation,
-    identity_functor,
-    opposite,
-    tensor,
-    tensor_power,
-    validate_category,
-)
-from .hochschild import (  # noqa: F401
-    HomologySummary,
-    StandardComplex,
-    TwistSpec,
-    build_complex,
-    homology_action,
-    homotopy_H,
-    induced_chain_map,
-    total_homology,
-)
-from .kunneth import kunneth_verify, s2_check, shuffle_map  # noqa: F401
-from .decomposition import (  # noqa: F401
-    Partition,
-    partitions,
-    rhs_dims,
-    super_sym_power_dims,
-    verify_decomposition,
-)
-from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError  # noqa: F401

@@ -15,7 +15,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .decomposition import rhs_dims, verify_decomposition
 from .dgcore import (
     BasisInfo,
     DgCategory,
@@ -327,6 +326,8 @@ def cmd_compute(args) -> int:
 
 def cmd_decompose(args) -> int:
     started = time.monotonic()
+    # imported here, not at the top, so that compute does not load it
+    from .decomposition import verify_decomposition
     raw, data = load_input(args.path)
     options = _common_options(args, "decompose")
     options["n"] = args.n
@@ -365,6 +366,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_series(args) -> int:
     started = time.monotonic()
+    from .decomposition import rhs_dims
     h = parse_dims(args.dims)
     support = [k for k, d in h.items() if d]
     if support and min(support) < 0 < max(support) and not args.allow_truncated:

@@ -179,7 +179,8 @@ class OrbitComplex:
     v_O = Σ_{y∈O} s(y)·y, where g·x = s(y)·y; an orbit whose stabilizer
     acts on x by -1 has v_O = 0 and drops out.  The v_O form a basis of
     C^G, and d(v_O) = Σ_{O'} D[O', O]·v_{O'} with
-    D[O', O] = Σ_{y∈O} s(y)·d[rep(O'), y].
+    D[O', O] = Σ_{y∈O} s(y)·d[rep(O'), y], a signed sum of entries of d,
+    so D has int entries wherever d has (qlinalg.SparseMatrix).
 
     Over Q averaging over G is a chain-level projector onto C^G (Maschke),
     so H(C^G) = H(C)^G; over GF(p) the same holds for p > |G|.

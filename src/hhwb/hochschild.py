@@ -11,8 +11,10 @@ objects follow from the ids: c_i = tgt(a_i) for i >= 1, and c0 = src(am),
 or src(a0) at level 0.  The differentials are assembled from per-basis-int
 tables (degree, differential, twist, and a lazily filled composition
 table) whose coefficients are ints where the structure constants are
-integral and Fractions where they are not; nothing divides, and every
-finished matrix holds Fractions.
+integral and Fractions where they are not; nothing divides.  The finished
+matrices keep the same contract (see qlinalg.SparseMatrix), so an integral
+presentation gives matrices of plain ints, and the d^2 = 0 check, the
+equivariance check and rank mod p all run on ints.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
 """Exact rational and multi-modular sparse linear algebra.
 
-Matrices hold `fractions.Fraction` entries.  One elimination kernel serves
-every routine: rank splits the rows into connected components and runs a
-sparse elimination with Markowitz-style pivots, over Q or over GF(p) on
-plain ints; the row-echelon routines (kernels, column spaces, solving)
-reduce rows one at a time against a pivot dict over Q.
+A matrix entry is an `int` where it is integral and a `fractions.Fraction`
+where it is not; never a float.  Integral data (every differential of an
+integral presentation) thus stays in plain ints, and the only divisions,
+when a row is scaled to a pivot of 1 and when rank eliminates over Q, take
+a Fraction operand.  One elimination kernel serves every routine: rank
+splits the rows into connected components and runs a sparse elimination
+with Markowitz-style pivots, over Q or over GF(p) on plain ints; the
+row-echelon routines (kernels, column spaces, solving) reduce rows one at
+a time against a pivot dict over Q.
 
 Modular mode is the fast path for ranks.  A rank mod p never exceeds the
 rank over Q, and equals it for all but finitely many primes; when the
@@ -59,10 +63,22 @@ class RankMode:
 EXACT = RankMode.exact()
 
 
+def _entry(v):
+    """v as a matrix entry: an int when it is integral, else a Fraction."""
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(v, int):
+        return int(v)
+    raise StructuralError(f"matrix entry {v!r} is neither an int nor a Fraction")
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
-    Entries are a dict {(row, col): Fraction} with no explicit zeros.
+    Entries are a dict {(row, col): value} with no explicit zeros; a value
+    is an int where it is integral, else a Fraction; never a float.  The
+    constructor normalises an integral Fraction to its numerator and
+    rejects any other type.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -77,8 +93,8 @@ class SparseMatrix:
             for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise StructuralError(f"entry ({i},{j}) out of range {rows}x{cols}")
-                if type(v) is not Fraction:
-                    v = Fraction(v)
+                if type(v) is not int:
+                    v = _entry(v)
                 if v:
                     if (i, j) in ent:
                         raise StructuralError(f"duplicate entry at ({i},{j})")
@@ -89,16 +105,13 @@ class SparseMatrix:
     def from_dense(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
-        ent = {}
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                if v:
-                    ent[(i, j)] = Fraction(v)
-        return cls(rows, cols, ent)
+        # zeros too, so that a zero of the wrong type is rejected as well
+        return cls(rows, cols, [((i, j), v) for i, row in enumerate(rows_list)
+                                for j, v in enumerate(row)])
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -115,7 +128,7 @@ class SparseMatrix:
                             {(j, i): v for (i, j), v in self.entries.items()})
 
     def scale(self, c) -> "SparseMatrix":
-        c = Fraction(c)
+        c = _entry(c)
         if not c:
             return SparseMatrix(self.rows, self.cols)
         return SparseMatrix(self.rows, self.cols,
@@ -139,15 +152,11 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise StructuralError("shape mismatch in mul")
-        # integral entries multiply as ints; the result converts back
         by_row = {}
         for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append(
-                (j, v.numerator if v.denominator == 1 else v))
+            by_row.setdefault(i, []).append((j, v))
         ent = {}
         for (i, k), v in self.entries.items():
-            if v.denominator == 1:
-                v = v.numerator
             for j, w in by_row.get(k, ()):
                 s = ent.get((i, j), 0) + v * w
                 if s:
@@ -157,7 +166,7 @@ class SparseMatrix:
         return SparseMatrix(self.rows, other.cols, ent)
 
     def apply(self, vec: dict) -> dict:
-        """Matrix times a sparse column vector {index: Fraction}."""
+        """Matrix times a sparse column vector {index: int or Fraction}."""
         out = {}
         by_col = {}
         for (i, j), v in self.entries.items():
@@ -171,10 +180,10 @@ class SparseMatrix:
                     out.pop(i, None)
         return out
 
-    def trace(self) -> Fraction:
+    def trace(self):
         if self.rows != self.cols:
             raise StructuralError("trace of non-square matrix")
-        return sum((v for (i, j), v in self.entries.items() if i == j), Fraction(0))
+        return sum(v for (i, j), v in self.entries.items() if i == j)
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
@@ -198,7 +207,9 @@ def _row_dicts(m: SparseMatrix):
 # -- the elimination kernel -------------------------------------------------
 #
 # Rows are sparse dicts {column: value} with no zero values.  Values are
-# Fractions, or (for rank only) plain ints in [0, p) when a prime p is given.
+# ints or Fractions, or (for rank only) plain ints in [0, p) when a prime p
+# is given.  Every division over Q has a Fraction operand, so no value ever
+# becomes a float.
 
 
 def _subtract(row: dict, f, piv: dict) -> None:
@@ -241,6 +252,7 @@ def add_pivot(row: dict, pivots: dict) -> int:
     if x == -1:
         row = {c: -v for c, v in row.items()}
     elif x != 1:
+        x = Fraction(x)
         row = {c: v / x for c, v in row.items()}
     pivots[lead] = row
     return lead
@@ -324,7 +336,11 @@ def _component_rank(rows, p: int) -> int:
         if not hits:
             continue
         pv = piv.pop(pc)
-        inv = pow(pv, -1, p) if p else 1 / pv
+        if p:
+            inv = pow(pv, -1, p)
+        else:
+            # a unit pivot keeps integral rows in ints
+            inv = pv if pv == 1 or pv == -1 else 1 / Fraction(pv)
         items = list(piv.items())
         for j in hits:
             r = rows[j]
@@ -355,9 +371,12 @@ def _rank(rows, p: int = 0) -> int:
 def _rows_mod_p(m: SparseMatrix, p: int):
     rows = {}
     for (i, j), v in m.entries.items():
-        if v.denominator % p == 0:
+        if type(v) is int:
+            r = v % p
+        elif v.denominator % p == 0:
             raise ModularFailure(f"prime {p} divides a denominator")
-        r = (v.numerator * pow(v.denominator, -1, p)) % p
+        else:
+            r = v.numerator * pow(v.denominator, -1, p) % p
         if r:
             rows.setdefault(i, {})[j] = r
     return list(rows.values())
@@ -410,14 +429,14 @@ def rank(m: SparseMatrix, mode: RankMode = EXACT) -> int:
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:
-    """Exact kernel basis as sparse column vectors {row index: Fraction}."""
+    """Exact kernel basis as sparse column vectors {row index: value}."""
     pivots = rref(_row_dicts(m))
     order = sorted(pivots)
     basis = []
     for free in range(m.cols):
         if free in pivots:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for pcol in order:
             v = pivots[pcol].get(free, 0)
             if v:
@@ -463,7 +482,7 @@ def projector_invariant_dim(p: SparseMatrix, mode: RankMode = EXACT) -> int:
 def solve(m: SparseMatrix, b: dict):
     """One exact solution x of m x = b, or None if inconsistent.
 
-    b is a sparse column vector {row: Fraction}.
+    b is a sparse column vector {row: int or Fraction}.
     """
     rows = {}
     for (i, j), v in m.entries.items():
@@ -473,7 +492,7 @@ def solve(m: SparseMatrix, b: dict):
     for i in range(m.rows):
         r = dict(rows.get(i, {}))
         if b.get(i):
-            r[BCOL] = Fraction(b[i])
+            r[BCOL] = _entry(b[i])
         if r:
             aug.append(r)
     pivots = rref(aug)

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from hhwb import cli
+from hhwb import cli, decomposition
 from hhwb.cli import EXIT_INTERNAL, main
 from hhwb.qlinalg import StructuralError
 
@@ -181,6 +184,28 @@ def test_cache_dir_from_env(tmp_path, capsys, monkeypatch):
     assert len(list(cdir.glob("*.json"))) == 1
 
 
+def test_compute_loads_neither_decomposition_nor_kunneth(tmp_path):
+    script = (
+        "import json, sys\n"
+        "from hhwb.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.startswith('hhwb'))]))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "compute", DUAL, "--twist",
+         "perm:2:(1 2)", "--max-level", "2", "--degrees=-1..0",
+         "--out", str(tmp_path / "report.json"),
+         "--cache-dir", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, check=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert "hhwb.hochschild" in modules
+    assert "hhwb.decomposition" not in modules
+    assert "hhwb.kunneth" not in modules
+
+
 # -- decompose --------------------------------------------------------------
 
 
@@ -229,7 +254,7 @@ def test_internal_error_is_not_a_mismatch(capsys, monkeypatch, exc):
     def crash(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "verify_decomposition", crash)
+    monkeypatch.setattr(decomposition, "verify_decomposition", crash)
     code, out, err = run(capsys, "decompose", GROUND, "--n", "2",
                          "--max-level", "2", "--degrees=0..0")
     assert code == EXIT_INTERNAL == 4

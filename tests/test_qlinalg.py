@@ -15,10 +15,95 @@ from hhwb.qlinalg import (
     projector_invariant_dim,
     rank,
     rank_info,
+    rref,
     solve,
 )
 
 MOD = RankMode.modular()
+
+
+# -- the entry contract: ints where integral, else Fractions, never floats --
+
+
+def test_integral_entries_are_stored_as_ints():
+    m = SparseMatrix(2, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2),
+                            (1, 0): 3, (1, 1): Fraction(0)})
+    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2), (1, 0): 3}
+    assert [type(m.entries[k]) for k in ((0, 0), (0, 1), (1, 0))] == [
+        int, Fraction, int]
+    assert all(type(v) is int
+               for v in SparseMatrix.from_dense([[Fraction(6, 3), 1]])
+               .entries.values())
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None])
+def test_float_and_other_entries_are_rejected(bad):
+    with pytest.raises(StructuralError):
+        SparseMatrix(1, 1, {(0, 0): bad})
+    with pytest.raises(StructuralError):
+        SparseMatrix.from_dense([[1, bad]])
+
+
+def as_fractions(m: SparseMatrix) -> SparseMatrix:
+    """m with every entry held as a Fraction, integral ones included, set
+    past the constructor, which would normalise them to ints."""
+    out = SparseMatrix(m.rows, m.cols)
+    out.entries = {k: Fraction(v) for k, v in m.entries.items()}
+    return out
+
+
+def assert_exact_values(*outputs):
+    """Every value in the nested dicts/lists is an int or a Fraction."""
+    for out in outputs:
+        if isinstance(out, dict):
+            assert_exact_values(*out.values())
+        elif isinstance(out, (list, tuple)):
+            assert_exact_values(*out)
+        else:
+            assert type(out) in (int, Fraction), out
+
+
+# 49 * (1/49) is not 1 in floating point, so a float pivot inverse leaves
+# a spurious entry behind; the others need non-unit pivots throughout.
+INT_MATRICES = [
+    [[49, 1], [49, 1]],
+    [[2, 3, 5], [4, 6, 10], [3, 1, 4]],
+    [[6, 4, 0, 2], [3, 0, 9, 3], [0, 8, -18, -2], [9, 4, 9, 5]],
+    [[0, 7, 14], [3, 0, 5], [6, 7, 24], [0, 0, 0]],
+]
+
+
+@pytest.mark.parametrize("dense", INT_MATRICES)
+def test_integer_matrices_stay_exact(dense):
+    m = SparseMatrix.from_dense(dense)
+    f = as_fractions(m)
+    assert all(type(v) is int for v in m.entries.values())
+    assert all(type(v) is Fraction for v in f.entries.values())
+    expected = sympy.Matrix(dense).rank()
+    assert rank_info(m).value == rank_info(f).value == expected
+
+    kernel = kernel_basis(m)
+    assert kernel == kernel_basis(f)
+    assert len(kernel) == m.cols - expected
+    for v in kernel:
+        assert m.apply(v) == {}
+
+    columns = column_space_basis(m)
+    assert columns == column_space_basis(f)
+    assert len(columns) == expected
+
+    rows = [dict(enumerate(r)) for r in dense]
+    rows = [{c: v for c, v in r.items() if v} for r in rows]
+    pivots = rref(rows)
+    assert pivots == rref([{c: Fraction(v) for c, v in r.items()}
+                           for r in rows])
+    assert len(pivots) == expected
+
+    b = m.apply({j: j + 1 for j in range(m.cols)})
+    x = solve(m, b)
+    assert x == solve(f, {i: Fraction(v) for i, v in b.items()})
+    assert m.apply(x) == b
+    assert_exact_values(kernel, columns, pivots, x)
 
 
 def test_rank_zero_matrix():
