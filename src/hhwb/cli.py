@@ -5,6 +5,7 @@ content-addressed result cache."""
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -443,6 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a verb builds many long-lived containers and next to no reference
+    # cycles, so cyclic collection would only rescan them; it is paused for
+    # the verb and restored however the verb ends
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InputError as exc:
@@ -456,6 +462,9 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,15 @@ over Q, averaging over S is a chain-level projector onto C^S, so
 H(C)^S = H(C^S); over GF(p) the same holds for p > |S|.  The right side is
 the t-degree-n piece of the super-symmetric algebra on one copy of the
 untwisted homology per t-power.  Both sides are compared degreewise with
-truncation certificates tracked throughout.
+truncation certificates tracked throughout; the right side in degree k reads
+the factor's homology in every degree between 0 and k.
+
+verify_decomposition builds the n-th tensor power once and every λ complex
+on it, so the complexes share one skeleton (hochschild): chains, d1, the
+inner faces of d2 and each generator's chain permutation are built once per
+n, and only on the levels the requested degrees read.  Each complex adds
+its own wrap face, and every check (equivariance, d² = 0, the rotation
+identity, prime agreement) still runs on each complex.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .dgcore import DgCategory, Permutation, permutation_functor
+from .dgcore import DgCategory, Permutation, permutation_functor, tensor_power
 from .hochschild import (
     HomologySummary,
     StandardComplex,
     TwistSpec,
+    block_positions,
     build_complex,
     check_equivariant,
     signed_chain_permutation,
@@ -34,8 +43,21 @@ from .qlinalg import (
     RankResult,
     SparseMatrix,
     StructuralError,
+    normalise_entries,
     rank_info,
 )
+
+
+def _reach(k) -> range:
+    """The factor degrees the right side reads in degree k: a sum of
+    factor degrees with one sign (rhs_dims refuses mixed signs) lies
+    between 0 and k, and so does each term."""
+    return range(min(k, 0), max(k, 0) + 1)
+
+
+def _window(degrees) -> list:
+    """Every degree some requested degree reaches, in increasing order."""
+    return list(range(min(min(degrees), 0), max(max(degrees), 0) + 1))
 
 
 @dataclass(frozen=True)
@@ -156,9 +178,17 @@ def group_closure(generators, n: int) -> list:
 
 
 def _lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,
-                    normalized: bool = True) -> StandardComplex:
-    return build_complex(c, TwistSpec.perm(n, sigma_of(lam)), max_level,
-                         normalized=normalized)
+                    normalized: bool = True,
+                    power: DgCategory | None = None) -> StandardComplex:
+    """The complex of c^{⊗n} twisted by σ_λ.  Complexes built on one
+    `power` share its skeleton (hochschild._Skeleton) wherever their
+    twists agree on objects, which every one-object c gives."""
+    if power is None:
+        return build_complex(c, TwistSpec.perm(n, sigma_of(lam)), max_level,
+                             normalized=normalized)
+    return build_complex(power, permutation_functor(c, n, sigma_of(lam),
+                                                    power=power),
+                         max_level, normalized=normalized)
 
 
 def twisted_summand_dims(c: DgCategory, n: int, lam: Partition, degrees,
@@ -200,9 +230,24 @@ class OrbitComplex:
         if k in self._orbit_cache:
             return self._orbit_cache[k]
         block = self.sc.degree_block(k)
-        pos = {coord: j for j, coord in enumerate(block)}
-        gens = [[(pos[(m, perm[m][i][0])], perm[m][i][1]) for m, i in block]
-                for perm in self.perms]
+        at = block_positions(block)
+        whole = None  # the level the block is, in order, when it is one
+        if len(at) == 1:
+            (m, local), = at.items()
+            if len(local) == len(self.sc.levels[m]):
+                whole = m
+        gens = []
+        for perm in self.perms:  # each maps a level, and a degree, to itself
+            if whole is not None:
+                gens.append(perm[whole])
+                continue
+            gen = [None] * len(block)
+            for m, local in at.items():
+                level = perm[m]
+                for i, x in local.items():
+                    j, s = level[i]
+                    gen[x] = (local[j], s)
+            gens.append(gen)
         sign = [0] * len(block)
         orbit_of = [-1] * len(block)
         reps = []
@@ -213,13 +258,15 @@ class OrbitComplex:
             members = [start]
             alive = True
             for x in members:  # grows while it is walked
+                sx = sign[x]
                 for g in gens:
                     y, s = g[x]
-                    want = s * sign[x]
-                    if not sign[y]:
+                    want = s if sx == 1 else -s
+                    sy = sign[y]
+                    if not sy:
                         sign[y] = want
                         members.append(y)
-                    elif sign[y] != want:
+                    elif sy != want:
                         alive = False
             if alive:
                 for x in members:
@@ -250,7 +297,8 @@ class OrbitComplex:
                 ent[(row, col)] = s
             else:
                 del ent[(row, col)]
-        return SparseMatrix(len(reps_out), self.dim(k), ent)
+        return SparseMatrix.trusted(len(reps_out), self.dim(k),
+                                    normalise_entries(ent))
 
     def differential_rank(self, k) -> RankResult:
         """Rank of the orbit differential from degree k to k+1; without
@@ -270,10 +318,19 @@ class OrbitComplex:
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
-                               h: Permutation) -> list:
-    phi = permutation_functor(c, len(h.images), h, power=sc.category)
-    perm = signed_chain_permutation(sc, phi)
-    check_equivariant(sc, perm)
+                               h: Permutation, levels: list) -> list:
+    """h's signed chain permutation on `levels` and the levels below them,
+    checked to commute with sc's d1 and d2 on `levels`.  The permutation
+    depends on the chain catalog alone, so complexes that share a skeleton
+    share it too; the check is made for every complex."""
+    built = tuple(sorted(set(levels).union(m - 1 for m in levels if m)))
+    cache = sc.skeleton.chain_perms
+    perm = cache.get((h.images, built))
+    if perm is None:
+        phi = permutation_functor(c, len(h.images), h, power=sc.category)
+        perm = cache[(h.images, built)] = signed_chain_permutation(sc, phi,
+                                                                   built)
+    check_equivariant(sc, perm, levels)
     return perm
 
 
@@ -299,9 +356,10 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
             raise StructuralError(
                 f"degree {k} lacks an exact truncation certificate")
     pres = centralizer_gens(lam)
-    s_perms = [_checked_chain_permutation(c, sc, g)
+    levels = sc.skeleton.levels_near(degrees)
+    s_perms = [_checked_chain_permutation(c, sc, g, levels)
                for g in pres.s_generators]
-    c_perms = ([_checked_chain_permutation(c, sc, g)
+    c_perms = ([_checked_chain_permutation(c, sc, g, levels)
                 for g in pres.c_generators]
                if check_rotations or strict else [])
     ranks = _ranks if _ranks is not None else {}
@@ -384,8 +442,7 @@ def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,
     """Check that the λ-summand dims equal the degreewise convolution of the
     single-cycle summands over the parts, on certified degrees."""
     diags = []
-    lo = min(degrees)
-    window = list(range(lo, 1))
+    window = _window(degrees)
     whole = twisted_summand_dims(c, lam.n, lam, window, max_level,
                                  normalized, mode)
     conv = {0: 1}
@@ -398,7 +455,7 @@ def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,
     for k in degrees:
         pieces_ok = all(
             f.degrees[i].certificate == "exact"
-            for f in factors for i in range(k, 1))
+            for f in factors for i in _reach(k))
         if whole.degrees[k].certificate != "exact" or not pieces_ok:
             continue
         if whole.degrees[k].dim != conv.get(k, 0):
@@ -481,13 +538,19 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     whether any of those ranks was recomputed over Q because a prime
     failed or the primes disagreed."""
     degrees = sorted(set(degrees), reverse=True)
-    window = list(range(min(degrees), 1))
+    window = _window(degrees)
     per_partition = []
     lhs_totals = {k: 0 for k in degrees}
     lhs_cert = {k: True for k in degrees}
     used = {k: [] for k in degrees}  # the RankResults and DegreeResults of k
-    for lam in partitions(n):
-        sc = _lambda_complex(c, n, lam, max_level, normalized)
+    # one tensor power, so that the λ complexes share their skeleton; all
+    # built (lazily, so cheaply) before any is used, so that the skeleton
+    # knows it is shared, and each dropped once used
+    power = tensor_power(c, n)
+    todo = [(lam, _lambda_complex(c, n, lam, max_level, normalized, power))
+            for lam in reversed(partitions(n))]
+    while todo:
+        lam, sc = todo.pop()
         summary = total_homology(sc, window, mode=mode)
         certified = {k: summary.degrees[k].certificate == "exact"
                      for k in degrees}
@@ -509,19 +572,30 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
                 lhs_totals[k] += inv[k]
             else:
                 lhs_cert[k] = False
+        # keep only the chain permutations a later λ still uses
+        later = set()
+        for rest, _ in todo:
+            other = centralizer_gens(rest)
+            later.update(g.images
+                         for g in other.s_generators + other.c_generators)
+        perms = sc.skeleton.chain_perms
+        for key in [key for key in perms if key[0] not in later]:
+            del perms[key]
     factor = build_complex(c, TwistSpec.identity(), max_level,
                            normalized=normalized)
     factor_summary = total_homology(factor, window, mode=mode)
     h = factor_summary.dims()
     rhs = rhs_dims({k: v for k, v in h.items() if v}, n)
     rhs_totals = {k: rhs.get(k, 0) for k in degrees}
+    # the right side in degree k is exact when every factor degree it
+    # reads is; _reach(k) always holds 0 and k, so this is never vacuous
     rhs_cert = {
         k: all(factor_summary.degrees[i].certificate == "exact"
-               for i in range(k, 1))
+               for i in _reach(k))
         for k in degrees
     }
     for k in degrees:
-        used[k] += [factor_summary.degrees[i] for i in range(k, 1)]
+        used[k] += [factor_summary.degrees[i] for i in _reach(k)]
     verdicts = {}
     for k in degrees:
         if not (lhs_cert[k] and rhs_cert[k]):

@@ -15,11 +15,23 @@ integral and Fractions where they are not; nothing divides.  The finished
 matrices keep the same contract (see qlinalg.SparseMatrix), so an integral
 presentation gives matrices of plain ints, and the d^2 = 0 check, the
 equivariance check and rank mod p all run on ints.
+
+Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
+object map.  Everything else (the basis tables, the chain catalog and its
+degree blocks, d1, the inner faces a_i∘a_{i+1} and the signed chain
+permutations) lives in a skeleton that every complex on the same category,
+with the same object map, max level and normalization, shares; the
+category keeps it in its `derived` dict.  Levels are enumerated and
+assembled on first access: a level-m chain has total degree in
+[(m+1)·dmin - m, (m+1)·dmax - m], so the homology in degree k reads only
+the levels whose window meets [k-1, k+1], and max_level caps the work
+instead of setting it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -138,9 +150,219 @@ class _ComposeTable(dict):
         return out
 
 
+class _Lazy:
+    """A read-only view of a per-level list whose item m is built by
+    `build(m)` on first access.  The owner keeps the list and hands out a
+    new view on each attribute access, so no reference cycle forms."""
+
+    __slots__ = ("_items", "_build")
+
+    def __init__(self, items: list, build):
+        self._items = items
+        self._build = build
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, m):
+        item = self._items[operator.index(m)]
+        if item is None:
+            m %= len(self._items)
+            item = self._items[m] = self._build(m)
+        return item
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._items)))
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def built(self) -> list[int]:
+        """The levels built so far."""
+        return [m for m, item in enumerate(self._items) if item is not None]
+
+
+class _Skeleton:
+    """The part of the standard complex that does not depend on the twist
+    beyond its object map: the basis tables, the chain catalog and its
+    degree blocks, d1 and the inner faces of d2, plus a cache of signed
+    chain permutations.  Complexes on one category with one object map,
+    max level and normalization share one skeleton (see _skeleton); each
+    level is enumerated and assembled on first access."""
+
+    def __init__(self, category: DgCategory, obj_map: dict, max_level: int,
+                 normalized: bool):
+        self.category = category
+        self.obj_map = obj_map
+        self.max_level = max_level
+        self.normalized = normalized
+        self.basis_ids: tuple[str, ...] = tuple(sorted(category.basis))
+        self.basis_index = {b: i for i, b in enumerate(self.basis_ids)}
+        self.deg = [category.deg(b) for b in self.basis_ids]
+        self.diff = [_lin(self.basis_index, category.diff_basis(b))
+                     for b in self.basis_ids]
+        self.compose = _ComposeTable(category, self.basis_ids, self.basis_index)
+        self.dmin, self.dmax = category.hom_degree_bounds()
+        top = max_level + 1
+        self._levels: list = [None] * top
+        self._row_of: list = [None] * top
+        self._d1: list = [None] * top
+        self._by_degree: list = [None] * top
+        self._blocks: dict[int, list[tuple[int, int]]] = {}
+        self._inner: dict[int, dict] = {}  # kept once a second complex shares
+        self._homs: dict = {}
+        self.complexes = 0  # how many complexes were built on this skeleton
+        self.chain_perms: dict = {}  # see decomposition's generators
+
+    @property
+    def levels(self) -> _Lazy:
+        return _Lazy(self._levels, self._enumerate)
+
+    @property
+    def row_of(self) -> _Lazy:
+        return _Lazy(self._row_of, self._index)
+
+    @property
+    def d1(self) -> _Lazy:
+        return _Lazy(self._d1, self._build_d1)
+
+    def degree(self, chain) -> int:
+        return sum(map(self.deg.__getitem__, chain))
+
+    def window(self, m) -> tuple[int, int]:
+        """The total degrees a level-m chain can have."""
+        return (m + 1) * self.dmin - m, (m + 1) * self.dmax - m
+
+    # -- enumeration -----------------------------------------------------
+
+    def _hom(self, src, tgt):
+        """(every basis int, the bar-slot choices) of hom(src, tgt)."""
+        key = (src, tgt)
+        if key not in self._homs:
+            cat, index = self.category, self.basis_index
+            ids = cat.hom(src, tgt)
+            self._homs[key] = (tuple(index[b] for b in ids),
+                               tuple(index[b] for b in ids
+                                     if not (self.normalized and cat.is_unit(b))))
+        return self._homs[key]
+
+    def _enumerate(self, m) -> list[tuple[int, ...]]:
+        hom, F = self._hom, self.obj_map
+        chains = []
+        for objs in itertools.product(self.category.objects, repeat=m + 1):
+            c0 = objs[0]
+            ranges = [hom(objs[1] if m else c0, F[c0])[0]]
+            for i in range(1, m + 1):
+                ranges.append(hom(objs[i + 1] if i < m else c0, objs[i])[1])
+            if all(ranges):
+                chains.extend(itertools.product(*ranges))
+        return chains
+
+    def _index(self, m) -> dict[tuple[int, ...], int]:
+        return {ch: i for i, ch in enumerate(self.levels[m])}
+
+    # -- d1 and the inner faces of d2 ------------------------------------
+
+    def _build_d1(self, m) -> SparseMatrix:
+        """Internal differential with the total-complex sign (-1)^m; the
+        differential of a_p carries the Koszul sign of a0 ... a_{p-1}."""
+        deg, diff = self.deg, self.diff
+        chains, row_of = self.levels[m], self.row_of[m]
+        acc = {}
+        if any(diff):
+            for col, ch in enumerate(chains):
+                sign = -1 if m % 2 else 1
+                for p, a in enumerate(ch):
+                    if diff[a]:
+                        _emit(acc, col, row_of, ch[:p], diff[a], ch[p + 1:], sign)
+                    if deg[a] % 2:
+                        sign = -sign
+        return SparseMatrix(len(chains), len(chains), acc)
+
+    def inner_faces(self, m) -> dict:
+        """The faces a_i∘a_{i+1} of d2 on level m >= 1, with sign (-1)^i,
+        as a fresh entries dict the caller may extend.  The skeleton keeps
+        a copy only once more than one complex is built on it."""
+        kept = self._inner.get(m)
+        if kept is not None:
+            return dict(kept)
+        compose, row_of = self.compose, self.row_of[m - 1]
+        acc = {}
+        for col, ch in enumerate(self.levels[m]):
+            for i in range(m):
+                lin = compose[ch[i], ch[i + 1]]
+                if lin:
+                    _emit(acc, col, row_of, ch[:i], lin, ch[i + 2:],
+                          -1 if i % 2 else 1)
+        if self.complexes > 1:
+            self._inner[m] = acc
+            return dict(acc)
+        return acc
+
+    # -- total-degree bookkeeping ---------------------------------------
+
+    def levels_near(self, degrees) -> list[int]:
+        """The levels whose window meets [k-1, k+1] for some k in
+        `degrees`: every level the homology in those degrees reads."""
+        out = []
+        for m in range(self.max_level + 1):
+            lo, hi = self.window(m)
+            if any(lo <= k + 1 and k - 1 <= hi for k in degrees):
+                out.append(m)
+        return out
+
+    def degree_block(self, k) -> list[tuple[int, int]]:
+        """Global coordinates of total degree k, (level, local index) in
+        level order; only the levels whose window holds k are read."""
+        block = self._blocks.get(k)
+        if block is None:
+            block = []
+            for m in range(self.max_level + 1):
+                lo, hi = self.window(m)
+                if lo <= k <= hi:
+                    by_degree = self._by_degree[m]
+                    if by_degree is None:
+                        by_degree = self._by_degree[m] = {}
+                        for i, ch in enumerate(self.levels[m]):
+                            by_degree.setdefault(self.degree(ch), []).append(i)
+                    block.extend((m, i) for i in by_degree.get(k + m, ()))
+            self._blocks[k] = block
+        return block
+
+
+def block_positions(block) -> dict[int, dict[int, int]]:
+    """{level: {local index: position}} of a degree block."""
+    out = {}
+    for pos, (m, i) in enumerate(block):
+        level = out.get(m)
+        if level is None:
+            level = out[m] = {}
+        level[i] = pos
+    return out
+
+
+def _skeleton(category: DgCategory, twist: DgFunctor, max_level: int,
+              normalized: bool) -> _Skeleton:
+    """The skeleton of `category` for twists with `twist`'s object map,
+    kept in the category's `derived` dict and shared from there."""
+    images = tuple(twist.apply_obj(o) for o in category.objects)
+    key = ("hochschild.skeleton", images, max_level, normalized)
+    sk = category.derived.get(key)
+    if sk is None:
+        sk = category.derived[key] = _Skeleton(
+            category, dict(zip(category.objects, images)), max_level, normalized)
+    sk.complexes += 1
+    return sk
+
+
 class StandardComplex:
     """The truncated standard complex; `levels[m]` lists the level-m chains
-    as tuples of basis ints and `row_of[m]` maps each chain to its row."""
+    as tuples of basis ints and `row_of[m]` maps each chain to its row.
+
+    Everything but the wrap face of d2 lives in a skeleton shared with the
+    other complexes on the same category and object map.  `levels`,
+    `row_of`, `d1` and `d2` build a level on first access, so a computation
+    only pays for the levels its degrees read."""
 
     def __init__(self, category: DgCategory, twist: DgFunctor, max_level: int,
                  normalized: bool, twist_spec: TwistSpec | None = None):
@@ -151,23 +373,33 @@ class StandardComplex:
         self.max_level = max_level
         self.normalized = normalized
         self.twist_spec = twist_spec
-        self.basis_ids: tuple[str, ...] = tuple(sorted(category.basis))
-        self.basis_index = {b: i for i, b in enumerate(self.basis_ids)}
-        self._deg = [category.deg(b) for b in self.basis_ids]
-        self._diff = [_lin(self.basis_index, category.diff_basis(b))
-                      for b in self.basis_ids]
+        self.skeleton = sk = _skeleton(category, twist, max_level, normalized)
+        self.basis_ids = sk.basis_ids
+        self.basis_index = sk.basis_index
+        self._deg = sk.deg
+        self.compose = sk.compose
         self._twist = [_lin(self.basis_index, twist.apply_basis(b))
                        for b in self.basis_ids]
-        self.compose = _ComposeTable(category, self.basis_ids, self.basis_index)
-        self.levels: list[list[tuple[int, ...]]] = []
-        self.row_of: list[dict[tuple[int, ...], int]] = []
-        self._enumerate_levels()
-        self.d1: list[SparseMatrix] = [self._build_d1(m) for m in range(max_level + 1)]
-        self.d2: list[SparseMatrix] = [self._build_d2(m) for m in range(max_level + 1)]
-        self._blocks: dict[int, list[tuple[int, int]]] | None = None
+        self._d2: list = [None] * (max_level + 1)
         self._diff_cache: dict[int, SparseMatrix] = {}
         self._rank_cache: dict[tuple[int, RankMode], RankResult] = {}
         self._homology_cache: dict[int, tuple] = {}
+
+    @property
+    def levels(self) -> _Lazy:
+        return self.skeleton.levels
+
+    @property
+    def row_of(self) -> _Lazy:
+        return self.skeleton.row_of
+
+    @property
+    def d1(self) -> _Lazy:
+        return self.skeleton.d1
+
+    @property
+    def d2(self) -> _Lazy:
+        return _Lazy(self._d2, self._build_d2)
 
     # -- basis ints and chains ----------------------------------------------
 
@@ -186,86 +418,36 @@ class StandardComplex:
         ids = self.basis_ids
         return tuple(ids[b] for b in self.levels[m][i])
 
-    # -- enumeration -----------------------------------------------------
-
-    def _enumerate_levels(self):
-        cat, F = self.category, self.twist
-        index = self.basis_index
-        homs = {}
-
-        def hom(src, tgt):
-            """(every basis int, the bar-slot choices) of hom(src, tgt)."""
-            key = (src, tgt)
-            if key not in homs:
-                ids = cat.hom(src, tgt)
-                homs[key] = (tuple(index[b] for b in ids),
-                             tuple(index[b] for b in ids
-                                   if not (self.normalized and cat.is_unit(b))))
-            return homs[key]
-
-        for m in range(self.max_level + 1):
-            chains = []
-            for objs in itertools.product(cat.objects, repeat=m + 1):
-                c0 = objs[0]
-                ranges = [hom(objs[1] if m else c0, F.apply_obj(c0))[0]]
-                for i in range(1, m + 1):
-                    ranges.append(hom(objs[i + 1] if i < m else c0, objs[i])[1])
-                if all(ranges):
-                    chains.extend(itertools.product(*ranges))
-            self.levels.append(chains)
-            self.row_of.append({ch: i for i, ch in enumerate(chains)})
-
     # -- differentials ---------------------------------------------------
 
-    def _build_d1(self, m) -> SparseMatrix:
-        """Internal differential with the total-complex sign (-1)^m; the
-        differential of a_p carries the Koszul sign of a0 ... a_{p-1}."""
-        deg, diff, row_of = self._deg, self._diff, self.row_of[m]
-        acc = {}
-        for col, ch in enumerate(self.levels[m]):
-            sign = -1 if m % 2 else 1
-            for p, a in enumerate(ch):
-                if diff[a]:
-                    _emit(acc, col, row_of, ch[:p], diff[a], ch[p + 1:], sign)
-                if deg[a] % 2:
-                    sign = -sign
-        dim = len(self.levels[m])
-        return SparseMatrix(dim, dim, acc)
-
     def _build_d2(self, m) -> SparseMatrix:
-        """Faces a_i∘a_{i+1} with sign (-1)^i, then the wrap-around face
-        where the last slot acts through the twist."""
-        cols = len(self.levels[m])
+        """The skeleton's inner faces, then the wrap-around face where the
+        last slot acts through the twist."""
+        sk = self.skeleton
+        chains = sk.levels[m]
         if m == 0:
-            return SparseMatrix(0, cols)
+            return SparseMatrix(0, len(chains))
         deg, twist, compose = self._deg, self._twist, self.compose
-        row_of = self.row_of[m - 1]
-        acc = {}
-        for col, ch in enumerate(self.levels[m]):
-            for i in range(m):
-                lin = compose[ch[i], ch[i + 1]]
-                if lin:
-                    _emit(acc, col, row_of, ch[:i], lin, ch[i + 2:],
-                          -1 if i % 2 else 1)
+        row_of = sk.row_of[m - 1]
+        acc = sk.inner_faces(m)
+        faces = {}  # (am, a0) -> F(am)∘a0
+        for col, ch in enumerate(chains):
             last, a0 = ch[m], ch[0]
-            lin = [(b, ct * c) for t, ct in twist[last] for b, c in compose[t, a0]]
+            lin = faces.get((last, a0))
+            if lin is None:
+                lin = faces[last, a0] = [(b, ct * c) for t, ct in twist[last]
+                                         for b, c in compose[t, a0]]
             if lin:
-                d = deg[last]
-                sign = -1 if (m + d * (self.degree(ch) - d)) % 2 else 1
-                _emit(acc, col, row_of, (), lin, ch[1:m], sign)
-        return SparseMatrix(len(self.levels[m - 1]), cols, acc)
+                d = deg[last]  # d·(|ch| - d) is even unless d is odd
+                odd = m + d * (self.degree(ch) - d) if d % 2 else m
+                _emit(acc, col, row_of, (), lin, ch[1:m], -1 if odd % 2 else 1)
+        return SparseMatrix(len(sk.levels[m - 1]), len(chains), acc)
 
     # -- total-degree bookkeeping ---------------------------------------
 
     def degree_block(self, k) -> list[tuple[int, int]]:
         """Global coordinates of total degree k: list of (level, local index)."""
-        if self._blocks is None:
-            blocks = {}
-            for m, chains in enumerate(self.levels):
-                for i, ch in enumerate(chains):
-                    blocks.setdefault(self.degree(ch) - m, []).append((m, i))
-            self._blocks = blocks
-        return self._blocks.get(k, [])
+        return self.skeleton.degree_block(k)
 
     def block_dim(self, k) -> int:
         return len(self.degree_block(k))
@@ -276,21 +458,21 @@ class StandardComplex:
             return self._diff_cache[k]
         src = self.degree_block(k)
         tgt = self.degree_block(k + 1)
-        tgt_pos = {coord: i for i, coord in enumerate(tgt)}
+        rows_at = block_positions(tgt)
         ent = {}
-        src_by_level = {}
-        for j, (m, i) in enumerate(src):
-            src_by_level.setdefault(m, []).append((j, i))
-        for m, cols in src_by_level.items():
-            local = {i: j for j, i in cols}
-            for (r, c), v in self.d1[m].entries.items():
-                if c in local and (m, r) in tgt_pos:
-                    ent[(tgt_pos[(m, r)], local[c])] = v
+        for m, cols in block_positions(src).items():
             # d2 lands one level below d1, so the two never share an entry
-            for (r, c), v in self.d2[m].entries.items():
-                if c in local and (m - 1, r) in tgt_pos:
-                    ent[(tgt_pos[(m - 1, r)], local[c])] = v
-        mtx = SparseMatrix(len(tgt), len(src), ent)
+            for d, rows in ((self.d1[m], rows_at.get(m)),
+                            (self.d2[m], rows_at.get(m - 1))):
+                if rows is None:
+                    continue
+                for (r, c), v in d.entries.items():
+                    j = cols.get(c)
+                    if j is not None:
+                        i = rows.get(r)
+                        if i is not None:
+                            ent[(i, j)] = v
+        mtx = SparseMatrix.trusted(len(tgt), len(src), ent)
         self._diff_cache[k] = mtx
         return mtx
 
@@ -347,6 +529,7 @@ class StandardComplex:
         result = (reps, boundaries)
         self._homology_cache[k] = result
         return result
+
 
 def build_complex(c: DgCategory, twist, max_level: int,
                   normalized: bool = True) -> StandardComplex:
@@ -510,14 +693,16 @@ def twist_endo_map(sc: StandardComplex) -> ChainMapData:
     return induced_chain_map(F, alpha, sc, sc)
 
 
-def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor) -> list:
+def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
+                             levels=None) -> list:
     """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
     automorphism phi that sends every basis morphism to ±1 times another.
 
     One list per level m: entry i is (j, s) when chain i goes to s times
-    chain j.  This is the chain map of phi whose coefficient transform is
-    the unit at F(phi(c0)); it is a chain map only when phi commutes with
-    the twist F, which check_equivariant verifies.
+    chain j.  Only the levels in `levels` (default: all) are built; the
+    others are None.  This is the chain map of phi whose coefficient
+    transform is the unit at F(phi(c0)); it is a chain map only when phi
+    commutes with the twist F, which check_equivariant verifies.
     """
     target, sign = [], []  # basis int -> its image's basis int and sign
     for bid in sc.basis_ids:
@@ -530,30 +715,41 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor) -> list:
         target.append(sc.basis_index[t])
         sign.append(int(v))
 
+    signed = -1 in sign
+    wanted = range(sc.max_level + 1) if levels is None else set(levels)
     perm = []
-    for m, chains in enumerate(sc.levels):
-        row_of = sc.row_of[m]
-        level = []
-        for ch in chains:
-            j = row_of.get(tuple(map(target.__getitem__, ch)))
-            if j is None:
-                raise StructuralError(
-                    f"{phi.name or 'functor'} sends a level-{m} chain out of "
-                    f"the complex")
-            level.append((j, prod(map(sign.__getitem__, ch))))
-        if len({j for j, _ in level}) != len(level):
+    for m in range(sc.max_level + 1):
+        if m not in wanted:
+            perm.append(None)
+            continue
+        chains, row_of = sc.levels[m], sc.row_of[m]
+        # position by position, so that the loops run inside map and zip
+        slots = list(zip(*chains))
+        rows = list(map(row_of.get, zip(*[map(target.__getitem__, slot)
+                                          for slot in slots])))
+        if None in rows:
+            raise StructuralError(
+                f"{phi.name or 'functor'} sends a level-{m} chain out of "
+                f"the complex")
+        if signed:
+            level = list(zip(rows, map(prod, zip(*[map(sign.__getitem__, slot)
+                                                   for slot in slots]))))
+        else:
+            level = list(zip(rows, itertools.repeat(1)))
+        if len(set(rows)) != len(rows):
             raise StructuralError(
                 f"{phi.name or 'functor'} is not injective on level {m}")
         perm.append(level)
     return perm
 
 
-def check_equivariant(sc: StandardComplex, perm: list) -> None:
+def check_equivariant(sc: StandardComplex, perm: list, levels=None) -> None:
     """Raise StructuralError unless the signed chain permutation `perm`
     commutes with d1 and d2: d[g r, g c] = s(r) s(c) d[r, c] for every
-    nonzero entry.  `perm` is a bijection on each level (as
-    signed_chain_permutation ensures), so this maps the nonzero entries of
-    each block injectively into themselves, which makes g d = d g exact."""
+    nonzero entry of d1[m] and d2[m], for each m in `levels` (default:
+    all).  `perm` is a bijection on each level (as signed_chain_permutation
+    ensures), so this maps the nonzero entries of each block injectively
+    into themselves, which makes g d = d g exact."""
 
     def respects(mtx, row_perm, col_perm) -> bool:
         ent = mtx.entries
@@ -564,7 +760,7 @@ def check_equivariant(sc: StandardComplex, perm: list) -> None:
                 return False
         return True
 
-    for m in range(sc.max_level + 1):
+    for m in range(sc.max_level + 1) if levels is None else levels:
         if not respects(sc.d1[m], perm[m], perm[m]):
             raise StructuralError(
                 f"chain permutation does not commute with the internal "

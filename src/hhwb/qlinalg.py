@@ -72,6 +72,14 @@ def _entry(v):
     raise StructuralError(f"matrix entry {v!r} is neither an int nor a Fraction")
 
 
+def normalise_entries(ent: dict) -> dict:
+    """ent with each integral Fraction replaced by its numerator, in place."""
+    for key, v in ent.items():
+        if type(v) is not int and v.denominator == 1:
+            ent[key] = v.numerator
+    return ent
+
+
 class SparseMatrix:
     """Immutable-by-convention sparse matrix over Q.
 
@@ -102,6 +110,18 @@ class SparseMatrix:
         self.entries = ent
 
     @classmethod
+    def trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
+        """A matrix on `entries` as given, without the constructor's checks:
+        for internal producers whose entries are already ints or
+        non-integral Fractions, nonzero and in range.  The dict is kept,
+        not copied."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
     def from_dense(cls, rows_list):
         rows = len(rows_list)
         cols = len(rows_list[0]) if rows else 0
@@ -124,8 +144,9 @@ class SparseMatrix:
         return not self.entries
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows,
-                            {(j, i): v for (i, j), v in self.entries.items()})
+        return SparseMatrix.trusted(
+            self.cols, self.rows,
+            {(j, i): v for (i, j), v in self.entries.items()})
 
     def scale(self, c) -> "SparseMatrix":
         c = _entry(c)
@@ -163,7 +184,8 @@ class SparseMatrix:
                     ent[(i, j)] = s
                 else:
                     ent.pop((i, j), None)
-        return SparseMatrix(self.rows, other.cols, ent)
+        return SparseMatrix.trusted(self.rows, other.cols,
+                                    normalise_entries(ent))
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a sparse column vector {index: int or Fraction}."""
@@ -364,22 +386,23 @@ def _component_rank(rows, p: int) -> int:
     return rank
 
 
-def _rank(rows, p: int = 0) -> int:
-    return sum(_component_rank(comp, p) for comp in _components(rows))
-
-
-def _rows_mod_p(m: SparseMatrix, p: int):
-    rows = {}
-    for (i, j), v in m.entries.items():
-        if type(v) is int:
-            r = v % p
-        elif v.denominator % p == 0:
-            raise ModularFailure(f"prime {p} divides a denominator")
-        else:
-            r = v.numerator * pow(v.denominator, -1, p) % p
-        if r:
-            rows.setdefault(i, {})[j] = r
-    return list(rows.values())
+def _rows_mod_p(rows, p: int) -> list:
+    """The rows reduced mod p, dropping the entries and rows that vanish."""
+    out = []
+    for row in rows:
+        red = {}
+        for j, v in row.items():
+            if type(v) is int:
+                r = v % p
+            elif v.denominator % p == 0:
+                raise ModularFailure(f"prime {p} divides a denominator")
+            else:
+                r = v.numerator * pow(v.denominator, -1, p) % p
+            if r:
+                red[j] = r
+        if red:
+            out.append(red)
+    return out
 
 
 @dataclass(frozen=True)
@@ -406,21 +429,26 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:
     one divides a denominator, `value` is recomputed over Q; `per_prime`,
     `failed_primes` and `agreed` still report what the primes gave.
     """
+    # the components of the entries' support, once; mod p a component may
+    # split further, but its rank is still that of its rows
+    comps = _components(_row_dicts(m))
     if mode.kind == "exact":
-        return RankResult(_rank(_row_dicts(m)), mode)
+        return RankResult(sum(_component_rank(c, 0) for c in comps), mode)
     per_prime = []
     failed = []
     for p in mode.primes:
         try:
-            rows = _rows_mod_p(m, p)
+            reduced = [_rows_mod_p(c, p) for c in comps]
         except ModularFailure:
             failed.append(p)
             continue
-        per_prime.append((p, _rank(rows, p)))
+        per_prime.append((p, sum(_component_rank(rows, p)
+                                 for rows in reduced if rows)))
     result = RankResult(max((r for _, r in per_prime), default=0), mode,
                         tuple(per_prime), tuple(failed))
     if failed or not result.agreed:
-        result = replace(result, value=_rank(_row_dicts(m)))
+        result = replace(result,
+                         value=sum(_component_rank(c, 0) for c in comps))
     return result
 
 

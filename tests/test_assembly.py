@@ -259,3 +259,30 @@ def test_integral_complex_homology_basis_stays_exact():
         for z in reps:
             assert d_out.apply(z) == {}
         assert len(reps) == total_homology(sc, [k]).dims()[k]
+
+
+def test_unchecked_differentials_keep_the_entry_contract():
+    """total_differential and the orbit differential skip the constructor's
+    checks; on a presentation with non-integral constants their entries
+    must still be ints or non-integral Fractions, nonzero and in range."""
+    from hhwb.decomposition import OrbitComplex, _lambda_complex, Partition
+    from hhwb.dgcore import permutation_functor, tensor_power
+    from hhwb.hochschild import signed_chain_permutation
+    from hhwb.qlinalg import SparseMatrix
+
+    c = truncated_cube(2)
+    power = tensor_power(c, 2)
+    sc = _lambda_complex(c, 2, Partition((1, 1)), 3, True, power)
+    swap = permutation_functor(c, 2, Permutation.from_cycles(2, [(1, 2)]),
+                               power=power)
+    oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap)], EXACT)
+    seen_fraction = False
+    for k in range(-3, 1):
+        for mtx in (sc.total_differential(k), oc.differential(k)):
+            assert mtx == SparseMatrix(mtx.rows, mtx.cols, mtx.entries)
+            assert all(type(v) is int or (type(v) is Fraction
+                                          and v.denominator > 1)
+                       for v in mtx.entries.values())
+            seen_fraction |= any(type(v) is Fraction
+                                 for v in mtx.entries.values())
+    assert seen_fraction

@@ -262,6 +262,63 @@ def test_internal_error_is_not_a_mismatch(capsys, monkeypatch, exc):
     assert str(exc) in err
 
 
+def test_decompose_positive_degrees_of_an_odd_generator(tmp_path, capsys):
+    # E = k[y]/y^2 with |y| = 1: its homology lives in degrees 0 and 1, and
+    # no degree bound certifies any degree, so every verdict is Heuristic
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps({
+        "name": "E",
+        "objects": ["*"],
+        "homs": [{"name": "1", "src": "*", "tgt": "*", "degree": 0},
+                 {"name": "y", "src": "*", "tgt": "*", "degree": 1}],
+        "units": {"*": "1"},
+        "compose": [{"g": "y", "f": "y", "result": []}],
+        "diff": [],
+    }))
+    code, out, err = run(capsys, "decompose", str(path), "--n", "2",
+                         "--max-level", "4", "--degrees=-1..1")
+    assert code == cli.EXIT_INCONCLUSIVE == 3, err
+    verdicts = json.loads(out)["results"]["verdicts"]
+    assert verdicts == {"1": "Heuristic", "0": "Heuristic", "-1": "Heuristic"}
+
+
+def test_decompose_positive_degree_of_dual_numbers(capsys):
+    res = run_json(capsys, "decompose", DUAL, "--n", "2",
+                   "--degrees=-1..1")["results"]
+    assert res["lhs_totals"] == {"1": 0, "0": 5, "-1": 3}
+    assert res["rhs_totals"] == res["lhs_totals"]
+    assert res["verdicts"] == {"1": "Equal", "0": "Equal", "-1": "Equal"}
+
+
+@pytest.mark.parametrize("fail", [None, KeyboardInterrupt],
+                         ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_garbage_collection(capsys, monkeypatch, fail, enabled):
+    import gc
+
+    seen = []
+
+    def verb(args):
+        seen.append(gc.isenabled())
+        if fail:
+            raise fail
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_series", verb)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail:
+            with pytest.raises(fail):
+                main(["series", "--dims", "0:1", "--n", "1"])
+        else:
+            assert main(["series", "--dims", "0:1", "--n", "1"]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 # -- exact fallback ---------------------------------------------------------
 
 

@@ -478,6 +478,25 @@ def test_decomposition_reports_orbit_rank_disagreement(D, monkeypatch):
     assert rep.all_equal
 
 
+def test_positive_degree_reads_the_factor_certificates(D, monkeypatch):
+    # the right side in degree 1 reads the factor's degrees 0 and 1; an
+    # uncertified factor degree 1 must make that verdict Heuristic
+    total_homology = decomposition.total_homology
+
+    def factor_uncertified_at_1(sc, degrees, mode=EXACT):
+        out = total_homology(sc, degrees, mode)
+        if sc.category is D:
+            out.degrees[1] = replace(out.degrees[1], certificate="heuristic")
+        return out
+
+    rep = verify_decomposition(D, 2, [1, 0, -1], max_level=3)
+    assert rep.verdicts == {1: "Equal", 0: "Equal", -1: "Equal"}
+    monkeypatch.setattr(decomposition, "total_homology",
+                        factor_uncertified_at_1)
+    rep = verify_decomposition(D, 2, [1, 0, -1], max_level=3)
+    assert rep.verdicts == {1: "Heuristic", 0: "Equal", -1: "Equal"}
+
+
 @pytest.mark.slow
 def test_decomposition_dual_numbers_cube_modular(D):
     rep = verify_decomposition(D, 3, [0, -1, -2], max_level=3,

@@ -36,6 +36,23 @@ def test_integral_entries_are_stored_as_ints():
                .entries.values())
 
 
+def test_internal_products_keep_the_entry_contract():
+    # mul and transpose build their results past the constructor's checks,
+    # so they must normalise an integral Fraction themselves
+    half = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)],
+                                    [0, 3]])
+    two = SparseMatrix.from_dense([[2, 0], [Fraction(3, 2), Fraction(1, 3)]])
+    for m in (half.mul(two), two.mul(half), half.transpose(),
+              half.mul(two).transpose()):
+        checked = SparseMatrix(m.rows, m.cols, m.entries)
+        assert m == checked
+        assert [type(v) for v in m.entries.values()] == \
+            [type(v) for v in checked.entries.values()]
+    assert half.mul(two).entries == {(0, 0): Fraction(3, 2), (0, 1): Fraction(1, 9),
+                                     (1, 0): Fraction(9, 2), (1, 1): 1}
+    assert type(half.mul(two).entries[(1, 1)]) is int
+
+
 @pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None])
 def test_float_and_other_entries_are_rejected(bad):
     with pytest.raises(StructuralError):
@@ -238,6 +255,16 @@ def test_modular_rank_is_exact_when_the_surviving_prime_is_wrong():
     info = rank_info(m, MOD)
     assert info.per_prime == ((P2, 1),)
     assert info.failed_primes == (P1,)
+    assert info.value == 2
+
+
+def test_a_component_that_vanishes_mod_p_adds_nothing():
+    # components are found once on the support; the block [[P1, P1]]
+    # empties mod P1 and must count 0 there, not 1
+    m = SparseMatrix.from_dense([[P1, P1, 0], [0, 0, 1]])
+    info = rank_info(m, MOD)
+    assert info.per_prime == ((P1, 1), (P2, 2))
+    assert not info.agreed
     assert info.value == 2
 
 
