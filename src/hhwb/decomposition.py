@@ -13,9 +13,10 @@ truncation certificates tracked throughout; the right side in degree k reads
 the factor's homology in every degree between 0 and k.
 
 verify_decomposition builds the n-th tensor power once and every λ complex
-on it, so the complexes share one skeleton (hochschild): chains, d1, the
-inner faces of d2 and each generator's chain permutation are built once per
-n, and only on the levels the requested degrees read.  Each complex adds
+on it, so the complexes share one skeleton (hochschild): chains, d1 and the
+inner faces of d2 are built once per n, and only on the levels the
+requested degrees read; it also builds each generator's chain permutation
+once and drops it after the last λ that uses it.  Each complex adds
 its own wrap face, and every check (equivariance, d² = 0, the rotation
 identity, prime agreement) still runs on each complex.
 """
@@ -180,12 +181,12 @@ def group_closure(generators, n: int) -> list:
 def _lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,
                     normalized: bool = True,
                     power: DgCategory | None = None) -> StandardComplex:
-    """The complex of c^{⊗n} twisted by σ_λ.  Complexes built on one
-    `power` share its skeleton (hochschild._Skeleton) wherever their
-    twists agree on objects, which every one-object c gives."""
+    """The complex of c^{⊗n} twisted by σ_λ, on `power` when given.  Live
+    complexes on one power share its skeleton (hochschild._Skeleton)
+    wherever their twists agree on objects, which every one-object c
+    gives."""
     if power is None:
-        return build_complex(c, TwistSpec.perm(n, sigma_of(lam)), max_level,
-                             normalized=normalized)
+        power = tensor_power(c, n)
     return build_complex(power, permutation_functor(c, n, sigma_of(lam),
                                                     power=power),
                          max_level, normalized=normalized)
@@ -318,18 +319,19 @@ class OrbitComplex:
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
-                               h: Permutation, levels: list) -> list:
+                               h: Permutation, levels: list,
+                               cache: dict) -> list:
     """h's signed chain permutation on `levels` and the levels below them,
     checked to commute with sc's d1 and d2 on `levels`.  The permutation
-    depends on the chain catalog alone, so complexes that share a skeleton
-    share it too; the check is made for every complex."""
+    depends on the chain catalog alone, so `cache` keeps it per skeleton,
+    generator and levels for complexes that share the skeleton; the check
+    is made for every complex."""
     built = tuple(sorted(set(levels).union(m - 1 for m in levels if m)))
-    cache = sc.skeleton.chain_perms
-    perm = cache.get((h.images, built))
+    key = (sc.skeleton, h.images, built)
+    perm = cache.get(key)
     if perm is None:
         phi = permutation_functor(c, len(h.images), h, power=sc.category)
-        perm = cache[(h.images, built)] = signed_chain_permutation(sc, phi,
-                                                                   built)
+        perm = cache[key] = signed_chain_permutation(sc, phi, built)
     check_equivariant(sc, perm, levels)
     return perm
 
@@ -338,7 +340,8 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
                    max_level: int, normalized: bool = True,
                    mode: RankMode = EXACT, check_rotations: bool = True,
                    strict: bool = False, _sc: StandardComplex | None = None,
-                   _ranks: dict | None = None) -> dict:
+                   _ranks: dict | None = None,
+                   _perms: dict | None = None) -> dict:
     """Dimensions of the S-invariants of the λ-summand per degree.
 
     Each is the homology of the signed-orbit complex of S (OrbitComplex).
@@ -347,7 +350,8 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
     block-permutation part S of the centralizer is needed; check_rotations
     verifies it as the rank identity dim H(C^<c>) = dim H(C), and
     strict=True adds the rotations to the generators as well.  When given,
-    `_ranks` gets, per degree, the RankResults of every rank it used.
+    `_ranks` gets, per degree, the RankResults of every rank it used, and
+    `_perms` caches the chain permutations (_checked_chain_permutation).
     """
     sc = _sc if _sc is not None else _lambda_complex(c, n, lam, max_level,
                                                      normalized)
@@ -357,9 +361,10 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
                 f"degree {k} lacks an exact truncation certificate")
     pres = centralizer_gens(lam)
     levels = sc.skeleton.levels_near(degrees)
-    s_perms = [_checked_chain_permutation(c, sc, g, levels)
+    cache = _perms if _perms is not None else {}
+    s_perms = [_checked_chain_permutation(c, sc, g, levels, cache)
                for g in pres.s_generators]
-    c_perms = ([_checked_chain_permutation(c, sc, g, levels)
+    c_perms = ([_checked_chain_permutation(c, sc, g, levels, cache)
                 for g in pres.c_generators]
                if check_rotations or strict else [])
     ranks = _ranks if _ranks is not None else {}
@@ -545,10 +550,18 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     used = {k: [] for k in degrees}  # the RankResults and DegreeResults of k
     # one tensor power, so that the λ complexes share their skeleton; all
     # built (lazily, so cheaply) before any is used, so that the skeleton
-    # knows it is shared, and each dropped once used
+    # knows it is shared (hochschild._Skeleton.inner_faces), and each
+    # dropped once used
     power = tensor_power(c, n)
     todo = [(lam, _lambda_complex(c, n, lam, max_level, normalized, power))
             for lam in reversed(partitions(n))]
+    # each generator's chain permutation is kept until the last λ using it
+    last_user = {}
+    for lam in partitions(n):
+        pres = centralizer_gens(lam)
+        for g in pres.s_generators + pres.c_generators:
+            last_user[g.images] = lam
+    chain_perms = {}
     while todo:
         lam, sc = todo.pop()
         summary = total_homology(sc, window, mode=mode)
@@ -558,7 +571,8 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
             used[k].append(summary.degrees[k])
         action_degrees = [k for k in degrees if certified[k]]
         inv = invariant_dims(c, n, lam, action_degrees, max_level, normalized,
-                             mode=mode, strict=strict, _sc=sc, _ranks=used)
+                             mode=mode, strict=strict, _sc=sc, _ranks=used,
+                             _perms=chain_perms)
         pres = centralizer_gens(lam)
         per_partition.append(PartitionSummary(
             partition=lam,
@@ -572,15 +586,8 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
                 lhs_totals[k] += inv[k]
             else:
                 lhs_cert[k] = False
-        # keep only the chain permutations a later λ still uses
-        later = set()
-        for rest, _ in todo:
-            other = centralizer_gens(rest)
-            later.update(g.images
-                         for g in other.s_generators + other.c_generators)
-        perms = sc.skeleton.chain_perms
-        for key in [key for key in perms if key[0] not in later]:
-            del perms[key]
+        for key in [key for key in chain_perms if last_user[key[1]] == lam]:
+            del chain_perms[key]
     factor = build_complex(c, TwistSpec.identity(), max_level,
                            normalized=normalized)
     factor_summary = total_homology(factor, window, mode=mode)

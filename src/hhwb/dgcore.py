@@ -69,9 +69,6 @@ class DgCategory:
             homs.setdefault((info.src, info.tgt), []).append(bid)
         self._homs = {k: tuple(v) for k, v in homs.items()}
         self._unit_set = frozenset(self.units.values())
-        # structures other modules derive from this category and share
-        # through it (hochschild keeps its chain catalogs here)
-        self.derived = {}
 
     # -- lookups ---------------------------------------------------------
 

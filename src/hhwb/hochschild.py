@@ -18,10 +18,10 @@ equivariance check and rank mod p all run on ints.
 
 Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
 object map.  Everything else (the basis tables, the chain catalog and its
-degree blocks, d1, the inner faces a_i∘a_{i+1} and the signed chain
-permutations) lives in a skeleton that every complex on the same category,
-with the same object map, max level and normalization, shares; the
-category keeps it in its `derived` dict.  Levels are enumerated and
+degree blocks, d1 and the inner faces a_i∘a_{i+1}) lives in a skeleton
+that the live complexes on the same category, with the same object map,
+max level and normalization, share; a weak registry finds it, so it goes
+away with the last complex built on it.  Levels are enumerated and
 assembled on first access: a level-m chain has total degree in
 [(m+1)·dmin - m, (m+1)·dmax - m], so the homology in degree k reads only
 the levels whose window meets [k-1, k+1], and max_level caps the work
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import weakref
 from dataclasses import dataclass
 from math import prod
 
@@ -185,10 +186,10 @@ class _Lazy:
 class _Skeleton:
     """The part of the standard complex that does not depend on the twist
     beyond its object map: the basis tables, the chain catalog and its
-    degree blocks, d1 and the inner faces of d2, plus a cache of signed
-    chain permutations.  Complexes on one category with one object map,
-    max level and normalization share one skeleton (see _skeleton); each
-    level is enumerated and assembled on first access."""
+    degree blocks, d1 and the inner faces of d2.  Live complexes on one
+    category with one object map, max level and normalization share one
+    skeleton (see _skeleton); each level is enumerated and assembled on
+    first access."""
 
     def __init__(self, category: DgCategory, obj_map: dict, max_level: int,
                  normalized: bool):
@@ -212,7 +213,6 @@ class _Skeleton:
         self._inner: dict[int, dict] = {}  # kept once a second complex shares
         self._homs: dict = {}
         self.complexes = 0  # how many complexes were built on this skeleton
-        self.chain_perms: dict = {}  # see decomposition's generators
 
     @property
     def levels(self) -> _Lazy:
@@ -282,7 +282,12 @@ class _Skeleton:
     def inner_faces(self, m) -> dict:
         """The faces a_i∘a_{i+1} of d2 on level m >= 1, with sign (-1)^i,
         as a fresh entries dict the caller may extend.  The skeleton keeps
-        a copy only once more than one complex is built on it."""
+        a copy only once more than one complex is built on it, so that a
+        lone complex holds its faces once, inside its d2.  Faces built
+        before the second complex are built again once, by the first
+        complex that reads them after it: complexes meant to share should
+        all be built before any reads its d2, as verify_decomposition
+        does."""
         kept = self._inner.get(m)
         if kept is not None:
             return dict(kept)
@@ -341,15 +346,22 @@ def block_positions(block) -> dict[int, dict[int, int]]:
     return out
 
 
+# (id(category), object images, max level, normalized) -> skeleton; a
+# skeleton holds its category, so the id is not reused while the entry lives
+_skeletons: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _skeleton(category: DgCategory, twist: DgFunctor, max_level: int,
               normalized: bool) -> _Skeleton:
-    """The skeleton of `category` for twists with `twist`'s object map,
-    kept in the category's `derived` dict and shared from there."""
+    """The skeleton of `category` for twists with `twist`'s object map.
+    It is shared while some complex built on it is alive and freed with
+    the last one (by reference counting; nothing refers back to it), so a
+    caller that wants complexes to share keeps them alive together."""
     images = tuple(twist.apply_obj(o) for o in category.objects)
-    key = ("hochschild.skeleton", images, max_level, normalized)
-    sk = category.derived.get(key)
+    key = (id(category), images, max_level, normalized)
+    sk = _skeletons.get(key)
     if sk is None:
-        sk = category.derived[key] = _Skeleton(
+        sk = _skeletons[key] = _Skeleton(
             category, dict(zip(category.objects, images)), max_level, normalized)
     sk.complexes += 1
     return sk
@@ -360,7 +372,7 @@ class StandardComplex:
     as tuples of basis ints and `row_of[m]` maps each chain to its row.
 
     Everything but the wrap face of d2 lives in a skeleton shared with the
-    other complexes on the same category and object map.  `levels`,
+    other live complexes on the same category and object map.  `levels`,
     `row_of`, `d1` and `d2` build a level on first access, so a computation
     only pays for the levels its degrees read."""
 

@@ -2,6 +2,9 @@
 catalog, d1, the inner faces of d2 and the chain permutations are built
 once, and every level is built only when a degree reads it."""
 
+import gc
+import weakref
+
 import pytest
 
 from hhwb import hochschild
@@ -71,18 +74,18 @@ def test_chain_permutation_cache_matches_a_fresh_permutation():
     c = dual_numbers()
     built = dict((lam.parts, sc) for lam, sc in shared_complexes(c, 3, 3, True))
     levels = [0, 1, 2, 3]
-    seen = {}
+    cache, seen = {}, {}
     for parts, sc in built.items():
         pres = centralizer_gens(next(lam for lam in partitions(3)
                                      if lam.parts == parts))
         for h in pres.s_generators + pres.c_generators:
-            perm = _checked_chain_permutation(c, sc, h, levels)
+            perm = _checked_chain_permutation(c, sc, h, levels, cache)
             phi = permutation_functor(c, 3, h, power=sc.category)
             assert perm == signed_chain_permutation(sc, phi)
             if h.images in seen:
                 assert perm is seen[h.images]  # (2 3) serves (1,1,1) and (1,2)
             seen[h.images] = perm
-    assert len(seen) == 3
+    assert len(seen) == len(cache) == 3
 
 
 def test_only_the_levels_the_degrees_read_are_built(capsys, monkeypatch):
@@ -122,6 +125,56 @@ def test_a_lone_complex_holds_its_faces_once():
     for _, sc in built:
         sc.d2[3]
     assert list(built[0][1].skeleton._inner) == [3]  # built once, then copied
+
+
+def test_complexes_built_one_after_another_share_once_two_are_alive(
+        monkeypatch):
+    faces = []
+    inner_faces = hochschild._Skeleton.inner_faces
+
+    def spy(self, m):
+        if m not in self._inner:
+            faces.append(m)
+        return inner_faces(self, m)
+
+    monkeypatch.setattr(hochschild._Skeleton, "inner_faces", spy)
+    c = dual_numbers()
+    power = tensor_power(c, 3)
+    alive = []
+    for lam in partitions(3):
+        sc = _lambda_complex(c, 3, lam, 3, True, power)
+        sc.d2[3]
+        alive.append(sc)
+        alone = build_complex(c, TwistSpec.perm(3, sigma_of(lam)), 3)
+        assert sc.d2[3] == alone.d2[3]
+    assert all(sc.skeleton is alive[0].skeleton for sc in alive)
+    # the first complex builds its faces alone, the second builds them
+    # again and the skeleton keeps them, the third reads them; each
+    # standalone complex builds its own
+    assert faces == [3, 3, 3, 3, 3]
+
+
+def test_a_complex_frees_its_power_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sc = build_complex(dual_numbers(), TwistSpec.perm(3, sigma_of(
+            partitions(3)[1])), 3)
+        sc.total_differential(-2)
+        power, skeleton = weakref.ref(sc.category), weakref.ref(sc.skeleton)
+        del sc
+        assert power() is None and skeleton() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_the_category_keeps_no_skeleton_after_a_verification():
+    from hhwb.decomposition import verify_decomposition
+
+    c = dual_numbers()
+    verify_decomposition(c, 3, [0, -1], 3)
+    assert not [key for key in hochschild._skeletons if key[0] == id(c)]
 
 
 def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
