@@ -247,15 +247,22 @@ class _Skeleton:
         return self._homs[key]
 
     def _enumerate(self, m) -> list[tuple[int, ...]]:
-        hom, F = self._hom, self.obj_map
+        hom, F, objects = self._hom, self.obj_map, self.category.objects
+        # the object tuples (c0, ..., cm) in the order of itertools.product,
+        # extended slot by slot along non-empty hom spaces only: c1 needs
+        # hom(c1, F(c0)), each later ci a bar choice in hom(ci, c(i-1))
+        tuples = [(c0,) for c0 in objects]
+        for i in range(1, m + 1):
+            tuples = [t + (c,) for t in tuples for c in objects
+                      if (hom(c, t[-1])[1] if i > 1 else hom(c, F[t[0]])[0])]
         chains = []
-        for objs in itertools.product(self.category.objects, repeat=m + 1):
+        for objs in tuples:
             c0 = objs[0]
             ranges = [hom(objs[1] if m else c0, F[c0])[0]]
             for i in range(1, m + 1):
                 ranges.append(hom(objs[i + 1] if i < m else c0, objs[i])[1])
-            if all(ranges):
-                chains.extend(itertools.product(*ranges))
+            # nothing when the closing slot hom(c0, cm) is empty
+            chains.extend(itertools.product(*ranges))
         return chains
 
     def _index(self, m) -> dict[tuple[int, ...], int]:

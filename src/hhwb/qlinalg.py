@@ -1,19 +1,16 @@
 """Exact rational and multi-modular sparse linear algebra.
 
 A matrix entry is an `int` where it is integral and a `fractions.Fraction`
-where it is not; never a float.  Integral data (every differential of an
-integral presentation) thus stays in plain ints, and the only divisions,
-when a row is scaled to a pivot of 1 and when rank eliminates over Q, take
-a Fraction operand.  One elimination kernel serves every routine: rank
-splits the rows into connected components and runs a sparse elimination
-with Markowitz-style pivots, over Q or over GF(p) on plain ints; the
-row-echelon routines (kernels, column spaces, solving) reduce rows one at
-a time against a pivot dict over Q.
-
-Modular mode is the fast path for ranks.  A rank mod p never exceeds the
-rank over Q, and equals it for all but finitely many primes; when the
-primes disagree, or one divides a denominator, the rank is recomputed
-over Q.
+where it is not; never a float, and every division has a Fraction
+operand.  Rank splits the rows into connected components and eliminates
+each with Markowitz-style pivots in two stages.  The first, shared by
+every field, pivots only on entries ±1, units over Z and mod every prime,
+so it commutes with reduction mod a prime dividing no denominator.  Each
+field then ranks the rows left, the residue: GF(p) on plain ints in
+modular mode, Q in exact mode or when the primes disagree or one divides
+a denominator (a rank mod p is at most the rank over Q, and equal for
+all but finitely many p).  Kernels, column spaces and solving reduce
+rows one at a time against a pivot dict over Q.
 """
 
 from __future__ import annotations
@@ -28,10 +25,6 @@ DEFAULT_PRIMES = (1048583, 1048589)
 
 class StructuralError(ValueError):
     """Shape, composability or idempotency violations."""
-
-
-class ModularFailure(RuntimeError):
-    """A prime divides a denominator."""
 
 
 @dataclass(frozen=True)
@@ -223,15 +216,14 @@ def _row_dicts(m: SparseMatrix):
     rows = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
-    return [r for r in rows.values() if r]
+    return list(rows.values())
 
 
 # -- the elimination kernel -------------------------------------------------
 #
 # Rows are sparse dicts {column: value} with no zero values.  Values are
 # ints or Fractions, or (for rank only) plain ints in [0, p) when a prime p
-# is given.  Every division over Q has a Fraction operand, so no value ever
-# becomes a float.
+# is given.
 
 
 def _subtract(row: dict, f, piv: dict) -> None:
@@ -328,31 +320,43 @@ def _components(rows) -> list:
     return list(groups.values())
 
 
-def _component_rank(rows, p: int) -> int:
-    """Rank of nonzero rows over Q (p == 0) or GF(p), by sparse elimination.
+def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
+    """(pivots, rows left) of a sparse elimination over Q (p == 0) or
+    GF(p) of nonzero rows, which it consumes.
 
     Each pivot is the sparsest remaining row, at its column shared with the
-    fewest other rows (ties to the smaller column).  A column -> rows index,
-    updated on every fill-in and cancellation, finds the rows to eliminate
-    and the column counts; a heap of (length, row) finds the sparsest row.
+    fewest other rows.  A column -> rows index, updated on every fill-in
+    and cancellation, finds the rows to eliminate and the column counts; a
+    heap of (length, row) finds the sparsest row.  With `units` a pivot
+    entry must be ±1 and the rows that never get one are left, reduced
+    against every pivot.
     """
-    rows = {i: dict(r) for i, r in enumerate(rows)}
+    rows = dict(enumerate(rows))
     col_rows = {}
     for i, r in rows.items():
         for c in r:
             col_rows.setdefault(c, set()).add(i)
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
+
+    def count(c):  # ties go to the smaller column
+        return len(col_rows[c]), c
+
     rank = 0
     while heap:
         n, i = heapq.heappop(heap)
         piv = rows.get(i)
         if piv is None or len(piv) != n:
             continue  # stale entry: the row changed or was used
+        pc = min(piv, key=count)  # counts include row i
+        if units and piv[pc] not in (1, -1):
+            units_at = [c for c, v in piv.items() if v in (1, -1)]
+            if not units_at:
+                continue  # no unit yet
+            pc = min(units_at, key=count)
         del rows[i]
         for c in piv:
             col_rows[c].discard(i)
-        pc = min(piv, key=lambda c: (len(col_rows[c]), c))
         rank += 1
         hits = col_rows.pop(pc)
         if not hits:
@@ -362,7 +366,7 @@ def _component_rank(rows, p: int) -> int:
             inv = pow(pv, -1, p)
         else:
             # a unit pivot keeps integral rows in ints
-            inv = pv if pv == 1 or pv == -1 else 1 / Fraction(pv)
+            inv = pv if pv in (1, -1) else 1 / Fraction(pv)
         items = list(piv.items())
         for j in hits:
             r = rows[j]
@@ -383,7 +387,7 @@ def _component_rank(rows, p: int) -> int:
                 heapq.heappush(heap, (len(r), j))
             else:
                 del rows[j]
-    return rank
+    return rank, list(rows.values())
 
 
 def _rows_mod_p(rows, p: int) -> list:
@@ -392,12 +396,7 @@ def _rows_mod_p(rows, p: int) -> list:
     for row in rows:
         red = {}
         for j, v in row.items():
-            if type(v) is int:
-                r = v % p
-            elif v.denominator % p == 0:
-                raise ModularFailure(f"prime {p} divides a denominator")
-            else:
-                r = v.numerator * pow(v.denominator, -1, p) % p
+            r = v.numerator * pow(v.denominator, -1, p) % p
             if r:
                 red[j] = r
         if red:
@@ -423,32 +422,29 @@ class RankResult:
 
 
 def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:
-    """Rank of m, exactly or modulo each prime of a modular mode.
-
-    A rank mod p never exceeds the rank over Q.  When the primes disagree or
-    one divides a denominator, `value` is recomputed over Q; `per_prime`,
-    `failed_primes` and `agreed` still report what the primes gave.
-    """
-    # the components of the entries' support, once; mod p a component may
-    # split further, but its rank is still that of its rows
-    comps = _components(_row_dicts(m))
-    if mode.kind == "exact":
-        return RankResult(sum(_component_rank(c, 0) for c in comps), mode)
-    per_prime = []
-    failed = []
-    for p in mode.primes:
-        try:
-            reduced = [_rows_mod_p(c, p) for c in comps]
-        except ModularFailure:
-            failed.append(p)
-            continue
-        per_prime.append((p, sum(_component_rank(rows, p)
-                                 for rows in reduced if rows)))
+    """Rank of m, exactly or mod each prime of a modular mode, which fails
+    if it divides a denominator of m; `per_prime`, `failed_primes` and
+    `agreed` report what the primes gave."""
+    primes = mode.primes if mode.kind == "modular" else ()
+    dens = primes and {v.denominator for v in m.entries.values()
+                       if type(v) is not int}
+    failed = tuple(p for p in primes if any(d % p == 0 for d in dens))
+    # per component, so that one column index is alive at a time
+    shared, residues = 0, []
+    for comp in _components(_row_dicts(m)):
+        k, left = _component_rank(comp, 0, units=True)
+        shared += k
+        if left:
+            residues.append(left)
+    per_prime = tuple(
+        (p, shared + sum(_component_rank(_rows_mod_p(s, p), p)[0]
+                         for s in residues))
+        for p in primes if p not in failed)
     result = RankResult(max((r for _, r in per_prime), default=0), mode,
-                        tuple(per_prime), tuple(failed))
-    if failed or not result.agreed:
-        result = replace(result,
-                         value=sum(_component_rank(c, 0) for c in comps))
+                        per_prime, failed)
+    if mode.kind == "exact" or result.exact_fallback:
+        result = replace(result, value=shared + sum(
+            _component_rank(s, 0)[0] for s in residues))
     return result
 
 

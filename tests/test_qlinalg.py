@@ -275,6 +275,88 @@ def test_modular_rank_is_exact_when_every_prime_fails():
     assert info.value == 1
 
 
+# -- the shared ±1 stage and the per-field residue ---------------------------
+
+
+def test_a_unit_pivot_that_clears_a_denominator_still_fails_its_prime():
+    # the pivot 1 eliminates the row holding 1/P1, so the residue is empty,
+    # but P1 divides a denominator of the input
+    info = rank_info(SparseMatrix.from_dense([[1, 0], [Fraction(1, P1), 0]]),
+                     MOD)
+    assert info.failed_primes == (P1,)
+    assert info.per_prime == ((P2, 1),)
+    assert info.value == 1
+
+
+def test_a_matrix_without_a_unit_entry_is_all_residue():
+    # det = 2 * P1: rank 2 over Q and mod P2, rank 1 mod P1
+    m = SparseMatrix.from_dense([[2, 4], [3, 6 + P1]])
+    info = rank_info(m, MOD)
+    assert info.per_prime == ((P1, 1), (P2, 2))
+    assert info.exact_fallback
+    assert info.value == rank_info(m).value == 2
+
+
+def test_a_residue_whose_primes_disagree_falls_back():
+    # one unit pivot leaves the residue [[P1]]
+    m = SparseMatrix.from_dense([[1, 1, 0], [1, 1 + P1, 0], [0, 0, -1]])
+    info = rank_info(m, MOD)
+    assert info.per_prime == ((P1, 2), (P2, 3))
+    assert not info.agreed and info.exact_fallback
+    assert info.value == rank_info(m).value == 3
+
+
+def dense_rank_mod(dense, p):
+    """Rank mod p by textbook Gaussian elimination on a dense copy."""
+    a = [[v.numerator * pow(v.denominator, -1, p) % p for v in row]
+         for row in dense]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        for i in range(r + 1, len(a)):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+ENTRIES = [1, -1, 1, -1, 2, -2, 3, P1, -P1, P2, 2 * P2, P1 * P2,
+           Fraction(1, P1), Fraction(-3, P2), Fraction(2, 3), Fraction(P1, 2),
+           Fraction(1, P1 * P2)]
+
+
+@st.composite
+def residue_matrices(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        st.sampled_from(ENTRIES), max_size=rows * cols))
+    return [[Fraction(cells.get((i, j), 0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@given(residue_matrices())
+@settings(max_examples=200, deadline=None)
+def test_every_field_ranks_the_shared_stage_and_its_residue(dense):
+    m = SparseMatrix.from_dense(dense)
+    dens = [v.denominator for row in dense for v in row]
+    failed = tuple(p for p in MOD.primes if any(d % p == 0 for d in dens))
+    info = rank_info(m, MOD)
+    assert info.failed_primes == failed
+    assert info.per_prime == tuple((p, dense_rank_mod(dense, p))
+                                   for p in MOD.primes if p not in failed)
+    expected = sympy.Matrix(dense).rank()
+    assert rank_info(m).value == expected
+    # P1 * P2 vanishes mod both primes: agreeing primes may both be short
+    assert info.value == (expected if info.exact_fallback
+                          else info.per_prime[0][1])
+
+
 @st.composite
 def small_matrices(draw):
     rows = draw(st.integers(1, 6))

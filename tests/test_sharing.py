@@ -3,6 +3,7 @@ catalog, d1, the inner faces of d2 and the chain permutations are built
 once, and every level is built only when a degree reads it."""
 
 import gc
+import itertools
 import weakref
 
 import pytest
@@ -20,7 +21,8 @@ from hhwb.dgcore import permutation_functor, tensor_power
 from hhwb.hochschild import TwistSpec, build_complex, signed_chain_permutation
 
 from conftest import dual_numbers, quiver_a2
-from test_cli import DUAL, run_json
+from test_assembly import two_cycle
+from test_cli import DUAL, QUIVER, run_json
 
 
 def shared_complexes(c, n, max_level, normalized):
@@ -192,3 +194,44 @@ def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
     assert rep.lhs_totals == {0: 10, -1: 8, -2: 9} and rep.all_equal
     # (1 2) and (2 3) for (1,1,1); (2 3) again, shared, for (1,2); (1 2 3)
     assert sorted(built) == ["perm(0, 2, 1)", "perm(1, 0, 2)", "perm(1, 2, 0)"]
+
+
+def brute_force_levels(sk, top):
+    """Levels 0..top of a skeleton from every object tuple (c0, ..., cm):
+    a0 in hom(c1, F(c0)) and a_i in hom(c_{i+1}, c_i), reading c_{m+1} as
+    c0, the bar slots a_i (i >= 1) without units when normalized."""
+    cat, F, index = sk.category, sk.obj_map, sk.basis_index
+
+    def hom(src, tgt, bar):
+        return [index[b] for b in cat.hom(src, tgt)
+                if not (bar and sk.normalized and cat.is_unit(b))]
+
+    levels = []
+    for m in range(top + 1):
+        chains = []
+        for objs in itertools.product(cat.objects, repeat=m + 1):
+            nxt = objs[1:] + objs[:1]
+            slots = [hom(nxt[0], F[objs[0]], False)]
+            slots += [hom(nxt[i], objs[i], True) for i in range(1, m + 1)]
+            chains.extend(itertools.product(*slots))
+        levels.append(chains)
+    return levels
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["norm", "full"])
+@pytest.mark.parametrize("make,n", [(quiver_a2, 2), (quiver_a2, 3),
+                                    (lambda: two_cycle(1), 2)],
+                         ids=["A2-2", "A2-3", "cycle-2"])
+def test_enumeration_matches_every_object_tuple(make, n, normalized):
+    for lam, sc in shared_complexes(make(), n, 4, normalized):
+        expected = brute_force_levels(sc.skeleton, 4)
+        assert [sc.levels[m] for m in range(5)] == expected, lam
+        assert expected[0], lam
+
+
+def test_decompose_quiver_fourth_power(capsys):
+    res = run_json(capsys, "decompose", QUIVER, "--n", "4",
+                   "--max-level", "4")["results"]
+    assert res["lhs_totals"] == res["rhs_totals"] == {
+        "0": 20, "-1": 0, "-2": 0, "-3": 0}
+    assert set(res["verdicts"].values()) == {"Equal"}
