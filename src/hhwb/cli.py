@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-import tempfile
 import time
 from fractions import Fraction
 
@@ -122,6 +121,8 @@ def parse_twist(s: str | None) -> TwistSpec:
     if not m:
         raise InputError(f"bad twist {s!r}; expected perm:<n>:<cycles>")
     n = int(m.group(1))
+    if n < 1:
+        raise InputError(f"bad twist {s!r}: needs at least one tensor factor")
     cycles = []
     rest = m.group(2).strip()
     for grp in re.findall(r"\(([^)]*)\)", rest):
@@ -159,18 +160,6 @@ def parse_dims(s: str) -> dict:
     return out
 
 
-def make_mode(args) -> RankMode:
-    if args.mode == "exact":
-        return RankMode.exact()
-    if args.primes:
-        try:
-            primes = tuple(int(p) for p in args.primes.split(","))
-        except ValueError as exc:
-            raise InputError(f"bad primes: {exc}")
-        return RankMode.modular(primes)
-    return RankMode.modular()
-
-
 # -- cache ------------------------------------------------------------------
 
 
@@ -201,6 +190,8 @@ def cache_get(cdir: str | None, key: str) -> tuple | None:
 def cache_put(cdir: str | None, key: str, payload: bytes):
     if not cdir:
         return
+    import tempfile  # only here: it adds to every start-up
+
     os.makedirs(cdir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     try:
@@ -267,22 +258,39 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _common_options(args, command: str) -> dict:
+def _common_options(args, command: str) -> tuple[dict, RankMode]:
+    """The options that key the cache, and the rank mode; a bad option is
+    an InputError here, before any work."""
+    if args.max_level < 0:
+        raise InputError(f"--max-level {args.max_level} is negative")
+    primes = None
+    if args.primes:
+        try:
+            primes = tuple(int(p) for p in args.primes.split(","))
+        except ValueError as exc:
+            raise InputError(f"bad primes: {exc}")
+    if args.mode == "exact":
+        mode = RankMode.exact()
+    else:
+        try:
+            mode = RankMode.modular(primes) if primes else RankMode.modular()
+        except StructuralError as exc:
+            raise InputError(f"bad primes: {exc}")
     return {
         "command": command,
         "max_level": args.max_level,
         "normalized": args.normalized,
         "mode": args.mode,
-        "primes": sorted(int(p) for p in args.primes.split(","))
-        if args.primes else None,
+        "primes": sorted(primes) if primes else None,
         "degrees": parse_degrees(args.degrees, args.max_level),
-    }
+    }, mode
 
 
 def cmd_compute(args) -> int:
     started = time.monotonic()
     raw, data = load_input(args.path)
-    options = _common_options(args, "compute")
+    options, mode = _common_options(args, "compute")
+    twist = parse_twist(args.twist)
     options["twist"] = args.twist or "identity"
     input_sha = hashlib.sha256(raw).hexdigest()
     key = cache_key(input_sha, options)
@@ -301,9 +309,8 @@ def cmd_compute(args) -> int:
         for d in diags:
             print(d, file=sys.stderr)
         return EXIT_MISMATCH
-    twist = parse_twist(args.twist)
     sc = build_complex(cat, twist, args.max_level, normalized=args.normalized)
-    summary = total_homology(sc, options["degrees"], mode=make_mode(args))
+    summary = total_homology(sc, options["degrees"], mode=mode)
     rep = base_report(input_sha, options, started)
     rep["results"] = {
         str(k): {
@@ -330,7 +337,9 @@ def cmd_decompose(args) -> int:
     # imported here, not at the top, so that compute does not load it
     from .decomposition import verify_decomposition
     raw, data = load_input(args.path)
-    options = _common_options(args, "decompose")
+    options, mode = _common_options(args, "decompose")
+    if args.n < 1:
+        raise InputError(f"--n {args.n}: decompose needs n >= 1")
     options["n"] = args.n
     input_sha = hashlib.sha256(raw).hexdigest()
     key = cache_key(input_sha, options)
@@ -348,7 +357,7 @@ def cmd_decompose(args) -> int:
         report = verify_decomposition(cat, args.n, options["degrees"],
                                       args.max_level,
                                       normalized=args.normalized,
-                                      mode=make_mode(args))
+                                      mode=mode)
         rep = base_report(input_sha, options, started)
         rep["results"] = report.to_dict()
         cached = report_bytes(rep)
@@ -368,6 +377,8 @@ def cmd_decompose(args) -> int:
 def cmd_series(args) -> int:
     started = time.monotonic()
     from .decomposition import rhs_dims
+    if args.n < 0:
+        raise InputError(f"--n {args.n} is negative")
     h = parse_dims(args.dims)
     support = [k for k, d in h.items() if d]
     if support and min(support) < 0 < max(support) and not args.allow_truncated:

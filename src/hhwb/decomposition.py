@@ -23,12 +23,11 @@ identity, prime agreement) still runs on each complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, factorial
 
 from .dgcore import DgCategory, Permutation, permutation_functor, tensor_power
 from .hochschild import (
-    HomologySummary,
     StandardComplex,
     TwistSpec,
     block_positions,
@@ -37,7 +36,6 @@ from .hochschild import (
     signed_chain_permutation,
     total_homology,
 )
-from .kunneth import dims_convolve
 from .qlinalg import (
     EXACT,
     RankMode,
@@ -61,17 +59,17 @@ def _window(degrees) -> list:
     return list(range(min(min(degrees), 0), max(max(degrees), 0) + 1))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts")):
     """A partition of n, stored as a weakly increasing tuple of parts."""
 
-    parts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
+    def __new__(cls, parts):
+        if any(p < 1 for p in parts):
             raise StructuralError("parts must be positive")
-        if list(self.parts) != sorted(self.parts):
+        if list(parts) != sorted(parts):
             raise StructuralError("parts must be weakly increasing")
+        return super().__new__(cls, parts)
 
     @property
     def n(self) -> int:
@@ -125,12 +123,13 @@ def sigma_of(lam: Partition) -> Permutation:
     return Permutation.from_cycles(lam.n, cycles)
 
 
-@dataclass
 class CentralizerPresentation:
-    n: int
-    partition: Partition
-    c_generators: list  # one block rotation per part of size >= 2
-    s_generators: list  # adjacent swaps of equal-size blocks
+    def __init__(self, n: int, partition: Partition, c_generators: list,
+                 s_generators: list):
+        self.n = n
+        self.partition = partition
+        self.c_generators = c_generators  # one rotation per part of size >= 2
+        self.s_generators = s_generators  # adjacent swaps of equal-size blocks
 
     @property
     def s_order(self) -> int:
@@ -158,23 +157,6 @@ def centralizer_gens(lam: Partition) -> CentralizerPresentation:
     return CentralizerPresentation(n, lam, c_gens, s_gens)
 
 
-def group_closure(generators, n: int) -> list:
-    """All products of the generators (plus the identity), by closure."""
-    ident = Permutation.identity(n)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in generators:
-                h = s.after(g)
-                if h.images not in seen:
-                    seen[h.images] = h
-                    nxt.append(h)
-        frontier = nxt
-    return sorted(seen.values(), key=lambda p: p.images)
-
-
 # -- the two sides of the comparison ---------------------------------------
 
 
@@ -190,16 +172,6 @@ def _lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,
     return build_complex(power, permutation_functor(c, n, sigma_of(lam),
                                                     power=power),
                          max_level, normalized=normalized)
-
-
-def twisted_summand_dims(c: DgCategory, n: int, lam: Partition, degrees,
-                         max_level: int, normalized: bool = True,
-                         mode: RankMode = EXACT) -> HomologySummary:
-    """Homology of the n-th tensor power twisted by σ_λ, before invariants."""
-    if lam.n != n:
-        raise StructuralError(f"{lam} is not a partition of {n}")
-    sc = _lambda_complex(c, n, lam, max_level, normalized)
-    return total_homology(sc, degrees, mode=mode)
 
 
 class OrbitComplex:
@@ -389,6 +361,17 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
     return out
 
 
+def dims_convolve(h1: dict, h2: dict) -> dict:
+    """Graded dimensions of the tensor product of graded spaces of
+    dimensions h1 and h2."""
+    out = {}
+    for i, d1 in h1.items():
+        for j, d2 in h2.items():
+            if d1 and d2:
+                out[i + j] = out.get(i + j, 0) + d1 * d2
+    return out
+
+
 def super_sym_power_dims(h: dict, a: int) -> dict:
     """Graded dimensions of the a-th super-symmetric power of a graded space
     with dimensions h: symmetric on even degrees, exterior on odd ones."""
@@ -441,61 +424,36 @@ def rhs_dims(h: dict, n: int, degrees=None, allow_truncated: bool = False
     return total
 
 
-def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,
-                         max_level: int, normalized: bool = True,
-                         mode: RankMode = EXACT) -> list:
-    """Check that the λ-summand dims equal the degreewise convolution of the
-    single-cycle summands over the parts, on certified degrees."""
-    diags = []
-    window = _window(degrees)
-    whole = twisted_summand_dims(c, lam.n, lam, window, max_level,
-                                 normalized, mode)
-    conv = {0: 1}
-    factors = []
-    for p in lam.parts:
-        f = twisted_summand_dims(c, p, Partition((p,)), window, max_level,
-                                 normalized, mode)
-        factors.append(f)
-        conv = dims_convolve(conv, f.dims())
-    for k in degrees:
-        pieces_ok = all(
-            f.degrees[i].certificate == "exact"
-            for f in factors for i in _reach(k))
-        if whole.degrees[k].certificate != "exact" or not pieces_ok:
-            continue
-        if whole.degrees[k].dim != conv.get(k, 0):
-            diags.append(
-                f"degree {k}: summand dim {whole.degrees[k].dim} != "
-                f"convolved {conv.get(k, 0)}")
-    return diags
-
-
 # -- report assembly --------------------------------------------------------
 
 
-@dataclass
 class PartitionSummary:
-    partition: Partition
-    twisted: dict        # degree -> dim
-    invariant: dict      # degree -> dim
-    certified: dict      # degree -> bool
-    group_order: int
+    def __init__(self, partition: Partition, twisted: dict, invariant: dict,
+                 certified: dict, group_order: int):
+        self.partition = partition
+        self.twisted = twisted      # degree -> dim
+        self.invariant = invariant  # degree -> dim
+        self.certified = certified  # degree -> bool
+        self.group_order = group_order
 
 
-@dataclass
 class DecompositionReport:
-    category: str
-    n: int
-    degrees: list
-    per_partition: list
-    lhs_totals: dict
-    rhs_totals: dict
-    verdicts: dict       # degree -> "Equal" | "Mismatch" | "Heuristic"
-    max_level: int
-    normalized: bool
-    mode: str
-    agreed: dict         # degree -> every rank it used had agreeing primes
-    exact_fallback: dict  # degree -> a rank it used was recomputed over Q
+    def __init__(self, *, category: str, n: int, degrees: list,
+                 per_partition: list, lhs_totals: dict, rhs_totals: dict,
+                 verdicts: dict, max_level: int, normalized: bool, mode: str,
+                 agreed: dict, exact_fallback: dict):
+        self.category = category
+        self.n = n
+        self.degrees = degrees
+        self.per_partition = per_partition
+        self.lhs_totals = lhs_totals
+        self.rhs_totals = rhs_totals
+        self.verdicts = verdicts  # degree -> "Equal" | "Mismatch" | "Heuristic"
+        self.max_level = max_level
+        self.normalized = normalized
+        self.mode = mode
+        self.agreed = agreed  # degree -> every rank it used had agreeing primes
+        self.exact_fallback = exact_fallback  # degree -> a rank was redone over Q
 
     @property
     def all_equal(self) -> bool:

@@ -10,7 +10,7 @@ that iterated tensor powers flatten automatically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 TENSOR_SEP = "⊗"
@@ -36,11 +36,8 @@ def lin_scale(a: LinComb, c) -> LinComb:
     return {k: c * v for k, v in a.items()}
 
 
-@dataclass(frozen=True)
-class BasisInfo:
-    src: str
-    tgt: str
-    degree: int
+class BasisInfo(namedtuple("BasisInfo", "src tgt degree")):
+    __slots__ = ()
 
 
 class DgCategory:
@@ -300,16 +297,16 @@ def tensor_power(c: DgCategory, n: int) -> DgCategory:
     return out
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "images")):
     """Permutation of {0..n-1}; images[i] = h(i).  compose(a, b) applies b
     first: (a*b)(i) = a(b(i))."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images}")
+    def __new__(cls, images):
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation: {images}")
+        return super().__new__(cls, images)
 
     @property
     def n(self):
@@ -549,20 +546,4 @@ def validate_nat_transform(a: NatTransform, require_closed=False) -> list[str]:
         if lhs != rhs:
             diags.append(f"naturality fails on {bid}")
     return diags
-
-
-def star_transform(phi1: DgFunctor, alpha1: NatTransform,
-                   phi2: DgFunctor, alpha2: NatTransform,
-                   src: DgFunctor | None = None,
-                   dst: DgFunctor | None = None) -> NatTransform:
-    """Composite coefficient transform for stacked twisted-coefficient maps:
-    (α1 ⋆ α2)_c = (α1)_{φ2(c)} ∘ φ1((α2)_c)."""
-    comps = {}
-    tgt = phi1.target
-    for obj in phi2.source.objects:
-        comps[obj] = tgt.compose_lin(alpha1.component(phi2.apply_obj(obj)),
-                                     phi1.apply_lin(alpha2.component(obj)))
-    phi = compose_functors(phi1, phi2)
-    return NatTransform(src or phi, dst or phi, comps,
-                        alpha1.degree + alpha2.degree)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import operator
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .dgcore import (
@@ -62,14 +62,12 @@ from .qlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class TwistSpec:
-    """How the coefficient bimodule is twisted: identity, or a signed
-    permutation of tensor factors."""
+class TwistSpec(namedtuple("TwistSpec", "kind n permutation",
+                           defaults=("identity", 0, ()))):
+    """How the coefficient bimodule is twisted: kind "identity", or kind
+    "permutation", a signed permutation of the n tensor factors."""
 
-    kind: str = "identity"  # "identity" | "permutation"
-    n: int = 0
-    permutation: tuple[int, ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def identity():
@@ -566,20 +564,20 @@ def build_complex(c: DgCategory, twist, max_level: int,
     return StandardComplex(c, twist, max_level, normalized, twist_spec=spec)
 
 
-@dataclass(frozen=True)
-class DegreeResult:
-    dim: int
-    certificate: str       # "exact" | "heuristic"
-    mode: str              # "exact" | "modular"
-    primes: tuple[int, ...] = ()
-    agreed: bool = True
-    reason: str = ""
-    exact_fallback: bool = False  # a rank it used was recomputed over Q
+class DegreeResult(namedtuple(
+        "DegreeResult",
+        "dim certificate mode primes agreed reason exact_fallback",
+        defaults=((), True, "", False))):
+    """The homology in one degree: certificate "exact" or "heuristic",
+    mode "exact" or "modular", and exact_fallback when a rank it used was
+    recomputed over Q."""
+
+    __slots__ = ()
 
 
-@dataclass
 class HomologySummary:
-    degrees: dict  # total cohomological degree -> DegreeResult
+    def __init__(self, degrees: dict):
+        self.degrees = degrees  # total cohomological degree -> DegreeResult
 
     def dims(self):
         return {k: r.dim for k, r in self.degrees.items()}
@@ -611,11 +609,12 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
     return HomologySummary(out)
 
 
-@dataclass
 class ChainMapData:
-    source: StandardComplex
-    target: StandardComplex
-    blocks: list  # per level m: SparseMatrix levels_src[m] -> levels_tgt[m]
+    def __init__(self, source: StandardComplex, target: StandardComplex,
+                 blocks: list):
+        self.source = source
+        self.target = target
+        self.blocks = blocks  # per level m: levels_src[m] -> levels_tgt[m]
 
     def check_commutes(self) -> list[str]:
         diags = []
@@ -696,11 +695,6 @@ def induced_chain_map(phi: DgFunctor, alpha: NatTransform,
         if diags:
             raise StructuralError("; ".join(diags))
     return cm
-
-
-def identity_chain_map(sc: StandardComplex) -> ChainMapData:
-    return ChainMapData(sc, sc,
-                        [SparseMatrix.identity(len(lv)) for lv in sc.levels])
 
 
 def twist_endo_map(sc: StandardComplex) -> ChainMapData:

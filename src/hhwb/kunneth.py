@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .decomposition import dims_convolve  # defined there, kept importable here
 from .dgcore import TENSOR_SEP, functor_equal, tensor, tensor_functor
 from .hochschild import StandardComplex
 from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank, solve
@@ -147,15 +148,6 @@ def verify_shuffle_chain_map(sh: ShuffleMap) -> list[str]:
         if lhs2 != rhs2:
             diags.append(f"face differential mismatch on block ({k},{l})")
     return diags
-
-
-def dims_convolve(h1: dict, h2: dict) -> dict:
-    out = {}
-    for i, d1 in h1.items():
-        for j, d2 in h2.items():
-            if d1 and d2:
-                out[i + j] = out.get(i + j, 0) + d1 * d2
-    return out
 
 
 def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:

@@ -16,7 +16,7 @@ rows one at a time against a pivot dict over Q.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 
 # First two primes above 2^20.
@@ -27,22 +27,23 @@ class StructuralError(ValueError):
     """Shape, composability or idempotency violations."""
 
 
-@dataclass(frozen=True)
-class RankMode:
-    kind: str = "exact"  # "exact" | "modular"
-    primes: tuple[int, ...] = ()
+class RankMode(namedtuple("RankMode", "kind primes")):
+    """kind is "exact" or "modular"; primes are those of a modular mode."""
 
-    def __post_init__(self):
-        if self.kind not in ("exact", "modular"):
-            raise StructuralError(f"unknown rank mode {self.kind!r}")
-        if self.kind == "modular":
-            if not self.primes:
+    __slots__ = ()
+
+    def __new__(cls, kind="exact", primes=()):
+        if kind not in ("exact", "modular"):
+            raise StructuralError(f"unknown rank mode {kind!r}")
+        if kind == "modular":
+            if not primes:
                 raise StructuralError("modular mode needs a non-empty prime list")
-            if len(set(self.primes)) != len(self.primes):
+            if len(set(primes)) != len(primes):
                 raise StructuralError("modular primes must be distinct")
-            for p in self.primes:
+            for p in primes:
                 if p <= 1 << 20:
                     raise StructuralError(f"modular prime {p} must exceed 2^20")
+        return super().__new__(cls, kind, primes)
 
     @staticmethod
     def exact() -> "RankMode":
@@ -294,29 +295,33 @@ def rref(rows) -> dict:
     return pivots
 
 
-def _components(rows) -> list:
-    """Group nonzero rows by connected component of the graph joining each
-    row to its columns.  Rank is the sum of the components' ranks."""
-    parent = {}
-
-    def find(c):
-        root = parent.setdefault(c, c)
-        while parent[root] != root:
-            root = parent[root]
-        while c != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    for r in rows:
-        cols = iter(r)
-        a = find(next(cols))
-        for c in cols:
-            b = find(c)
-            if b != a:
-                parent[b] = a
+def _component_rows(m: SparseMatrix) -> list:
+    """The nonzero rows of m as sparse dicts, grouped by connected
+    component of the graph joining each row to its columns, in one pass
+    over the entries.  Rank is the sum of the components' ranks."""
+    rows = {}
+    comp = {}   # row -> the list of rows of its component, shared
+    owner = {}  # column -> the first row seen with an entry there
+    for (i, j), v in m.entries.items():
+        r = rows.get(i)
+        if r is None:
+            rows[i] = {j: v}
+            ci = comp[i] = [i]
+        else:
+            r[j] = v
+            ci = comp[i]
+        o = owner.setdefault(j, i)
+        if o != i:
+            co = comp[o]
+            if co is not ci:  # merge the smaller component into the larger
+                if len(co) < len(ci):
+                    co, ci = ci, co
+                co += ci
+                for x in ci:
+                    comp[x] = co
     groups = {}
-    for r in rows:
-        groups.setdefault(find(next(iter(r))), []).append(r)
+    for i, r in rows.items():
+        groups.setdefault(comp[i][0], []).append(r)
     return list(groups.values())
 
 
@@ -404,12 +409,13 @@ def _rows_mod_p(rows, p: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class RankResult:
-    value: int
-    mode: RankMode
-    per_prime: tuple[tuple[int, int], ...] = ()  # (prime, rank) pairs
-    failed_primes: tuple[int, ...] = ()
+class RankResult(namedtuple("RankResult",
+                            "value mode per_prime failed_primes",
+                            defaults=((), ()))):
+    """A rank, the RankMode it was taken in, the (prime, rank) pairs of a
+    modular mode and the primes that failed."""
+
+    __slots__ = ()
 
     @property
     def agreed(self) -> bool:
@@ -431,7 +437,7 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:
     failed = tuple(p for p in primes if any(d % p == 0 for d in dens))
     # per component, so that one column index is alive at a time
     shared, residues = 0, []
-    for comp in _components(_row_dicts(m)):
+    for comp in _component_rows(m):
         k, left = _component_rank(comp, 0, units=True)
         shared += k
         if left:
@@ -443,7 +449,7 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:
     result = RankResult(max((r for _, r in per_prime), default=0), mode,
                         per_prime, failed)
     if mode.kind == "exact" or result.exact_fallback:
-        result = replace(result, value=shared + sum(
+        result = result._replace(value=shared + sum(
             _component_rank(s, 0)[0] for s in residues))
     return result
 
@@ -473,19 +479,6 @@ def column_space_basis(m: SparseMatrix) -> list[dict]:
     """An exact basis of the column space, as sparse column vectors."""
     pivots = rref(_row_dicts(m.transpose()))
     return [pivots[c] for c in sorted(pivots)]
-
-
-def homology_dimension(d_in: SparseMatrix, d_out: SparseMatrix,
-                       mode: RankMode = EXACT) -> int:
-    """dim ker(d_out) - rank(d_in) for a two-step complex d_in, then d_out."""
-    if d_in.rows != d_out.cols:
-        raise StructuralError(
-            f"levels do not compose: d_in lands in dim {d_in.rows}, "
-            f"d_out starts from dim {d_out.cols}")
-    if not d_out.mul(d_in).is_zero():
-        raise StructuralError("d_out . d_in != 0: not a complex at this level")
-    dim_ker = d_out.cols - rank(d_out, mode)
-    return dim_ker - rank(d_in, mode)
 
 
 def projector_invariant_dim(p: SparseMatrix, mode: RankMode = EXACT) -> int:

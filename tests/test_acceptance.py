@@ -26,7 +26,6 @@ from hhwb.decomposition import (
     invariant_dims,
     partitions,
     sigma_of,
-    twisted_summand_dims,
     verify_decomposition,
 )
 from hhwb.dgcore import Permutation, identity_functor, tensor, tensor_functor
@@ -42,6 +41,7 @@ from hhwb.kunneth import kunneth_verify, s2_check, shuffle_map, \
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, projector_invariant_dim
 
 from conftest import dual_numbers, ground_field, quiver_a2
+from oracles import twisted_summand_dims
 from test_cli import DUAL, GROUND, QUIVER
 from test_hochschild import bar_complex_dims_T2, periodic_resolution_dims_D
 

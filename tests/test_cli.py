@@ -110,6 +110,25 @@ def test_compute_bad_degree_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", DUAL, "--primes", "x"],
+    ["compute", DUAL, "--primes", "3,5"],
+    ["compute", DUAL, "--primes", "1048583,1048583"],
+    ["compute", DUAL, "--twist", "perm:0:()"],
+    ["compute", DUAL, "--max-level", "-1"],
+    ["decompose", DUAL, "--n", "0"],
+    ["decompose", DUAL, "--n", "-1"],
+    ["series", "--dims", "0:1", "--n", "-1"],
+], ids=["primes-not-int", "primes-too-small", "primes-repeated",
+        "twist-no-factor", "max-level-negative", "decompose-n-zero",
+        "decompose-n-negative", "series-n-negative"])
+def test_bad_option_exits_2_without_a_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_compute_out_and_csv(tmp_path, capsys):
     out = tmp_path / "report.json"
     csv = tmp_path / "table.csv"

@@ -13,7 +13,6 @@ from hhwb.dgcore import (
     identity_functor,
     identity_nat,
     permutation_functor,
-    star_transform,
     tensor_power,
 )
 from hhwb.hochschild import (
@@ -22,7 +21,6 @@ from hhwb.hochschild import (
     check_equivariant,
     homology_action,
     homotopy_H,
-    identity_chain_map,
     induced_chain_map,
     signed_chain_permutation,
     total_homology,
@@ -37,6 +35,7 @@ from hhwb.qlinalg import (
 )
 
 from conftest import dual_numbers, odd_dual, quiver_a2, square_zero_with_diff
+from oracles import identity_chain_map, star_transform
 
 
 def hh_dims(c, twist, max_level, degrees, normalized=True, mode=EXACT):

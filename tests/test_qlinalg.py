@@ -10,7 +10,6 @@ from hhwb.qlinalg import (
     SparseMatrix,
     StructuralError,
     column_space_basis,
-    homology_dimension,
     kernel_basis,
     projector_invariant_dim,
     rank,
@@ -18,6 +17,8 @@ from hhwb.qlinalg import (
     rref,
     solve,
 )
+
+from oracles import homology_dimension
 
 MOD = RankMode.modular()
 

@@ -1,0 +1,57 @@
+"""Start-up: importing the command-line front end, and running a verb,
+loads only the code that verb executes.
+
+Each check runs in a fresh interpreter started with -S, so that no
+site-packages start-up file has imported anything before hhwb does.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+DUAL = str(ROOT / "fixtures" / "dual_numbers.json")
+
+# No verb executes these, except hhwb.decomposition, which only decompose
+# and series do.
+NOT_AT_IMPORT = ["dataclasses", "inspect", "tempfile", "hhwb.decomposition",
+                 "hhwb.kunneth", "hhwb.contraction"]
+
+SCRIPT = """
+import json, sys
+src, out, dual, *watched = sys.argv[1:]
+sys.path.insert(0, src)
+import hhwb.cli as cli
+report = {"at_import": [m for m in watched if m in sys.modules]}
+# argparse imports its help-formatting modules when it first builds a
+# parser, and main builds one on every call
+cli.build_parser()
+before = set(sys.modules)
+common = ["--max-level", "2", "--degrees=-1..0"]
+report["compute"] = cli.main(["compute", dual, "--twist", "perm:2:(1 2)",
+                              *common, "--out", out + "/compute.json"])
+report["decompose"] = cli.main(["decompose", dual, "--n", "2", *common,
+                                "--out", out + "/decompose.json"])
+report["added"] = sorted(set(sys.modules) - before)
+report["cached"] = cli.main(["compute", dual, *common, "--out",
+                             out + "/cached.json", "--cache-dir",
+                             out + "/cache"])
+print(json.dumps(report))
+"""
+
+
+def test_each_verb_loads_only_what_it_executes(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", SCRIPT, SRC, str(tmp_path), DUAL,
+         *NOT_AT_IMPORT],
+        capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["at_import"] == []
+    assert (report["compute"], report["decompose"]) == (0, 0)
+    assert report["added"] == ["hhwb.decomposition"]
+    # the cache still writes its entry, importing tempfile when it does
+    assert report["cached"] == 0
+    entries = list((tmp_path / "cache").iterdir())
+    assert len(entries) == 1 and entries[0].suffix == ".json"
