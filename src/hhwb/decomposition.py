@@ -30,7 +30,6 @@ from .dgcore import DgCategory, Permutation, permutation_functor, tensor_power
 from .hochschild import (
     StandardComplex,
     TwistSpec,
-    block_positions,
     build_complex,
     check_equivariant,
     signed_chain_permutation,
@@ -202,20 +201,16 @@ class OrbitComplex:
         drops out) and s(y)."""
         if k in self._orbit_cache:
             return self._orbit_cache[k]
-        block = self.sc.degree_block(k)
-        at = block_positions(block)
-        whole = None  # the level the block is, in order, when it is one
-        if len(at) == 1:
-            (m, local), = at.items()
-            if len(local) == len(self.sc.levels[m]):
-                whole = m
+        sk = self.sc.skeleton
+        block = sk.degree_block(k)
+        whole = sk.whole(k)  # the level the block is, in order, or None
         gens = []
         for perm in self.perms:  # each maps a level, and a degree, to itself
             if whole is not None:
                 gens.append(perm[whole])
                 continue
             gen = [None] * len(block)
-            for m, local in at.items():
+            for m, local in sk.positions(k).items():
                 level = perm[m]
                 for i, x in local.items():
                     j, s = level[i]
@@ -265,11 +260,7 @@ class OrbitComplex:
             col = orbit_of[c]
             if row is None or col < 0:
                 continue
-            s = ent.get((row, col), 0) + (v if sign[c] == 1 else -v)
-            if s:
-                ent[(row, col)] = s
-            else:
-                del ent[(row, col)]
+            ent[row, col] = ent.get((row, col), 0) + (v if sign[c] == 1 else -v)
         return SparseMatrix.trusted(len(reps_out), self.dim(k),
                                     normalise_entries(ent))
 

@@ -14,7 +14,10 @@ table) whose coefficients are ints where the structure constants are
 integral and Fractions where they are not; nothing divides.  The finished
 matrices keep the same contract (see qlinalg.SparseMatrix), so an integral
 presentation gives matrices of plain ints, and the d^2 = 0 check, the
-equivariance check and rank mod p all run on ints.
+equivariance check and rank mod p all run on ints.  A level's d1 and d2
+are built once and never copied: a total-degree block from one whole level
+to the whole level below is that level's d2, and any other block takes its
+part of a level that spans several degrees from one split of the level.
 
 Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
 object map.  Everything else (the basis tables, the chain catalog and its
@@ -56,9 +59,10 @@ from .qlinalg import (
     add_pivot,
     column_space_basis,
     kernel_basis,
+    normalise_entries,
     rank_info,
     reduce_row,
-    solve,
+    solver,
 )
 
 
@@ -95,21 +99,6 @@ def _lin(index: dict, x: dict) -> tuple:
     where c is an int when it is integral and a Fraction otherwise."""
     return tuple((index[b], c.numerator if c.denominator == 1 else c)
                  for b, c in x.items())
-
-
-def _emit(acc, col, row_of, head, lin, tail, scalar):
-    """acc[(row, col)] += scalar * c for each term (b, c) of `lin` whose
-    chain head + (b,) + tail has a row in `row_of`; chains outside the
-    (normalized) catalog are dropped."""
-    for b, c in lin:
-        row = row_of.get(head + (b,) + tail)
-        if row is not None:
-            key = (row, col)
-            s = acc.get(key, 0) + scalar * c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
 
 
 def _emit_product(acc, col, row_of, lins, scalar):
@@ -208,6 +197,7 @@ class _Skeleton:
         self._d1: list = [None] * top
         self._by_degree: list = [None] * top
         self._blocks: dict[int, list[tuple[int, int]]] = {}
+        self._positions: dict[int, dict[int, dict[int, int]]] = {}
         self._inner: dict[int, dict] = {}  # kept once a second complex shares
         self._homs: dict = {}
         self.complexes = 0  # how many complexes were built on this skeleton
@@ -278,11 +268,17 @@ class _Skeleton:
             for col, ch in enumerate(chains):
                 sign = -1 if m % 2 else 1
                 for p, a in enumerate(ch):
-                    if diff[a]:
-                        _emit(acc, col, row_of, ch[:p], diff[a], ch[p + 1:], sign)
+                    # d(a) in slot p, on the chains of the (normalized)
+                    # catalog; normalise_entries drops the sums that cancel
+                    for b, c in diff[a]:
+                        row = row_of.get(ch[:p] + (b,) + ch[p + 1:])
+                        if row is not None:
+                            key = (row, col)
+                            acc[key] = acc.get(key, 0) + sign * c
                     if deg[a] % 2:
                         sign = -sign
-        return SparseMatrix(len(chains), len(chains), acc)
+        return SparseMatrix.trusted(len(chains), len(chains),
+                                    normalise_entries(acc))
 
     def inner_faces(self, m) -> dict:
         """The faces a_i∘a_{i+1} of d2 on level m >= 1, with sign (-1)^i,
@@ -302,8 +298,12 @@ class _Skeleton:
             for i in range(m):
                 lin = compose[ch[i], ch[i + 1]]
                 if lin:
-                    _emit(acc, col, row_of, ch[:i], lin, ch[i + 2:],
-                          -1 if i % 2 else 1)
+                    head, tail, sign = ch[:i], ch[i + 2:], -1 if i % 2 else 1
+                    for b, c in lin:  # as in _build_d1
+                        row = row_of.get(head + (b,) + tail)
+                        if row is not None:
+                            key = (row, col)
+                            acc[key] = acc.get(key, 0) + sign * c
         if self.complexes > 1:
             self._inner[m] = acc
             return dict(acc)
@@ -339,16 +339,40 @@ class _Skeleton:
             self._blocks[k] = block
         return block
 
+    def positions(self, k) -> dict[int, dict[int, int]]:
+        """{level: {local index: position}} of degree_block(k), built once."""
+        out = self._positions.get(k)
+        if out is None:
+            out = self._positions[k] = {}
+            for pos, (m, i) in enumerate(self.degree_block(k)):
+                out.setdefault(m, {})[i] = pos
+        return out
 
-def block_positions(block) -> dict[int, dict[int, int]]:
-    """{level: {local index: position}} of a degree block."""
-    out = {}
-    for pos, (m, i) in enumerate(block):
-        level = out.get(m)
-        if level is None:
-            level = out[m] = {}
-        level[i] = pos
-    return out
+    def whole(self, k):
+        """The level that degree_block(k) is, whole and in order, or None
+        (a block lists each level's chains in order)."""
+        block = self.degree_block(k)
+        if block:
+            m = block[0][0]
+            if block[-1][0] == m and len(block) == len(self.levels[m]):
+                return m
+        return None
+
+    def split(self, cache: dict, m, mtx: SparseMatrix) -> dict:
+        """The entries of mtx, a map from level m, as {internal degree of
+        the column: (keys, values)}, kept in cache[m] for a caller that pops
+        each part as it uses it, so a level is read once, not per degree."""
+        if m not in cache:
+            degree_of = [0] * mtx.cols
+            for d, cols in self._by_degree[m].items():
+                for c in cols:
+                    degree_of[c] = d
+            cache[m] = parts = {d: ([], []) for d in self._by_degree[m]}
+            for key, v in mtx.entries.items():
+                keys, values = parts[degree_of[key[1]]]
+                keys.append(key)
+                values.append(v)
+        return cache[m]
 
 
 # (id(category), object images, max level, normalized) -> skeleton; a
@@ -399,6 +423,8 @@ class StandardComplex:
                        for b in self.basis_ids]
         self._d2: list = [None] * (max_level + 1)
         self._diff_cache: dict[int, SparseMatrix] = {}
+        self._d1_parts: dict[int, dict] = {}  # see total_differential
+        self._d2_parts: dict[int, dict] = {}
         self._rank_cache: dict[tuple[int, RankMode], RankResult] = {}
         self._homology_cache: dict[int, tuple] = {}
 
@@ -457,8 +483,14 @@ class StandardComplex:
             if lin:
                 d = deg[last]  # d·(|ch| - d) is even unless d is odd
                 odd = m + d * (self.degree(ch) - d) if d % 2 else m
-                _emit(acc, col, row_of, (), lin, ch[1:m], -1 if odd % 2 else 1)
-        return SparseMatrix(len(sk.levels[m - 1]), len(chains), acc)
+                sign, tail = -1 if odd % 2 else 1, ch[1:m]
+                for b, c in lin:  # as in _Skeleton._build_d1
+                    row = row_of.get((b,) + tail)
+                    if row is not None:
+                        key = (row, col)
+                        acc[key] = acc.get(key, 0) + sign * c
+        return SparseMatrix.trusted(len(sk.levels[m - 1]), len(chains),
+                                    normalise_entries(acc))
 
     # -- total-degree bookkeeping ---------------------------------------
 
@@ -470,26 +502,37 @@ class StandardComplex:
         return len(self.degree_block(k))
 
     def total_differential(self, k) -> SparseMatrix:
-        """The map from total degree k to total degree k+1."""
-        if k in self._diff_cache:
-            return self._diff_cache[k]
-        src = self.degree_block(k)
-        tgt = self.degree_block(k + 1)
-        rows_at = block_positions(tgt)
-        ent = {}
-        for m, cols in block_positions(src).items():
-            # d2 lands one level below d1, so the two never share an entry
-            for d, rows in ((self.d1[m], rows_at.get(m)),
-                            (self.d2[m], rows_at.get(m - 1))):
-                if rows is None:
-                    continue
-                for (r, c), v in d.entries.items():
-                    j = cols.get(c)
-                    if j is not None:
+        """The map from total degree k to total degree k+1: d2[m] itself
+        when blocks k and k+1 are the whole levels m and m-1 (level m has
+        no chains of degree k+1, so d1[m] adds nothing), else read off each
+        level's d1 and d2 once, split by degree (see _Skeleton.split)."""
+        mtx = self._diff_cache.get(k)
+        if mtx is not None:
+            return mtx
+        sk = self.skeleton
+        m = sk.whole(k)
+        if m and sk.whole(k + 1) == m - 1:
+            mtx = self.d2[m]
+        else:
+            rows_at = sk.positions(k + 1)
+            ent = {}
+            for m, cols in sk.positions(k).items():
+                # d2 lands one level below d1, so the two never share an entry
+                for cache, d, rows in (
+                        (self._d1_parts, self.d1, rows_at.get(m)),
+                        (self._d2_parts, self.d2, rows_at.get(m - 1))):
+                    if rows is None:
+                        continue
+                    if len(cols) == len(sk.levels[m]):  # all in degree k
+                        entries = d[m].entries.items()
+                    else:
+                        entries = zip(*sk.split(cache, m, d[m]).pop(k + m))
+                    for (r, c), v in entries:
                         i = rows.get(r)
                         if i is not None:
-                            ent[(i, j)] = v
-        mtx = SparseMatrix.trusted(len(tgt), len(src), ent)
+                            ent[i, cols[c]] = v
+            mtx = SparseMatrix.trusted(self.block_dim(k + 1), self.block_dim(k),
+                                       ent)
         self._diff_cache[k] = mtx
         return mtx
 
@@ -505,16 +548,15 @@ class StandardComplex:
     def certified(self, k) -> bool:
         """True when no truncated-away level (> max_level) can carry chains
         of total degree k-1, k or k+1."""
-        dmin, dmax = self.category.hom_degree_bounds()
-        if dmax >= 1:
+        sk = self.skeleton
+        if sk.dmax >= 1:
             return False  # level windows keep reaching every degree
         m = self.max_level + 1
         while True:
-            top = (m + 1) * dmax - m
-            bot = (m + 1) * dmin - m
+            bot, top = sk.window(m)
             if top < k - 1:
                 return True  # windows only descend from here on
-            if bot <= k + 1 <= top or bot <= k - 1 <= top or bot <= k <= top:
+            if bot <= k + 1:  # so the window meets [k-1, k+1]
                 return False
             m += 1
 
@@ -832,27 +874,17 @@ def homology_action(cm: ChainMapData, degrees, mode: RankMode = EXACT,
                 f"degree {k} lacks an exact truncation certificate")
         reps_s, _ = src.homology_basis(k)
         reps_t, bnd_t = tgt.homology_basis(k)
-        h_s, h_t = len(reps_s), len(reps_t)
-        dim_t = tgt.block_dim(k)
-        ncols = h_t + len(bnd_t)
-        ent = {}
-        for idx, v in enumerate(reps_t):
-            for r, val in v.items():
-                ent[(r, idx)] = val
-        for idx, v in enumerate(bnd_t):
-            for r, val in v.items():
-                ent[(r, h_t + idx)] = val
-        basis_matrix = SparseMatrix(dim_t, ncols, ent)
+        h_t, basis = len(reps_t), reps_t + bnd_t
+        # one reduction of the target's basis per degree, for every image
+        solve = solver(SparseMatrix(tgt.block_dim(k), len(basis), {
+            (r, idx): val for idx, v in enumerate(basis)
+            for r, val in v.items()}))
         acc = {}
         for j, z in enumerate(reps_s):
-            img = cm.apply_block_vector(k, z)
-            x = solve(basis_matrix, img)
+            x = solve(cm.apply_block_vector(k, z))
             if x is None:
                 raise StructuralError(
                     f"image of a cycle is not a cycle at degree {k}")
-            for i in range(h_t):
-                v = x.get(i, 0)
-                if v:
-                    acc[(i, j)] = v
-        out[k] = SparseMatrix(h_t, h_s, acc)
+            acc.update(((i, j), v) for i, v in x.items() if i < h_t)
+        out[k] = SparseMatrix(h_t, len(reps_s), acc)
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .decomposition import dims_convolve  # defined there, kept importable here
 from .dgcore import TENSOR_SEP, functor_equal, tensor, tensor_functor
 from .hochschild import StandardComplex
-from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank, solve
+from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank, solver
 
 
 def _tid(a_id, b_id):
@@ -224,17 +224,12 @@ def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
         conv = sum(dims_a.get(i, 0) * dims_b.get(kdeg - i, 0)
                    for i in range(kdeg, 1))
         reps_t, bnd_t = tgt.homology_basis(kdeg)
-        # coordinates of each pushed pair of representatives in homology
-        h_t = len(reps_t)
-        dim_blk = tgt.block_dim(kdeg)
-        ent = {}
-        for idx, v in enumerate(reps_t):
-            for r, val in v.items():
-                ent[(r, idx)] = val
-        for idx, v in enumerate(bnd_t):
-            for r, val in v.items():
-                ent[(r, h_t + idx)] = val
-        basis_matrix = SparseMatrix(dim_blk, h_t + len(bnd_t), ent)
+        # coordinates of each pushed pair of representatives in homology,
+        # against one reduction of the target's basis per degree
+        h_t, basis = len(reps_t), reps_t + bnd_t
+        solve = solver(SparseMatrix(tgt.block_dim(kdeg), len(basis), {
+            (r, idx): val for idx, v in enumerate(basis)
+            for r, val in v.items()}))
         cols = {}
         ncol = 0
         for i in range(kdeg, 1):
@@ -242,15 +237,12 @@ def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
             for za in (a.homology_basis(i)[0] if dims_a.get(i) else []):
                 for zb in (b.homology_basis(j)[0] if dims_b.get(j) else []):
                     img = shuffle_push(sh, i, j, za, zb)
-                    x = solve(basis_matrix, img)
+                    x = solve(img)
                     if x is None:
                         raise StructuralError(
                             f"shuffle image of a cycle pair is not a cycle "
                             f"at degree {kdeg}")
-                    for r in range(h_t):
-                        v = x.get(r, 0)
-                        if v:
-                            cols[(r, ncol)] = v
+                    cols.update(((r, ncol), v) for r, v in x.items() if r < h_t)
                     ncol += 1
         induced = SparseMatrix(h_t, ncol, cols)
         out[kdeg] = DegreeKunneth(conv, h_t, rank(induced, mode), certified)

@@ -67,10 +67,16 @@ def _entry(v):
 
 
 def normalise_entries(ent: dict) -> dict:
-    """ent with each integral Fraction replaced by its numerator, in place."""
+    """ent with each integral Fraction replaced by its numerator and each
+    zero dropped, in place."""
+    zeros = []
     for key, v in ent.items():
         if type(v) is not int and v.denominator == 1:
-            ent[key] = v.numerator
+            v = ent[key] = v.numerator
+        if not v:
+            zeros.append(key)
+    for key in zeros:
+        del ent[key]
     return ent
 
 
@@ -213,11 +219,12 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _row_dicts(m: SparseMatrix):
+def _row_dicts(m: SparseMatrix) -> dict:
+    """{row: {column: value}} of the nonzero rows of m."""
     rows = {}
     for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
-    return list(rows.values())
+    return rows
 
 
 # -- the elimination kernel -------------------------------------------------
@@ -343,22 +350,21 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
             col_rows.setdefault(c, set()).add(i)
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
-
-    def count(c):  # ties go to the smaller column
-        return len(col_rows[c]), c
-
     rank = 0
     while heap:
         n, i = heapq.heappop(heap)
         piv = rows.get(i)
         if piv is None or len(piv) != n:
             continue  # stale entry: the row changed or was used
-        pc = min(piv, key=count)  # counts include row i
-        if units and piv[pc] not in (1, -1):
-            units_at = [c for c, v in piv.items() if v in (1, -1)]
-            if not units_at:
-                continue  # no unit yet
-            pc = min(units_at, key=count)
+        pc = None  # fewest rows (counting row i), then the smaller column
+        for c, v in piv.items():
+            if units and v != 1 and v != -1:
+                continue
+            k = len(col_rows[c])
+            if pc is None or k < least or k == least and c < pc:
+                pc, least = c, k
+        if pc is None:
+            continue  # no unit yet
         del rows[i]
         for c in piv:
             col_rows[c].discard(i)
@@ -375,15 +381,26 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
         items = list(piv.items())
         for j in hits:
             r = rows[j]
-            f = (-r.pop(pc) * inv) % p if p else -r.pop(pc) * inv
-            for c, v in items:
-                old = r.get(c)
-                if old is None:
-                    r[c] = f * v % p if p else f * v
-                    col_rows[c].add(j)
-                else:
-                    s = (old + f * v) % p if p else old + f * v
-                    if s:
+            if p:
+                f = -r.pop(pc) * inv % p
+                for c, v in items:
+                    old = r.get(c)
+                    if old is None:
+                        r[c] = f * v % p
+                        col_rows[c].add(j)
+                    elif s := (old + f * v) % p:
+                        r[c] = s
+                    else:
+                        del r[c]
+                        col_rows[c].discard(j)
+            else:
+                f = -r.pop(pc) * inv
+                for c, v in items:
+                    old = r.get(c)
+                    if old is None:
+                        r[c] = f * v
+                        col_rows[c].add(j)
+                    elif s := old + f * v:
                         r[c] = s
                     else:
                         del r[c]
@@ -460,7 +477,7 @@ def rank(m: SparseMatrix, mode: RankMode = EXACT) -> int:
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:
     """Exact kernel basis as sparse column vectors {row index: value}."""
-    pivots = rref(_row_dicts(m))
+    pivots = rref(_row_dicts(m).values())
     order = sorted(pivots)
     basis = []
     for free in range(m.cols):
@@ -477,7 +494,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
 
 def column_space_basis(m: SparseMatrix) -> list[dict]:
     """An exact basis of the column space, as sparse column vectors."""
-    pivots = rref(_row_dicts(m.transpose()))
+    pivots = rref(_row_dicts(m.transpose()).values())
     return [pivots[c] for c in sorted(pivots)]
 
 
@@ -496,28 +513,32 @@ def projector_invariant_dim(p: SparseMatrix, mode: RankMode = EXACT) -> int:
     return r
 
 
-def solve(m: SparseMatrix, b: dict):
-    """One exact solution x of m x = b, or None if inconsistent.
+def solver(m: SparseMatrix):
+    """b -> solve(m, b) for many b at the cost of one reduction: the columns
+    of m, in order, each tagged with the combination of columns it is, are
+    reduced once; a column in the span of earlier ones is dropped, so x is
+    zero there, as rref puts it."""
+    cols = _row_dicts(m.transpose())
+    tag = m.rows  # column j is tagged at tag + j, past every row
+    pivots = {}
+    for j in range(m.cols):
+        r = cols.get(j, {})
+        r[tag + j] = 1
+        reduce_row(r, pivots)
+        if min(r) < tag:
+            add_pivot(r, pivots)
 
-    b is a sparse column vector {row: int or Fraction}.
-    """
-    rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
-    aug = []
-    BCOL = m.cols  # augmented column index
-    for i in range(m.rows):
-        r = dict(rows.get(i, {}))
-        if b.get(i):
-            r[BCOL] = _entry(b[i])
-        if r:
-            aug.append(r)
-    pivots = rref(aug)
-    if BCOL in pivots:
-        return None  # leading entry in augmented column: inconsistent
-    x = {}
-    for pcol in sorted(pivots):
-        v = pivots[pcol].get(BCOL, 0)
-        if v:
-            x[pcol] = v
-    return x  # free variables are zero
+    def solve_for(b: dict):
+        r = {i: _entry(v) for i, v in b.items() if v and 0 <= i < tag}
+        reduce_row(r, pivots)
+        if r and min(r) < tag:
+            return None  # b is not in the column space
+        return {c - tag: -v for c, v in r.items()}
+
+    return solve_for
+
+
+def solve(m: SparseMatrix, b: dict):
+    """One exact solution x of m x = b, or None if inconsistent; b is a
+    sparse column vector {row: int or Fraction} and free variables are 0."""
+    return solver(m)(b)
