@@ -138,8 +138,10 @@ def parse_twist(s: str | None) -> TwistSpec:
 
 
 def parse_degrees(s: str | None, max_level: int) -> list:
+    """The degrees a..b, highest first; by default 0 down to 1 - max_level,
+    and degree 0 alone at max level 0."""
     if s is None:
-        return list(range(0, -max_level, -1))
+        return list(range(0, -max(max_level, 1), -1))
     m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", s.strip())
     if not m:
         raise InputError(f"bad degree range {s!r}; expected a..b")

@@ -3,8 +3,8 @@
 The left side sums, over partitions λ of n, the S-invariants of the twisted
 homology of the n-th tensor power with the block-cyclic twist σ_λ.  S acts on
 chains by signed permutations, so the invariants are the homology of the
-signed-orbit complex C^S, which has one basis vector per signed orbit and is
-ranked like any other differential.  This is exact by Maschke's theorem:
+signed-orbit complex C^S, which has one basis vector per signed orbit and
+goes through total_homology like any other complex.  This is exact by Maschke's theorem:
 over Q, averaging over S is a chain-level projector onto C^S, so
 H(C)^S = H(C^S); over GF(p) the same holds for p > |S|.  The right side is
 the t-degree-n piece of the super-symmetric algebra on one copy of the
@@ -18,7 +18,7 @@ inner faces of d2 are built once per n, and only on the levels the
 requested degrees read; it also builds each generator's chain permutation
 once and drops it after the last λ that uses it.  Each complex adds
 its own wrap face, and every check (equivariance, d² = 0, the rotation
-identity, prime agreement) still runs on each complex.
+identity, prime agreement) still runs on each complex and each C^S.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from math import comb, factorial
 
 from .dgcore import DgCategory, Permutation, permutation_functor, tensor_power
 from .hochschild import (
+    HomologySummary,
     StandardComplex,
     TwistSpec,
     build_complex,
@@ -185,14 +186,18 @@ class OrbitComplex:
     so D has int entries wherever d has (qlinalg.SparseMatrix).
 
     Over Q averaging over G is a chain-level projector onto C^G (Maschke),
-    so H(C^G) = H(C)^G; over GF(p) the same holds for p > |G|.
+    so H(C^G) = H(C)^G; over GF(p) the same holds for p > |G|.  It has the
+    interface total_homology reads, so C^G is d²-checked and certified like
+    C, whose truncation it shares.
     """
 
-    def __init__(self, sc: StandardComplex, perms: list, mode: RankMode):
+    def __init__(self, sc: StandardComplex, perms: list):
         self.sc = sc
         self.perms = perms
-        self.mode = mode
+        self.max_level = sc.max_level
+        self.certified = sc.certified
         self._orbit_cache: dict = {}
+        self._diff_cache: dict = {}
         self._rank_cache: dict = {}
 
     def orbits(self, k):
@@ -243,14 +248,14 @@ class OrbitComplex:
         self._orbit_cache[k] = (reps, orbit_of, sign)
         return self._orbit_cache[k]
 
-    def dim(self, k) -> int:
-        if not self.perms:
-            return self.sc.block_dim(k)
+    def block_dim(self, k) -> int:
         return len(self.orbits(k)[0])
 
-    def differential(self, k) -> SparseMatrix:
-        """The orbit differential D from degree k to k+1, read off the
-        cached total_differential(k)."""
+    def total_differential(self, k) -> SparseMatrix:
+        """The orbit differential D from degree k to k+1, read off C's
+        total_differential(k)."""
+        if k in self._diff_cache:
+            return self._diff_cache[k]
         _, orbit_of, sign = self.orbits(k)
         reps_out = self.orbits(k + 1)[0]
         row_of = {r: o for o, r in enumerate(reps_out)}
@@ -261,24 +266,16 @@ class OrbitComplex:
             if row is None or col < 0:
                 continue
             ent[row, col] = ent.get((row, col), 0) + (v if sign[c] == 1 else -v)
-        return SparseMatrix.trusted(len(reps_out), self.dim(k),
-                                    normalise_entries(ent))
+        mtx = self._diff_cache[k] = SparseMatrix.trusted(
+            len(reps_out), self.block_dim(k), normalise_entries(ent))
+        return mtx
 
-    def differential_rank(self, k) -> RankResult:
-        """Rank of the orbit differential from degree k to k+1; without
-        generators, the complex's own cached rank."""
-        if not self.perms:
-            return self.sc.differential_rank(k, self.mode)
-        if k not in self._rank_cache:
-            self._rank_cache[k] = rank_info(self.differential(k), self.mode)
-        return self._rank_cache[k]
-
-    def homology(self, k) -> tuple:
-        """(dim H_k(C^G), the two RankResults it was computed from)."""
-        out_info = self.differential_rank(k)
-        in_info = self.differential_rank(k - 1)
-        dim = self.dim(k) - out_info.value - in_info.value
-        return dim, (out_info, in_info)
+    def differential_rank(self, k, mode: RankMode = EXACT) -> RankResult:
+        """Rank of total_differential(k); each (k, mode) is ranked once."""
+        key = (k, mode)
+        if key not in self._rank_cache:
+            self._rank_cache[key] = rank_info(self.total_differential(k), mode)
+        return self._rank_cache[key]
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
@@ -301,20 +298,22 @@ def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
 
 def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
                    max_level: int, normalized: bool = True,
-                   mode: RankMode = EXACT, check_rotations: bool = True,
-                   strict: bool = False, _sc: StandardComplex | None = None,
-                   _ranks: dict | None = None,
+                   mode: RankMode = EXACT, _sc: StandardComplex | None = None,
+                   _summary: HomologySummary | None = None,
+                   _pres: CentralizerPresentation | None = None,
+                   _used: dict | None = None,
                    _perms: dict | None = None) -> dict:
     """Dimensions of the S-invariants of the λ-summand per degree.
 
-    Each is the homology of the signed-orbit complex of S (OrbitComplex).
-    Every generator's chain permutation is checked to commute with the
-    differential.  Rotations act trivially on homology, so only the
-    block-permutation part S of the centralizer is needed; check_rotations
-    verifies it as the rank identity dim H(C^<c>) = dim H(C), and
-    strict=True adds the rotations to the generators as well.  When given,
-    `_ranks` gets, per degree, the RankResults of every rank it used, and
-    `_perms` caches the chain permutations (_checked_chain_permutation).
+    Each is the homology of the signed-orbit complex C^S (OrbitComplex),
+    or of the λ complex C itself when S is trivial.  Every generator's
+    chain permutation is checked to commute with the differential.
+    Rotations act trivially on homology, so only the block-permutation part
+    S of the centralizer is needed; this is checked as the identity
+    dim H(C^<c>) = dim H(C).  When given, `_summary` is C's homology and
+    `_pres` its centralizer presentation, `_used` gets, per degree, the
+    DegreeResults of the orbit complexes, and `_perms` caches the chain
+    permutations (_checked_chain_permutation).
     """
     sc = _sc if _sc is not None else _lambda_complex(c, n, lam, max_level,
                                                      normalized)
@@ -322,28 +321,25 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
         if not sc.certified(k):
             raise StructuralError(
                 f"degree {k} lacks an exact truncation certificate")
-    pres = centralizer_gens(lam)
+    full = (_summary if _summary is not None
+            else total_homology(sc, degrees, mode)).dims()
+    pres = _pres if _pres is not None else centralizer_gens(lam)
     levels = sc.skeleton.levels_near(degrees)
     cache = _perms if _perms is not None else {}
-    s_perms = [_checked_chain_permutation(c, sc, g, levels, cache)
-               for g in pres.s_generators]
-    c_perms = ([_checked_chain_permutation(c, sc, g, levels, cache)
-                for g in pres.c_generators]
-               if check_rotations or strict else [])
-    ranks = _ranks if _ranks is not None else {}
 
-    def homology(perms) -> dict:
-        oc = OrbitComplex(sc, perms, mode)
-        dims = {}
-        for k in degrees:
-            dims[k], used = oc.homology(k)
-            ranks.setdefault(k, []).extend(used)
-        return dims
+    def orbit_dims(gens) -> dict:
+        perms = [_checked_chain_permutation(c, sc, g, levels, cache)
+                 for g in gens]
+        summary = total_homology(OrbitComplex(sc, perms), degrees, mode)
+        if _used is not None:
+            for k in degrees:
+                _used[k].append(summary.degrees[k])
+        return summary.dims()
 
-    out = homology(s_perms + (c_perms if strict else []))
-    if check_rotations and c_perms:
-        full = homology([])
-        rotated = homology(c_perms)
+    out = (orbit_dims(pres.s_generators) if pres.s_generators
+           else {k: full[k] for k in degrees})
+    if pres.c_generators:
+        rotated = orbit_dims(pres.c_generators)
         for k in degrees:
             if rotated[k] != full[k]:
                 raise StructuralError(
@@ -480,8 +476,8 @@ class DecompositionReport:
 
 
 def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
-                         normalized: bool = True, mode: RankMode = EXACT,
-                         strict: bool = False) -> DecompositionReport:
+                         normalized: bool = True, mode: RankMode = EXACT
+                         ) -> DecompositionReport:
     """Compare, degree by degree, the sum over partitions of invariant
     twisted dims with the super-symmetric-power prediction from the
     untwisted homology of a single factor.
@@ -492,11 +488,13 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     whether any of those ranks was recomputed over Q because a prime
     failed or the primes disagreed."""
     degrees = sorted(set(degrees), reverse=True)
+    if not degrees:
+        raise StructuralError("no degrees to compare")
     window = _window(degrees)
     per_partition = []
     lhs_totals = {k: 0 for k in degrees}
     lhs_cert = {k: True for k in degrees}
-    used = {k: [] for k in degrees}  # the RankResults and DegreeResults of k
+    used = {k: [] for k in degrees}  # the DegreeResults that degree k used
     # one tensor power, so that the λ complexes share their skeleton; all
     # built (lazily, so cheaply) before any is used, so that the skeleton
     # knows it is shared (hochschild._Skeleton.inner_faces), and each
@@ -504,12 +502,10 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     power = tensor_power(c, n)
     todo = [(lam, _lambda_complex(c, n, lam, max_level, normalized, power))
             for lam in reversed(partitions(n))]
+    pres = {lam: centralizer_gens(lam) for lam in partitions(n)}
     # each generator's chain permutation is kept until the last λ using it
-    last_user = {}
-    for lam in partitions(n):
-        pres = centralizer_gens(lam)
-        for g in pres.s_generators + pres.c_generators:
-            last_user[g.images] = lam
+    last_user = {g.images: lam for lam, p in pres.items()
+                 for g in p.s_generators + p.c_generators}
     chain_perms = {}
     while todo:
         lam, sc = todo.pop()
@@ -520,15 +516,14 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
             used[k].append(summary.degrees[k])
         action_degrees = [k for k in degrees if certified[k]]
         inv = invariant_dims(c, n, lam, action_degrees, max_level, normalized,
-                             mode=mode, strict=strict, _sc=sc, _ranks=used,
-                             _perms=chain_perms)
-        pres = centralizer_gens(lam)
+                             mode=mode, _sc=sc, _summary=summary,
+                             _pres=pres[lam], _used=used, _perms=chain_perms)
         per_partition.append(PartitionSummary(
             partition=lam,
             twisted={k: summary.degrees[k].dim for k in degrees},
             invariant=inv,
             certified=certified,
-            group_order=pres.s_order,
+            group_order=pres[lam].s_order,
         ))
         for k in degrees:
             if certified[k]:
@@ -570,7 +565,7 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         verdicts=verdicts,
         max_level=max_level,
         normalized=normalized,
-        mode=mode.kind if hasattr(mode, "kind") else str(mode),
+        mode=mode.kind,
         agreed={k: all(u.agreed for u in used[k]) for k in degrees},
         exact_fallback={k: any(u.exact_fallback for u in used[k])
                         for k in degrees},

@@ -62,7 +62,6 @@ from .qlinalg import (
     normalise_entries,
     rank_info,
     reduce_row,
-    solver,
 )
 
 
@@ -406,14 +405,13 @@ class StandardComplex:
     only pays for the levels its degrees read."""
 
     def __init__(self, category: DgCategory, twist: DgFunctor, max_level: int,
-                 normalized: bool, twist_spec: TwistSpec | None = None):
+                 normalized: bool):
         if max_level < 0:
             raise StructuralError("max_level must be >= 0")
         self.category = category
         self.twist = twist
         self.max_level = max_level
         self.normalized = normalized
-        self.twist_spec = twist_spec
         self.skeleton = sk = _skeleton(category, twist, max_level, normalized)
         self.basis_ids = sk.basis_ids
         self.basis_index = sk.basis_index
@@ -564,46 +562,55 @@ class StandardComplex:
 
     def homology_basis(self, k):
         """(representatives, boundary_basis) at total degree k; vectors are
-        sparse dicts over degree_block(k) coordinates.  Exact arithmetic."""
-        if k in self._homology_cache:
-            return self._homology_cache[k]
-        d_out = self.total_differential(k)
-        d_in = self.total_differential(k - 1)
-        cycles = kernel_basis(d_out)
-        boundaries = column_space_basis(d_in)
-        # greedily extend the boundary basis by cycles to pick representatives
-        pivots = {}
-        for b in boundaries:
-            r = dict(b)
+        sparse dicts over degree_block(k) coordinates.  Exact arithmetic.
+        The boundary basis is extended greedily by cycles; as in
+        qlinalg.solver, each row is tagged past the last coordinate with the
+        combination of these vectors it is, for homology_coordinates."""
+        if k not in self._homology_cache:
+            cycles = kernel_basis(self.total_differential(k))
+            boundaries = column_space_basis(self.total_differential(k - 1))
+            tag = self.block_dim(k)
+            pivots, reps, rep_of = {}, [], {}  # rep_of: tag column -> rep
+            for j, v in enumerate(boundaries + cycles):
+                r = dict(v)
+                r[tag + j] = 1
+                reduce_row(r, pivots)
+                if min(r) < tag:  # always for a boundary
+                    add_pivot(r, pivots)
+                    if j >= len(boundaries):
+                        rep_of[tag + j] = len(reps)
+                        reps.append(v)
+            self._homology_cache[k] = (reps, boundaries, pivots, rep_of)
+        return self._homology_cache[k][:2]
+
+    def homology_coordinates(self, k):
+        """z -> {i: x_i} with z = Σ x_i·reps[i] + (a boundary) for the
+        representatives of homology_basis(k), or None when the degree-k
+        vector z is not a cycle; one reduction per degree serves every z."""
+        self.homology_basis(k)
+        _, _, pivots, rep_of = self._homology_cache[k]
+        tag = self.block_dim(k)
+
+        def coordinates(z: dict):
+            r = {i: v for i, v in z.items() if v}
             reduce_row(r, pivots)
-            if r:
-                add_pivot(r, pivots)
-        reps = []
-        for z in cycles:
-            r = dict(z)
-            reduce_row(r, pivots)
-            if r:
-                add_pivot(r, pivots)
-                reps.append(z)
-        result = (reps, boundaries)
-        self._homology_cache[k] = result
-        return result
+            if r and min(r) < tag:
+                return None  # z is not in the span of reps and boundaries
+            return {rep_of[c]: -v for c, v in r.items() if c in rep_of}
+
+        return coordinates
 
 
 def build_complex(c: DgCategory, twist, max_level: int,
                   normalized: bool = True) -> StandardComplex:
     """twist: a DgFunctor endofunctor of c, or a TwistSpec."""
-    spec = None
     if isinstance(twist, TwistSpec):
-        spec = twist
-        cat, functor = resolve_twist(c, twist)
-        c = cat
-        twist = functor
+        c, twist = resolve_twist(c, twist)
     if twist.source is not c or twist.target is not c:
         if (twist.source.basis.keys() != c.basis.keys()
                 or twist.target.basis.keys() != c.basis.keys()):
             raise StructuralError("twist is not an endofunctor of the category")
-    return StandardComplex(c, twist, max_level, normalized, twist_spec=spec)
+    return StandardComplex(c, twist, max_level, normalized)
 
 
 class DegreeResult(namedtuple(
@@ -873,18 +880,13 @@ def homology_action(cm: ChainMapData, degrees, mode: RankMode = EXACT,
             raise StructuralError(
                 f"degree {k} lacks an exact truncation certificate")
         reps_s, _ = src.homology_basis(k)
-        reps_t, bnd_t = tgt.homology_basis(k)
-        h_t, basis = len(reps_t), reps_t + bnd_t
-        # one reduction of the target's basis per degree, for every image
-        solve = solver(SparseMatrix(tgt.block_dim(k), len(basis), {
-            (r, idx): val for idx, v in enumerate(basis)
-            for r, val in v.items()}))
+        coordinates = tgt.homology_coordinates(k)
         acc = {}
         for j, z in enumerate(reps_s):
-            x = solve(cm.apply_block_vector(k, z))
+            x = coordinates(cm.apply_block_vector(k, z))
             if x is None:
                 raise StructuralError(
                     f"image of a cycle is not a cycle at degree {k}")
-            acc.update(((i, j), v) for i, v in x.items() if i < h_t)
-        out[k] = SparseMatrix(h_t, len(reps_s), acc)
+            acc.update(((i, j), v) for i, v in x.items())
+        out[k] = SparseMatrix(len(tgt.homology_basis(k)[0]), len(reps_s), acc)
     return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .decomposition import dims_convolve  # defined there, kept importable here
 from .dgcore import TENSOR_SEP, functor_equal, tensor, tensor_functor
 from .hochschild import StandardComplex
-from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank, solver
+from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank
 
 
 def _tid(a_id, b_id):
@@ -223,13 +223,9 @@ def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
                              for i in range(kdeg, 1)))
         conv = sum(dims_a.get(i, 0) * dims_b.get(kdeg - i, 0)
                    for i in range(kdeg, 1))
-        reps_t, bnd_t = tgt.homology_basis(kdeg)
-        # coordinates of each pushed pair of representatives in homology,
-        # against one reduction of the target's basis per degree
-        h_t, basis = len(reps_t), reps_t + bnd_t
-        solve = solver(SparseMatrix(tgt.block_dim(kdeg), len(basis), {
-            (r, idx): val for idx, v in enumerate(basis)
-            for r, val in v.items()}))
+        h_t = len(tgt.homology_basis(kdeg)[0])
+        # the homology class of each pushed pair of representatives
+        coordinates = tgt.homology_coordinates(kdeg)
         cols = {}
         ncol = 0
         for i in range(kdeg, 1):
@@ -237,12 +233,12 @@ def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
             for za in (a.homology_basis(i)[0] if dims_a.get(i) else []):
                 for zb in (b.homology_basis(j)[0] if dims_b.get(j) else []):
                     img = shuffle_push(sh, i, j, za, zb)
-                    x = solve(img)
+                    x = coordinates(img)
                     if x is None:
                         raise StructuralError(
                             f"shuffle image of a cycle pair is not a cycle "
                             f"at degree {kdeg}")
-                    cols.update(((r, ncol), v) for r, v in x.items() if r < h_t)
+                    cols.update(((r, ncol), v) for r, v in x.items())
                     ncol += 1
         induced = SparseMatrix(h_t, ncol, cols)
         out[kdeg] = DegreeKunneth(conv, h_t, rank(induced, mode), certified)

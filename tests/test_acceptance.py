@@ -263,11 +263,9 @@ def test_criterion_10_structural(capsys):
     # averaging projector is idempotent with rank = trace; rotations act as
     # the homology identity
     D = dual_numbers()
-    inv = invariant_dims(D, 2, Partition((1, 1)), [0, -1, -2], max_level=3,
-                         check_rotations=True)
+    inv = invariant_dims(D, 2, Partition((1, 1)), [0, -1, -2], max_level=3)
     assert inv == {0: 3, -1: 2, -2: 2}
-    inv_rot = invariant_dims(D, 2, Partition((2,)), [0, -1, -2], max_level=3,
-                             check_rotations=True)
+    inv_rot = invariant_dims(D, 2, Partition((2,)), [0, -1, -2], max_level=3)
     assert inv_rot == {0: 2, -1: 1, -2: 1}
     # centralizer generators commute with sigma for all partitions, n <= 6
     for n in range(1, 7):

@@ -275,10 +275,10 @@ def test_unchecked_differentials_keep_the_entry_contract():
     sc = _lambda_complex(c, 2, Partition((1, 1)), 3, True, power)
     swap = permutation_functor(c, 2, Permutation.from_cycles(2, [(1, 2)]),
                                power=power)
-    oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap)], EXACT)
+    oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap)])
     seen_fraction = False
     for k in range(-3, 1):
-        for mtx in (sc.total_differential(k), oc.differential(k)):
+        for mtx in (sc.total_differential(k), oc.total_differential(k)):
             assert mtx == SparseMatrix(mtx.rows, mtx.cols, mtx.entries)
             assert all(type(v) is int or (type(v) is Fraction
                                           and v.denominator > 1)

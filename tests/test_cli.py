@@ -254,6 +254,21 @@ def test_decompose_heuristic_exit_code(capsys):
     assert rep["results"]["verdicts"]["0"] == "Equal"
 
 
+@pytest.mark.parametrize("verb,argv,code", [
+    ("compute", [], 0),
+    ("decompose", ["--n", "2"], 3),
+])
+def test_max_level_zero_defaults_to_degree_zero(capsys, verb, argv, code):
+    # without --degrees, max level 0 reads degree 0 alone, as --degrees=0..0
+    # does; there it is uncertified, so decompose exits 3
+    got, out, err = run(capsys, verb, DUAL, "--max-level", "0", *argv)
+    assert got == code, err
+    rep = json.loads(out)
+    assert rep["options"]["degrees"] == [0]
+    res = rep["results"]
+    assert list(res["verdicts"] if verb == "decompose" else res) == ["0"]
+
+
 @pytest.mark.parametrize("mode", ["exact", "modular"])
 @pytest.mark.parametrize("n,total", [(2, 5), (3, 10)])
 def test_decompose_multi_object_quiver(capsys, mode, n, total):

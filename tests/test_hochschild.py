@@ -365,6 +365,28 @@ def test_swap_action_on_hh0_of_square(D):
     assert projector_invariant_dim(proj) == 3
 
 
+def test_homology_coordinates_of_cycles_and_non_cycles(D):
+    p2 = tensor_power(D, 2)
+    sc = build_complex(p2, identity_functor(p2), 3, normalized=True)
+    for k in (0, -1, -2):
+        reps, boundaries = sc.homology_basis(k)
+        coordinates = sc.homology_coordinates(k)
+        # z = Σ (i+2)·rep_i - Σ bnd_j / (j+2) is in the class Σ (i+2)·[rep_i]
+        z = {}
+        for c, v in itertools.chain(
+                ((i + 2, rep) for i, rep in enumerate(reps)),
+                ((Fraction(-1, j + 2), b) for j, b in enumerate(boundaries))):
+            for r, x in v.items():
+                z[r] = z.get(r, 0) + c * x
+        assert coordinates({r: x for r, x in z.items() if x}) == \
+            {i: i + 2 for i in range(len(reps))}
+        if k < 0:  # degrees -1 and -2 have both classes and boundaries
+            assert reps and boundaries
+    # a basis vector that d does not kill is not a cycle
+    (_, col), _ = next(iter(sc.total_differential(-2).entries.items()))
+    assert sc.homology_coordinates(-2)({col: 1}) is None
+
+
 # -- signed chain permutations ----------------------------------------------
 
 
