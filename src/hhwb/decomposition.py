@@ -209,18 +209,18 @@ class OrbitComplex:
         sk = self.sc.skeleton
         block = sk.degree_block(k)
         whole = sk.whole(k)  # the level the block is, in order, or None
-        gens = []
+        gens = []  # (rows, signs) of each generator on the block
         for perm in self.perms:  # each maps a level, and a degree, to itself
             if whole is not None:
                 gens.append(perm[whole])
                 continue
-            gen = [None] * len(block)
+            rows, signs = [0] * len(block), [1] * len(block)
             for m, local in sk.positions(k).items():
-                level = perm[m]
+                level_rows, level_signs = perm[m]
                 for i, x in local.items():
-                    j, s = level[i]
-                    gen[x] = (local[j], s)
-            gens.append(gen)
+                    rows[x] = local[level_rows[i]]
+                    signs[x] = level_signs[i]
+            gens.append((rows, signs))
         sign = [0] * len(block)
         orbit_of = [-1] * len(block)
         reps = []
@@ -232,9 +232,9 @@ class OrbitComplex:
             alive = True
             for x in members:  # grows while it is walked
                 sx = sign[x]
-                for g in gens:
-                    y, s = g[x]
-                    want = s if sx == 1 else -s
+                for rows, signs in gens:
+                    y = rows[x]
+                    want = signs[x] * sx
                     sy = sign[y]
                     if not sy:
                         sign[y] = want
@@ -433,7 +433,7 @@ class DecompositionReport:
         self.n = n
         self.degrees = degrees
         self.per_partition = per_partition
-        self.lhs_totals = lhs_totals
+        self.lhs_totals = lhs_totals  # degree -> dim, None if not computed
         self.rhs_totals = rhs_totals
         self.verdicts = verdicts  # degree -> "Equal" | "Mismatch" | "Heuristic"
         self.max_level = max_level
@@ -482,6 +482,8 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     twisted dims with the super-symmetric-power prediction from the
     untwisted homology of a single factor.
 
+    A degree that some λ complex does not certify gets the verdict
+    Heuristic and the left total None: its invariants are not computed.
     `agreed` is, per degree, whether the primes agreed on every rank that
     degree used: the λ complexes, their orbit complexes and the factor
     complex (always True in exact mode).  `exact_fallback` is, per degree,
@@ -547,6 +549,8 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     }
     for k in degrees:
         used[k] += [factor_summary.degrees[i] for i in _reach(k)]
+        if not lhs_cert[k]:  # some λ's invariants were not computed
+            lhs_totals[k] = None
     verdicts = {}
     for k in degrees:
         if not (lhs_cert[k] and rhs_cert[k]):

@@ -332,8 +332,12 @@ class _Skeleton:
                     by_degree = self._by_degree[m]
                     if by_degree is None:
                         by_degree = self._by_degree[m] = {}
-                        for i, ch in enumerate(self.levels[m]):
-                            by_degree.setdefault(self.degree(ch), []).append(i)
+                        if lo == hi:  # every chain has degree k + m
+                            by_degree[k + m] = range(len(self.levels[m]))
+                        else:
+                            for i, ch in enumerate(self.levels[m]):
+                                by_degree.setdefault(self.degree(ch),
+                                                     []).append(i)
                     block.extend((m, i) for i in by_degree.get(k + m, ()))
             self._blocks[k] = block
         return block
@@ -760,8 +764,9 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
     """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
     automorphism phi that sends every basis morphism to ±1 times another.
 
-    One list per level m: entry i is (j, s) when chain i goes to s times
-    chain j.  Only the levels in `levels` (default: all) are built; the
+    One pair (rows, signs) per level m, two flat lists as long as the
+    level: chain i goes to signs[i] times chain rows[i], with signs[i] in
+    {1, -1}.  Only the levels in `levels` (default: all) are built; the
     others are None.  This is the chain map of phi whose coefficient
     transform is the unit at F(phi(c0)); it is a chain map only when phi
     commutes with the twist F, which check_equivariant verifies.
@@ -793,15 +798,15 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
             raise StructuralError(
                 f"{phi.name or 'functor'} sends a level-{m} chain out of "
                 f"the complex")
-        if signed:
-            level = list(zip(rows, map(prod, zip(*[map(sign.__getitem__, slot)
-                                                   for slot in slots]))))
-        else:
-            level = list(zip(rows, itertools.repeat(1)))
         if len(set(rows)) != len(rows):
             raise StructuralError(
                 f"{phi.name or 'functor'} is not injective on level {m}")
-        perm.append(level)
+        if signed:
+            signs = list(map(prod, zip(*[map(sign.__getitem__, slot)
+                                         for slot in slots])))
+        else:
+            signs = [1] * len(rows)
+        perm.append((rows, signs))
     return perm
 
 
@@ -815,10 +820,11 @@ def check_equivariant(sc: StandardComplex, perm: list, levels=None) -> None:
 
     def respects(mtx, row_perm, col_perm) -> bool:
         ent = mtx.entries
+        rows, row_signs = row_perm
+        cols, col_signs = col_perm
         for (r, c), v in ent.items():
-            r2, sr = row_perm[r]
-            c2, sc_ = col_perm[c]
-            if ent.get((r2, c2)) != (v if sr == sc_ else -v):
+            if ent.get((rows[r], cols[c])) != (
+                    v if row_signs[r] == col_signs[c] else -v):
                 return False
         return True
 
@@ -866,8 +872,7 @@ def homotopy_H(sc: StandardComplex) -> list[SparseMatrix]:
     return out
 
 
-def homology_action(cm: ChainMapData, degrees, mode: RankMode = EXACT,
-                    force: bool = False) -> dict:
+def homology_action(cm: ChainMapData, degrees, force: bool = False) -> dict:
     """Matrices of the induced map on homology, one per total degree.
 
     Uses exact cycle/boundary bases; refuses degrees without an exact

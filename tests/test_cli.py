@@ -162,6 +162,15 @@ def test_compute_cache_is_byte_identical(tmp_path, capsys):
     assert len(list(cdir.glob("*.json"))) == 2
 
 
+def test_input_sha256_is_the_sha256_of_the_input_bytes(capsys):
+    import hashlib
+
+    rep = run_json(capsys, "compute", DUAL, "--max-level", "1",
+                   "--degrees=0..0")
+    with open(DUAL, "rb") as fh:
+        assert rep["input_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
 def test_cache_key_includes_version(tmp_path, capsys, monkeypatch):
     cdir = tmp_path / "cache"
     args = ["compute", GROUND, "--mode", "exact", "--max-level", "2",
@@ -296,9 +305,10 @@ def test_internal_error_is_not_a_mismatch(capsys, monkeypatch, exc):
     assert str(exc) in err
 
 
-def test_decompose_positive_degrees_of_an_odd_generator(tmp_path, capsys):
-    # E = k[y]/y^2 with |y| = 1: its homology lives in degrees 0 and 1, and
-    # no degree bound certifies any degree, so every verdict is Heuristic
+@pytest.fixture
+def odd_dual_path(tmp_path):
+    # E = k[y]/y^2 with |y| = 1 (conftest.odd_dual): its homology lives in
+    # degrees 0 and 1, and no degree bound certifies any degree
     path = tmp_path / "E.json"
     path.write_text(json.dumps({
         "name": "E",
@@ -309,11 +319,34 @@ def test_decompose_positive_degrees_of_an_odd_generator(tmp_path, capsys):
         "compose": [{"g": "y", "f": "y", "result": []}],
         "diff": [],
     }))
-    code, out, err = run(capsys, "decompose", str(path), "--n", "2",
+    return str(path)
+
+
+def test_decompose_positive_degrees_of_an_odd_generator(odd_dual_path,
+                                                        capsys):
+    code, out, err = run(capsys, "decompose", odd_dual_path, "--n", "2",
                          "--max-level", "4", "--degrees=-1..1")
     assert code == cli.EXIT_INCONCLUSIVE == 3, err
     verdicts = json.loads(out)["results"]["verdicts"]
     assert verdicts == {"1": "Heuristic", "0": "Heuristic", "-1": "Heuristic"}
+
+
+def test_uncomputed_total_is_null_not_zero(odd_dual_path, tmp_path, capsys):
+    # no λ certifies any degree of E, so no invariants are computed: the
+    # left totals are null in the report and empty in the CSV, not 0
+    # against a nonzero right side
+    csv = tmp_path / "table.csv"
+    code, out, err = run(capsys, "decompose", odd_dual_path, "--n", "2",
+                         "--max-level", "4", "--degrees=-2..1",
+                         "--csv", str(csv))
+    assert code == cli.EXIT_INCONCLUSIVE == 3, err
+    res = json.loads(out)["results"]
+    assert res["lhs_totals"] == {"1": None, "0": None, "-1": None, "-2": None}
+    assert res["rhs_totals"]["0"] == 20 and res["rhs_totals"]["1"] == 30
+    assert set(res["verdicts"].values()) == {"Heuristic"}
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "degree,lhs,rhs,verdict"
+    assert lines[1:3] == ["1,,30,Heuristic", "0,,20,Heuristic"]
 
 
 def test_decompose_positive_degree_of_dual_numbers(capsys):

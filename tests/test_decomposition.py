@@ -320,8 +320,8 @@ def test_orbit_vectors_span_an_invariant_subcomplex(make, lam):
                 moved = {}
                 for j, v in vec.items():
                     m, i = block[j]
-                    t, s = perm[m][i]
-                    moved[pos[(m, t)]] = s * v
+                    rows, signs = perm[m]
+                    moved[pos[(m, rows[i])]] = signs[i] * v
                 assert moved == vec
         dmat = oc.total_differential(k)
         for o, vec in enumerate(src):
@@ -357,11 +357,31 @@ def test_flipped_sign_breaks_equivariance(D):
     cols = sorted({c for _, c in sc.d2[2].entries})
     assert cols
     for col in cols:
-        flipped = [list(level) for level in perm]
-        j, s = flipped[2][col]
-        flipped[2][col] = (j, -s)
+        flipped = [(list(rows), list(signs)) for rows, signs in perm]
+        flipped[2][1][col] = -flipped[2][1][col]
         with pytest.raises(StructuralError, match="does not commute"):
             check_equivariant(sc, flipped)
+
+
+def test_corrupted_target_row_breaks_equivariance(D):
+    lam = Partition((1, 1))
+    sc = lambda_complex(D, lam, 3)
+    swap = permutation_functor(D, 2, centralizer_gens(lam).s_generators[0],
+                               power=sc.category)
+    perm = signed_chain_permutation(sc, swap)
+    check_equivariant(sc, perm)
+    # sending a level-2 chain whose d2 column is nonzero to one whose
+    # column is zero must be caught, at every such chain
+    nonzero = {c for _, c in sc.d2[2].entries}
+    zero = [c for c in range(sc.d2[2].cols) if c not in nonzero]
+    assert nonzero and zero
+    rows, signs = perm[2]
+    for col in sorted(nonzero):
+        corrupted = list(perm)
+        corrupted[2] = (list(rows), signs)
+        corrupted[2][0][col] = zero[0]
+        with pytest.raises(StructuralError, match="does not commute"):
+            check_equivariant(sc, corrupted)
 
 
 def test_non_commuting_generator_is_rejected(D, monkeypatch):

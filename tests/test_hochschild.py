@@ -396,7 +396,8 @@ def test_signed_chain_permutation_matches_induced_chain_map(D):
     perm = signed_chain_permutation(sc, F)
     check_equivariant(sc, perm)
     cm = induced_chain_map(F, identity_nat(F), sc, sc)
-    for m, level in enumerate(perm):
+    for m, (rows, signs) in enumerate(perm):
+        level = zip(rows, signs)
         assert cm.blocks[m].entries == {(j, i): Fraction(s)
                                         for i, (j, s) in enumerate(level)}
 

@@ -15,9 +15,9 @@ SRC = str(ROOT / "src")
 DUAL = str(ROOT / "fixtures" / "dual_numbers.json")
 
 # No verb executes these, except hhwb.decomposition, which only decompose
-# and series do.
+# and series do.  hashlib would load OpenSSL for the input's SHA-256.
 NOT_AT_IMPORT = ["dataclasses", "inspect", "tempfile", "hhwb.decomposition",
-                 "hhwb.kunneth", "hhwb.contraction"]
+                 "hhwb.kunneth", "hhwb.contraction", "hashlib", "_hashlib"]
 
 SCRIPT = """
 import json, sys
@@ -51,6 +51,7 @@ def test_each_verb_loads_only_what_it_executes(tmp_path):
     assert report["at_import"] == []
     assert (report["compute"], report["decompose"]) == (0, 0)
     assert report["added"] == ["hhwb.decomposition"]
+    assert not {"hashlib", "_hashlib"} & set(report["added"])
     # the cache still writes its entry, importing tempfile when it does
     assert report["cached"] == 0
     entries = list((tmp_path / "cache").iterdir())
