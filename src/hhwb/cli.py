@@ -257,10 +257,7 @@ def cmd_validate(args) -> int:
     cat = category_from_dict(data)
     diags = validate_category(cat)
     for fdata in data.get("functors", []):
-        try:
-            f = functor_from_dict(cat, fdata)
-        except InputError:
-            raise
+        f = functor_from_dict(cat, fdata)
         diags += [f"functor {f.name}: {d}" for d in validate_functor(f)]
     if diags:
         for d in diags:

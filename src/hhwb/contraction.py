@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .dgcore import TENSOR_SEP, DgCategory, opposite, tensor
-from .qlinalg import SparseMatrix, StructuralError, add_pivot, reduce_row, rref
+from .dgcore import DgCategory, _tensor_id, opposite, tensor
+from .qlinalg import (SparseMatrix, StructuralError, _row_dicts, add_pivot,
+                      reduce_row, rref)
 
 
 class FiniteAlgebra:
@@ -59,7 +61,7 @@ def algebra_square(a: FiniteAlgebra) -> FiniteAlgebra:
 
 
 def pair_index(a: FiniteAlgebra, sq: FiniteAlgebra, i: int, j: int) -> int:
-    return sq.index[f"{a.basis[i]}{TENSOR_SEP}{a.basis[j]}"]
+    return sq.index[_tensor_id(a.basis[i], a.basis[j])]
 
 
 @dataclass
@@ -107,26 +109,11 @@ def diagonal_bimodule(a: FiniteAlgebra) -> FiniteBimodule:
 def free_env_module(b: FiniteAlgebra) -> FiniteBimodule:
     """B^e as a bimodule over B: elements f ⊗ k', g·(f⊗k') = gf ⊗ k',
     (f⊗k')·h = f ⊗ (kh)'."""
-    d = b.dim
-    dim = d * d
-
-    def build(mat_fn, on_first):
-        out = []
-        for g in range(d):
-            base = mat_fn(g)
-            ent = {}
-            for (r, c), v in base.entries.items():
-                for other in range(d):
-                    if on_first:
-                        ent[(r * d + other, c * d + other)] = v
-                    else:
-                        ent[(other * d + r, other * d + c)] = v
-            out.append(SparseMatrix(dim, dim, ent))
-        return out
-
-    left = build(b.left_mult, True)
-    right = build(b.right_mult, False)  # k -> kh on the primed factor
-    return FiniteBimodule(b, dim, left, right)
+    ident = SparseMatrix.identity(b.dim)
+    left = [b.left_mult(g).kron(ident) for g in range(b.dim)]
+    # k -> kh on the primed factor
+    right = [ident.kron(b.right_mult(h)) for h in range(b.dim)]
+    return FiniteBimodule(b, b.dim * b.dim, left, right)
 
 
 def twisted_module(a: FiniteAlgebra) -> FiniteBimodule:
@@ -134,34 +121,11 @@ def twisted_module(a: FiniteAlgebra) -> FiniteBimodule:
     (a,b)·(f1,f2) = (a f1, b f2)."""
     sq = algebra_square(a)
     d = a.dim
-    left = []
-    right = []
-    for g in range(sq.dim):
-        g1, g2 = divmod(g, d)  # sq basis order matches lexicographic pairs
-        l1, l2 = a.left_mult(g1), a.left_mult(g2)
-        r1, r2 = a.right_mult(g1), a.right_mult(g2)
-        ent_l = {}
-        ent_r = {}
-        for (r_, c_), v in l2.entries.items():
-            for other in range(d):
-                ent_l[(r_ * d + other, c_ * d + other)] = v
-        # second component gets g1 on the left
-        acc = SparseMatrix(sq.dim, sq.dim, ent_l)
-        ent = {}
-        for (r_, c_), v in l1.entries.items():
-            for other in range(d):
-                ent[(other * d + r_, other * d + c_)] = v
-        left.append(acc.mul(SparseMatrix(sq.dim, sq.dim, ent)))
-        ent = {}
-        for (r_, c_), v in r1.entries.items():
-            for other in range(d):
-                ent[(r_ * d + other, c_ * d + other)] = v
-        acc = SparseMatrix(sq.dim, sq.dim, ent)
-        ent = {}
-        for (r_, c_), v in r2.entries.items():
-            for other in range(d):
-                ent[(other * d + r_, other * d + c_)] = v
-        right.append(acc.mul(SparseMatrix(sq.dim, sq.dim, ent)))
+    # sq basis order matches lexicographic pairs, g = (g1, g2); the second
+    # component gets g1 on the left
+    pairs = [divmod(g, d) for g in range(sq.dim)]
+    left = [a.left_mult(g2).kron(a.left_mult(g1)) for g1, g2 in pairs]
+    right = [a.right_mult(g1).kron(a.right_mult(g2)) for g1, g2 in pairs]
     m = FiniteBimodule(sq, sq.dim, left, right)
     diags = validate_bimodule(m)
     if diags:
@@ -195,71 +159,40 @@ class EnvelopingEmbeddings:
                 "e21": self.e21, "e22": self.e22}
 
 
-def _env_mult(a: FiniteAlgebra, x, y):
-    """Product in A^e on sparse {pair index: coeff} vectors:
-    (f⊗g')(h⊗k') = fh ⊗ (kg)'."""
-    d = a.dim
-    out = {}
-    for p, cp in x.items():
-        f, g = divmod(p, d)
-        for q, cq in y.items():
-            h, k = divmod(q, d)
-            for r1, v1 in a.mult(f, h).items():
-                for r2, v2 in a.mult(k, g).items():
-                    key = r1 * d + r2
-                    s = out.get(key, 0) + cp * cq * v1 * v2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-    return out
+def _env_mult(a: FiniteAlgebra, sides, x, y):
+    """Product x·y in an enveloping algebra of A on sparse {index: coeff}
+    vectors, an index running over the basis tuples of its factors in
+    lexicographic order.  `sides` holds FiniteAlgebra.left_mult for each
+    factor A and FiniteAlgebra.right_mult for each factor A^op, so that a
+    basis element acts on y by the Kronecker product of its factors'
+    multiplications: in A^e, (f⊗g')(h⊗k') = fh ⊗ (kg)'."""
+    dim = a.dim ** len(sides)
+    act = SparseMatrix.zeros(dim, dim)
+    for p, c in x.items():
+        factors = []
+        for mult in reversed(sides):  # the last factor varies fastest
+            p, i = divmod(p, a.dim)
+            factors.insert(0, mult(a, i))
+        act = act.add(reduce(SparseMatrix.kron, factors).scale(c))
+    return act.apply(y)
 
 
-def _env4_mult(a: FiniteAlgebra, x, y):
-    """Product in A2^e on {4-tuple index: coeff} vectors."""
-    d = a.dim
-    out = {}
-    for p, cp in x.items():
-        p1, rest = divmod(p, d ** 3)
-        p2, rest = divmod(rest, d * d)
-        p3, p4 = divmod(rest, d)
-        for q, cq in y.items():
-            q1, rest = divmod(q, d ** 3)
-            q2, rest = divmod(rest, d * d)
-            q3, q4 = divmod(rest, d)
-            for r1, v1 in a.mult(p1, q1).items():
-                for r2, v2 in a.mult(p2, q2).items():
-                    for r3, v3 in a.mult(q3, p3).items():
-                        for r4, v4 in a.mult(q4, p4).items():
-                            key = ((r1 * d + r2) * d + r3) * d + r4
-                            s = out.get(key, 0) + cp * cq * v1 * v2 * v3 * v4
-                            if s:
-                                out[key] = s
-                            else:
-                                out.pop(key, None)
-    return out
+# the factors of A^e = A⊗A^op and of A2^e = A⊗A⊗A^op⊗A^op, for _env_mult
+_ENV = (FiniteAlgebra.left_mult, FiniteAlgebra.right_mult)
+_ENV2 = (FiniteAlgebra.left_mult,) * 2 + (FiniteAlgebra.right_mult,) * 2
 
 
 def enveloping_embeddings(a: FiniteAlgebra) -> EnvelopingEmbeddings:
     d = a.dim
     u = a.unit
-    placements = {
-        "e11": lambda f, g: (f, u, g, u),
-        "e12": lambda f, g: (f, u, u, g),
-        "e21": lambda f, g: (u, f, g, u),
-        "e22": lambda f, g: (u, f, u, g),
-    }
-    mats = {}
-    for name, place in placements.items():
-        ent = {}
-        for f in range(d):
-            for g in range(d):
-                t1, t2, t3, t4 = place(f, g)
-                row = ((t1 * d + t2) * d + t3) * d + t4
-                ent[(row, f * d + g)] = Fraction(1)
-        mats[name] = SparseMatrix(d ** 4, d * d, ent)
-    emb = EnvelopingEmbeddings(a, mats["e11"], mats["e12"],
-                               mats["e21"], mats["e22"])
+    ident = SparseMatrix.identity(d)
+    unit = SparseMatrix(d, 1, {(u, 0): 1})  # the unit as a column
+    # f⊗g' goes to slots (1, 1'), (1, 2'), (2, 1') or (2, 2') of
+    # (f1, f2, f1', f2'), with the unit in the other two
+    emb = EnvelopingEmbeddings(
+        a, *(reduce(SparseMatrix.kron, slots) for slots in (
+            (ident, unit, ident, unit), (ident, unit, unit, ident),
+            (unit, ident, ident, unit), (unit, ident, unit, ident))))
     # validate: unital multiplicative maps
     unit_pair = a.unit * d + a.unit
     for name, mat in emb.all().items():
@@ -269,26 +202,22 @@ def enveloping_embeddings(a: FiniteAlgebra) -> EnvelopingEmbeddings:
             raise StructuralError(f"{name} does not preserve the unit")
         for x in range(d * d):
             for y in range(d * d):
-                lhs = _apply_cols(mat, _env_mult(a, {x: Fraction(1)},
-                                                 {y: Fraction(1)}))
-                rhs = _env4_mult(a, _apply_cols(mat, {x: Fraction(1)}),
-                                 _apply_cols(mat, {y: Fraction(1)}))
+                lhs = mat.apply(_env_mult(a, _ENV, {x: Fraction(1)},
+                                          {y: Fraction(1)}))
+                rhs = _env_mult(a, _ENV2, mat.apply({x: Fraction(1)}),
+                                mat.apply({y: Fraction(1)}))
                 if lhs != rhs:
                     raise StructuralError(
                         f"{name} is not multiplicative on ({x},{y})")
     # validate: images of e21 and e12 commute elementwise
     for x in range(d * d):
         for y in range(d * d):
-            u21 = _apply_cols(emb.e21, {x: Fraction(1)})
-            u12 = _apply_cols(emb.e12, {y: Fraction(1)})
-            if _env4_mult(a, u21, u12) != _env4_mult(a, u12, u21):
+            u21 = emb.e21.apply({x: Fraction(1)})
+            u12 = emb.e12.apply({y: Fraction(1)})
+            if _env_mult(a, _ENV2, u21, u12) != _env_mult(a, _ENV2, u12, u21):
                 raise StructuralError(
                     f"images of e21 and e12 do not commute on ({x},{y})")
     return emb
-
-
-def _apply_cols(mat: SparseMatrix, vec):
-    return mat.apply(vec)
 
 
 # -- tensor over the enveloping algebra ------------------------------------
@@ -323,39 +252,28 @@ def _quotient_from_relations(ambient_dim, rel_rows) -> TensorOverResult:
     return TensorOverResult(len(free), proj, inc, pivots)
 
 
+def _relations(rel: list, left: SparseMatrix, right: SparseMatrix) -> None:
+    """Append to rel the relations left(x) = right(x), one per basis vector
+    x of the common source: the nonzero columns of left - right."""
+    rel.extend(_row_dicts(left.sub(right).transpose()).values())
+
+
 def tensor_over(n_mod: FiniteBimodule, m_mod: FiniteBimodule) -> TensorOverResult:
     """N ⊗_{B^e} M for two (B, B)-bimodules, N taken with its right B^e
     structure and M with its left one; the cokernel of the balancing map."""
     b = n_mod.algebra
     if m_mod.algebra is not b and m_mod.algebra.basis != b.basis:
         raise StructuralError("bimodules live over different algebras")
-    dn, dm = n_mod.dim, m_mod.dim
+    id_n = SparseMatrix.identity(n_mod.dim)
+    id_m = SparseMatrix.identity(m_mod.dim)
     rel = []
     for f in range(b.dim):
         for g in range(b.dim):
             # n·(f⊗g') = g n f ; (f⊗g')·m = f m g
             act_n = n_mod.left[g].mul(n_mod.right[f])
             act_m = m_mod.left[f].mul(m_mod.right[g])
-            cols_n = {}
-            for (r, c), v in act_n.entries.items():
-                cols_n.setdefault(c, {})[r] = v
-            cols_m = {}
-            for (r, c), v in act_m.entries.items():
-                cols_m.setdefault(c, {})[r] = v
-            for i in range(dn):
-                for j in range(dm):
-                    vec = {}
-                    for r, v in cols_n.get(i, {}).items():
-                        vec[r * dm + j] = vec.get(r * dm + j, 0) + v
-                    for r, v in cols_m.get(j, {}).items():
-                        s = vec.get(i * dm + r, 0) - v
-                        if s:
-                            vec[i * dm + r] = s
-                        else:
-                            vec.pop(i * dm + r, None)
-                    if vec:
-                        rel.append(vec)
-    return _quotient_from_relations(dn * dm, rel)
+            _relations(rel, act_n.kron(id_m), id_n.kron(act_m))
+    return _quotient_from_relations(n_mod.dim * m_mod.dim, rel)
 
 
 def restrict_left(m: FiniteBimodule, a: FiniteAlgebra, which: str
@@ -446,80 +364,33 @@ def warmup_factorization(a: FiniteAlgebra, m: FiniteBimodule) -> WarmupReport:
         raise StructuralError("bimodule must live over the square algebra")
     _check_pair_order(a, sq)
     d = a.dim
-    dm = m.dim
-    ambient = d * d * dm
-
-    def add(vec, pos, val):
-        s = vec.get(pos, 0) + val
-        if s:
-            vec[pos] = s
-        else:
-            vec.pop(pos, None)
-
-    def cols(mat):
-        out = {}
-        for (r, c), v in mat.entries.items():
-            out.setdefault(c, {})[r] = v
-        return out
-
+    ambient = d * d * m.dim
+    id_a, id_m = SparseMatrix.identity(d), SparseMatrix.identity(m.dim)
+    id_aa = SparseMatrix.identity(d * d)
     rel_pi = []
     # delta((a,b) ⊗ (f1,f2,f1',f2') ⊗ m)
     for f1 in range(d):
         for f2 in range(d):
-            act_m = cols(m.left[f1 * d + f2])
+            act_m = m.left[f1 * d + f2]
             for g1 in range(d):
                 for g2 in range(d):
                     # (f2' a f1, f1' b f2)
                     first = a.left_mult(g2).mul(a.right_mult(f1))
                     second = a.left_mult(g1).mul(a.right_mult(f2))
-                    cols_first = cols(first)
-                    cols_second = cols(second)
-                    act_mr = cols(m.right[g1 * d + g2])
-                    for ai in range(d):
-                        for bi in range(d):
-                            for mi in range(dm):
-                                vec = {}
-                                for r1, v1 in cols_first.get(ai, {}).items():
-                                    for r2, v2 in cols_second.get(bi, {}).items():
-                                        add(vec, (r1 * d + r2) * dm + mi,
-                                            v1 * v2)
-                                for rm, vm in act_m.get(mi, {}).items():
-                                    for rr, vr in act_mr.get(rm, {}).items():
-                                        add(vec, (ai * d + bi) * dm + rr,
-                                            -vm * vr)
-                                if vec:
-                                    rel_pi.append(vec)
+                    _relations(rel_pi, first.kron(second).kron(id_m),
+                               id_aa.kron(m.right[g1 * d + g2].mul(act_m)))
     rel_fac = []
     m21 = restrict_left(m, a, "e21")
     m12 = restrict_left(m, a, "e12")
     for f in range(d):
         for g in range(d):
+            act = a.left_mult(g).mul(a.right_mult(f))
             # inner relations: a ⊗ (f' b f) ⊗ m - a ⊗ b ⊗ e21(f⊗f')m
-            b_act = cols(a.left_mult(g).mul(a.right_mult(f)))
-            m_act = cols(m21.left[f].mul(m21.right[g]))
-            for ai in range(d):
-                for bi in range(d):
-                    for mi in range(dm):
-                        vec = {}
-                        for r, v in b_act.get(bi, {}).items():
-                            add(vec, (ai * d + r) * dm + mi, v)
-                        for r, v in m_act.get(mi, {}).items():
-                            add(vec, (ai * d + bi) * dm + r, -v)
-                        if vec:
-                            rel_fac.append(vec)
+            _relations(rel_fac, id_a.kron(act).kron(id_m),
+                       id_aa.kron(m21.left[f].mul(m21.right[g])))
             # outer relations: (f' a f) ⊗ b ⊗ m - a ⊗ b ⊗ e12(f⊗f')m
-            a_act = cols(a.left_mult(g).mul(a.right_mult(f)))
-            m_act2 = cols(m12.left[f].mul(m12.right[g]))
-            for ai in range(d):
-                for bi in range(d):
-                    for mi in range(dm):
-                        vec = {}
-                        for r, v in a_act.get(ai, {}).items():
-                            add(vec, (r * d + bi) * dm + mi, v)
-                        for r, v in m_act2.get(mi, {}).items():
-                            add(vec, (ai * d + bi) * dm + r, -v)
-                        if vec:
-                            rel_fac.append(vec)
+            _relations(rel_fac, act.kron(id_a).kron(id_m),
+                       id_aa.kron(m12.left[f].mul(m12.right[g])))
     piv_pi = rref(rel_pi)
     piv_fac = rref(rel_fac)
     piv_union = rref([dict(r) for r in piv_pi.values()]

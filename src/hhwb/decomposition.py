@@ -207,24 +207,24 @@ class OrbitComplex:
         if k in self._orbit_cache:
             return self._orbit_cache[k]
         sk = self.sc.skeleton
-        block = sk.degree_block(k)
+        size = self.sc.block_dim(k)
         whole = sk.whole(k)  # the level the block is, in order, or None
         gens = []  # (rows, signs) of each generator on the block
         for perm in self.perms:  # each maps a level, and a degree, to itself
             if whole is not None:
                 gens.append(perm[whole])
                 continue
-            rows, signs = [0] * len(block), [1] * len(block)
+            rows, signs = [0] * size, [1] * size
             for m, local in sk.positions(k).items():
                 level_rows, level_signs = perm[m]
                 for i, x in local.items():
                     rows[x] = local[level_rows[i]]
                     signs[x] = level_signs[i]
             gens.append((rows, signs))
-        sign = [0] * len(block)
-        orbit_of = [-1] * len(block)
+        sign = [0] * size
+        orbit_of = [-1] * size
         reps = []
-        for start in range(len(block)):
+        for start in range(size):
             if sign[start]:
                 continue
             sign[start] = 1

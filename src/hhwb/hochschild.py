@@ -195,7 +195,7 @@ class _Skeleton:
         self._row_of: list = [None] * top
         self._d1: list = [None] * top
         self._by_degree: list = [None] * top
-        self._blocks: dict[int, list[tuple[int, int]]] = {}
+        self._blocks: dict[int, list] = {}  # see _runs
         self._positions: dict[int, dict[int, dict[int, int]]] = {}
         self._inner: dict[int, dict] = {}  # kept once a second complex shares
         self._homs: dict = {}
@@ -320,12 +320,15 @@ class _Skeleton:
                 out.append(m)
         return out
 
-    def degree_block(self, k) -> list[tuple[int, int]]:
-        """Global coordinates of total degree k, (level, local index) in
-        level order; only the levels whose window holds k are read."""
-        block = self._blocks.get(k)
-        if block is None:
-            block = []
+    def _runs(self, k) -> list:
+        """The block of total degree k as (level, local indices) runs in
+        level order, one per level with chains of degree k, built once;
+        the indices are the level's entry in _by_degree, a range when the
+        level's window is one degree.  Only the levels whose window holds
+        k are read."""
+        runs = self._blocks.get(k)
+        if runs is None:
+            runs = self._blocks[k] = []
             for m in range(self.max_level + 1):
                 lo, hi = self.window(m)
                 if lo <= k <= hi:
@@ -338,26 +341,34 @@ class _Skeleton:
                             for i, ch in enumerate(self.levels[m]):
                                 by_degree.setdefault(self.degree(ch),
                                                      []).append(i)
-                    block.extend((m, i) for i in by_degree.get(k + m, ()))
-            self._blocks[k] = block
-        return block
+                    local = by_degree.get(k + m)
+                    if local:
+                        runs.append((m, local))
+        return runs
+
+    def degree_block(self, k) -> list[tuple[int, int]]:
+        """Global coordinates of total degree k, (level, local index) in
+        level order; a fresh list on each call."""
+        return [(m, i) for m, local in self._runs(k) for i in local]
 
     def positions(self, k) -> dict[int, dict[int, int]]:
         """{level: {local index: position}} of degree_block(k), built once."""
         out = self._positions.get(k)
         if out is None:
             out = self._positions[k] = {}
-            for pos, (m, i) in enumerate(self.degree_block(k)):
-                out.setdefault(m, {})[i] = pos
+            pos = 0
+            for m, local in self._runs(k):
+                out[m] = dict(zip(local, range(pos, pos + len(local))))
+                pos += len(local)
         return out
 
     def whole(self, k):
         """The level that degree_block(k) is, whole and in order, or None
         (a block lists each level's chains in order)."""
-        block = self.degree_block(k)
-        if block:
-            m = block[0][0]
-            if block[-1][0] == m and len(block) == len(self.levels[m]):
+        runs = self._runs(k)
+        if len(runs) == 1:
+            m, local = runs[0]
+            if len(local) == len(self.levels[m]):
                 return m
         return None
 
@@ -501,7 +512,7 @@ class StandardComplex:
         return self.skeleton.degree_block(k)
 
     def block_dim(self, k) -> int:
-        return len(self.degree_block(k))
+        return sum(len(local) for _, local in self.skeleton._runs(k))
 
     def total_differential(self, k) -> SparseMatrix:
         """The map from total degree k to total degree k+1: d2[m] itself
@@ -686,7 +697,7 @@ class ChainMapData:
     def apply_block_vector(self, k, vec):
         """Push a sparse vector in source degree-k coordinates to target."""
         src = self.source.degree_block(k)
-        tgt_pos = {coord: i for i, coord in enumerate(self.target.degree_block(k))}
+        tgt_pos = self.target.skeleton.positions(k)
         by_col = {}  # level -> {column: [(row, value), ...]}, indexed on use
         out = {}
         for j, coef in vec.items():
@@ -696,7 +707,7 @@ class ChainMapData:
                 for (r, c), v in self.blocks[m].entries.items():
                     index.setdefault(c, []).append((r, v))
             for r, v in by_col[m].get(i, ()):
-                key = tgt_pos.get((m, r))
+                key = tgt_pos.get(m, {}).get(r)
                 if key is None:
                     continue
                 s = out.get(key, 0) + v * coef

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .decomposition import dims_convolve  # defined there, kept importable here
-from .dgcore import TENSOR_SEP, functor_equal, tensor, tensor_functor
+from .dgcore import _tensor_id, functor_equal, tensor, tensor_functor
 from .hochschild import StandardComplex
 from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank
-
-
-def _tid(a_id, b_id):
-    return f"{a_id}{TENSOR_SEP}{b_id}"
 
 
 @dataclass
@@ -63,7 +58,7 @@ def shuffle_map(a: StandardComplex, b: StandardComplex,
                     y_ids, y_objs = b.chain_ids(l, j), b.objects(y)
                     g_degs = [cat_b.deg(s) for s in y_ids[1:]]
                     base_eps = cat_b.deg(y_ids[0]) * sum(f_degs)
-                    coeff_id = _tid(x_ids[0], y_ids[0])
+                    coeff_id = _tensor_id(x_ids[0], y_ids[0])
                     for f_pos in itertools.combinations(range(k + l), k):
                         fset = set(f_pos)
                         cur_c, cur_b = 1, 1
@@ -75,11 +70,11 @@ def shuffle_map(a: StandardComplex, b: StandardComplex,
                             oc = x_objs[cur_c % (k + 1)]
                             ob = y_objs[cur_b % (l + 1)]
                             if p in fset:
-                                ids.append(_tid(x_ids[cur_c], cat_b.unit(ob)))
+                                ids.append(_tensor_id(x_ids[cur_c], cat_b.unit(ob)))
                                 exp += gs_placed + gs_deg * f_degs[cur_c - 1]
                                 cur_c += 1
                             else:
-                                ids.append(_tid(cat_a.unit(oc), y_ids[cur_b]))
+                                ids.append(_tensor_id(cat_a.unit(oc), y_ids[cur_b]))
                                 gs_placed += 1
                                 gs_deg += g_degs[cur_b - 1]
                                 cur_b += 1
@@ -88,7 +83,7 @@ def shuffle_map(a: StandardComplex, b: StandardComplex,
                             raise StructuralError(
                                 f"shuffle image missing from target catalog: "
                                 f"{ids}")
-                        s = acc.get((row, col), 0) + (-1) ** exp
+                        s = acc.get((row, col), 0) + (-1 if exp % 2 else 1)
                         if s:
                             acc[(row, col)] = s
                         else:
@@ -96,24 +91,6 @@ def shuffle_map(a: StandardComplex, b: StandardComplex,
             blocks[(k, l)] = SparseMatrix(len(target.levels[k + l]),
                                           len(a.levels[k]) * nb, acc)
     return ShuffleMap(a, b, target, blocks)
-
-
-def _kron_left(m: SparseMatrix, nb: int) -> SparseMatrix:
-    """m ⊗ identity on the b-factor of a pair-indexed space."""
-    ent = {}
-    for (r, i), v in m.entries.items():
-        for j in range(nb):
-            ent[(r * nb + j, i * nb + j)] = v
-    return SparseMatrix(m.rows * nb, m.cols * nb, ent)
-
-
-def _kron_right(na: int, m: SparseMatrix, signs) -> SparseMatrix:
-    """identity ⊗ m with a per-a-chain Koszul sign."""
-    ent = {}
-    for (r, j), v in m.entries.items():
-        for i in range(na):
-            ent[(i * m.rows + r, i * m.cols + j)] = signs[i] * v
-    return SparseMatrix(na * m.rows, na * m.cols, ent)
 
 
 def verify_shuffle_chain_map(sh: ShuffleMap) -> list[str]:
@@ -124,13 +101,17 @@ def verify_shuffle_chain_map(sh: ShuffleMap) -> list[str]:
         if k + l > tgt.max_level - 1:
             continue
         na, nb = len(a.levels[k]), len(b.levels[l])
-        signs = [Fraction((-1) ** (a.degree(ch) - k)) for ch in a.levels[k]]
+        id_a, id_b = SparseMatrix.identity(na), SparseMatrix.identity(nb)
+        # the Koszul sign of each a-chain, as a diagonal matrix
+        signs = SparseMatrix(na, na, {
+            (i, i): -1 if (a.degree(ch) - k) % 2 else 1
+            for i, ch in enumerate(a.levels[k])})
         # level-raising (internal) part; the (-1)^l compensates the level
         # alteration (-1)^m being taken at level k on the factor but k + l
         # on the target
         lhs1 = tgt.d1[k + l].mul(blk)
-        rhs1 = blk.mul(_kron_left(a.d1[k], nb).scale((-1) ** l).add(
-            _kron_right(na, b.d1[l], signs)))
+        rhs1 = blk.mul(a.d1[k].kron(id_b).scale(-1 if l % 2 else 1).add(
+            signs.kron(b.d1[l])))
         if lhs1 != rhs1:
             diags.append(f"internal differential mismatch on block ({k},{l})")
         # face part
@@ -138,13 +119,12 @@ def verify_shuffle_chain_map(sh: ShuffleMap) -> list[str]:
         rhs2 = SparseMatrix(len(tgt.levels[k + l - 1]) if k + l >= 1 else 0,
                             na * nb)
         if k >= 1:
-            rhs2 = rhs2.add(sh.blocks[(k - 1, l)].mul(_kron_left(a.d2[k], nb)))
+            rhs2 = rhs2.add(sh.blocks[(k - 1, l)].mul(a.d2[k].kron(id_b)))
         if l >= 1:
             # the face part of the second factor enters with the constant
             # sign (-1)^k, not a per-chain Koszul sign
-            face_signs = [Fraction((-1) ** k)] * na
             rhs2 = rhs2.add(sh.blocks[(k, l - 1)].mul(
-                _kron_right(na, b.d2[l], face_signs)))
+                id_a.kron(b.d2[l]).scale(-1 if k % 2 else 1)))
         if lhs2 != rhs2:
             diags.append(f"face differential mismatch on block ({k},{l})")
     return diags
@@ -156,7 +136,7 @@ def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
     a, b, tgt = sh.a, sh.b, sh.target
     blk_a = a.degree_block(i)
     blk_b = b.degree_block(j)
-    tgt_pos = {coord: t for t, coord in enumerate(tgt.degree_block(i + j))}
+    tgt_pos = tgt.skeleton.positions(i + j)
     by_col = {}  # (k, l) -> {column: [(row, value), ...]}, indexed on use
     out = {}
     for pa, ca in za.items():
@@ -172,7 +152,7 @@ def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
                     index.setdefault(c, []).append((r, v))
             col = ia * len(b.levels[l]) + ib
             for r, v in by_col[(k, l)].get(col, ()):
-                key = tgt_pos[(k + l, r)]
+                key = tgt_pos[k + l][r]
                 s = out.get(key, 0) + v * ca * cb
                 if s:
                     out[key] = s
@@ -267,8 +247,8 @@ def s2_check(a: StandardComplex, target: StandardComplex | None = None) -> list[
         ent = {}
         for i, x in enumerate(a.levels[k]):
             for j, y in enumerate(a.levels[l]):
-                sign = (-1) ** (a.degree(x) * a.degree(y) + k * l)
-                ent[(j * na + i, i * nb + j)] = Fraction(sign)
+                odd = (a.degree(x) * a.degree(y) + k * l) % 2
+                ent[(j * na + i, i * nb + j)] = -1 if odd else 1
         tau = SparseMatrix(nb * na, na * nb, ent)
         lhs = sh.blocks[(l, k)].mul(tau)
         rhs = cm.blocks[k + l].mul(blk)

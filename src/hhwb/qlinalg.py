@@ -187,6 +187,20 @@ class SparseMatrix:
         return SparseMatrix.trusted(self.rows, other.cols,
                                     normalise_entries(ent))
 
+    def kron(self, other: "SparseMatrix") -> "SparseMatrix":
+        """The Kronecker product self ⊗ other: for other r×c, entry
+        (i·r + k, j·c + l) is self[i, j]·other[k, l], the index order of a
+        tensor product whose second factor varies fastest."""
+        r, c = other.rows, other.cols
+        right = other.entries.items()
+        ent = {}
+        for (i, j), v in self.entries.items():
+            row, col = i * r, j * c
+            for (k, l), w in right:
+                ent[row + k, col + l] = v * w
+        return SparseMatrix.trusted(self.rows * r, self.cols * c,
+                                    normalise_entries(ent))
+
     def apply(self, vec: dict) -> dict:
         """Matrix times a sparse column vector {index: int or Fraction}."""
         out = {}

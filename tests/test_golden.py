@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DUAL = str(ROOT / "fixtures" / "dual_numbers.json")
 QUIVER = str(ROOT / "fixtures" / "quiver_a2.json")
+# k[z]/z^2 with |z| = -1: its levels span several degrees, so this case pins
+# the multi-degree block paths that D and the quiver (all degree 0) skip
+ODD = str(ROOT / "fixtures" / "odd_negative_dual.json")
 
 # a report holds the input's hash, not its path
 CASES = {
@@ -32,6 +35,8 @@ CASES = {
     "decompose_quiver_n3": ["decompose", QUIVER, "--n", "3"],
     "decompose_dual_n2_positive": [
         "decompose", DUAL, "--n", "2", "--max-level", "3", "--degrees=-1..1"],
+    "decompose_odd_negative_n3": [
+        "decompose", ODD, "--n", "3", "--max-level", "3", "--degrees=-2..0"],
 }
 
 

@@ -454,3 +454,79 @@ def test_kernel_and_solve_on_block_diagonal(case, coords):
     x = solve(m, b)
     assert x is not None
     assert m.apply(x) == b
+
+
+# -- the Kronecker product ------------------------------------------------
+
+
+def kron_by_definition(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a ⊗ b entry by entry over the dense index ranges: (i·r + k, j·c + l)
+    holds a[i, j]·b[k, l] for b r×c, through the checking constructor."""
+    r, c = b.rows, b.cols
+    ent = {}
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(r):
+                for l in range(c):
+                    ent[(i * r + k, j * c + l)] = (a.entries.get((i, j), 0)
+                                                   * b.entries.get((k, l), 0))
+    return SparseMatrix(a.rows * r, a.cols * c, ent)
+
+
+def assert_kron_matches_definition(a, b):
+    got = a.kron(b)
+    want = kron_by_definition(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert got == want
+    assert {k: type(v) for k, v in got.entries.items()} == \
+        {k: type(v) for k, v in want.entries.items()}
+
+
+KRON_CASES = {
+    "ints": ([[1, 2], [0, -3]], [[0, 5, 1], [4, 0, -1]]),
+    "fractions-to-ints": ([[Fraction(2, 3), Fraction(1, 2)]],
+                          [[Fraction(3, 2)], [Fraction(4, 1)]]),
+    "mixed": ([[Fraction(1, 3), 2], [3, 0]], [[Fraction(3, 7), 6]]),
+    "column-row": ([[1], [Fraction(1, 2)], [-2]], [[2, 0, Fraction(1, 5)]]),
+    "row-column": ([[2, 0, Fraction(1, 5)]], [[1], [Fraction(1, 2)], [-2]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KRON_CASES))
+def test_kron_matches_the_dense_definition(name):
+    a, b = (SparseMatrix.from_dense(m) for m in KRON_CASES[name])
+    assert_kron_matches_definition(a, b)
+    assert_kron_matches_definition(b, a)
+
+
+def test_kron_stores_integral_fraction_products_as_ints():
+    a = SparseMatrix.from_dense([[Fraction(2, 3), Fraction(1, 2)]])
+    b = SparseMatrix.from_dense([[Fraction(3, 2)], [Fraction(4, 1)]])
+    p = a.kron(b)
+    assert p.entries == {(0, 0): 1, (1, 0): Fraction(8, 3),
+                         (0, 1): Fraction(3, 4), (1, 1): 2}
+    assert type(p.entries[(0, 0)]) is int and type(p.entries[(1, 1)]) is int
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_kron_with_an_empty_factor(shape):
+    empty = SparseMatrix(*shape)
+    m = SparseMatrix.from_dense([[1, Fraction(1, 2)], [0, 4]])
+    rows, cols = 2 * shape[0], 2 * shape[1]
+    assert empty.kron(m) == m.kron(empty) == SparseMatrix(rows, cols)
+    assert_kron_matches_definition(empty, m)
+    assert_kron_matches_definition(m, empty)
+
+
+def test_kron_of_identities_is_the_identity():
+    assert SparseMatrix.identity(3).kron(SparseMatrix.identity(4)) == \
+        SparseMatrix.identity(12)
+    assert SparseMatrix.identity(1).kron(SparseMatrix.identity(5)) == \
+        SparseMatrix.identity(5)
+
+
+@given(small_matrices(), small_matrices(), small_matrices())
+@settings(max_examples=30, deadline=None)
+def test_kron_is_associative(a, b, c):
+    assert a.kron(b).kron(c) == a.kron(b.kron(c))
+    assert_kron_matches_definition(a, b)
