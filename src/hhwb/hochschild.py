@@ -5,19 +5,26 @@ by bar slots a_i in hom(c_{i+1}, c_i), cyclically (the last slot starts at
 c0).  The complex is graded by total cohomological degree
 k = (internal degree) - (level), and both differentials raise k by one.
 
-A chain is stored as the tuple (a0, a1, ..., am) of its basis morphisms,
-each interned as an int (its position in the sorted basis ids).  The
-objects follow from the ids: c_i = tgt(a_i) for i >= 1, and c0 = src(am),
-or src(a0) at level 0.  The differentials are assembled from per-basis-int
-tables (degree, differential, twist, and a lazily filled composition
-table) whose coefficients are ints where the structure constants are
-integral and Fractions where they are not; nothing divides.  The finished
-matrices keep the same contract (see qlinalg.SparseMatrix), so an integral
-presentation gives matrices of plain ints, and the d^2 = 0 check, the
-equivariance check and rank mod p all run on ints.  A level's d1 and d2
-are built once and never copied: a total-degree block from one whole level
-to the whole level below is that level's d2, and any other block takes its
-part of a level that spans several degrees from one split of the level.
+A chain is the tuple (a0, a1, ..., am) of its basis morphisms, each
+interned as an int (its position in the sorted basis ids); the objects
+follow from the ids: c_i = tgt(a_i) for i >= 1, and c0 = src(am), or
+src(a0) at level 0.  No chain is stored.  A level is a list of grids, one
+per object tuple (c0, ..., cm), each the product of its slots' hom
+spaces, and a chain's row is its grid's offset plus the mixed-radix
+number of its slots' positions.  A face of a differential is then the
+same move for every choice of the other slots, so it is assembled along
+arithmetic progressions of rows and columns, and a chain permutation slot
+by slot.  The differentials are assembled from per-basis-int tables
+(degree, differential, twist, and a lazily filled composition table)
+whose coefficients are ints where the structure constants are integral
+and Fractions where they are not; nothing divides.  The finished
+matrices keep the same contract (see qlinalg.SparseMatrix), so an
+integral presentation gives matrices of plain ints, and the d^2 = 0
+check, the equivariance check and rank mod p all run on ints.  A level's
+d1 and d2 are built once and never copied: a total-degree block from one
+whole level to the whole level below is that level's d2, and any other
+block takes its part of a level that spans several degrees from one
+split of the level.
 
 Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
 object map.  Everything else (the basis tables, the chain catalog and its
@@ -33,22 +40,19 @@ instead of setting it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import weakref
 from collections import namedtuple
-from math import prod
 
 from .dgcore import (
     DgCategory,
     DgFunctor,
-    NatTransform,
     Permutation,
-    compose_functors,
     identity_functor,
     permutation_functor,
     tensor_power,
-    validate_nat_transform,
 )
 from .qlinalg import (
     EXACT,
@@ -98,24 +102,6 @@ def _lin(index: dict, x: dict) -> tuple:
     where c is an int when it is integral and a Fraction otherwise."""
     return tuple((index[b], c.numerator if c.denominator == 1 else c)
                  for b, c in x.items())
-
-
-def _emit_product(acc, col, row_of, lins, scalar):
-    """acc[(row, col)] += scalar * (lins[0] ⊗ ... ⊗ lins[m]), expanded over
-    the linear combinations ((b, c), ...) given per chain position."""
-    for combo in itertools.product(*lins):
-        row = row_of.get(tuple(b for b, _ in combo))
-        if row is None:
-            continue
-        val = scalar
-        for _, c in combo:
-            val *= c
-        key = (row, col)
-        s = acc.get(key, 0) + val
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
 
 
 class _ComposeTable(dict):
@@ -169,6 +155,64 @@ class _Lazy:
         return [m for m, item in enumerate(self._items) if item is not None]
 
 
+def _spread(values, tables) -> list:
+    """[v + t0 + t1 + ... for v in values, t0 in tables[0], ...] in the
+    order of itertools.product: mixed-radix sums over a product of slots."""
+    for table in tables:
+        values = [v + t for v in values for t in table]
+    return values
+
+
+def _emit(entries: dict, row0: int, rows, col0: int, cols, v) -> None:
+    """entries[row0 + r, col0 + c] += v for each pair (r, c) of rows, cols."""
+    run = dict(zip(zip(map(row0.__add__, rows), map(col0.__add__, cols)),
+                   itertools.repeat(v)))
+    for key in entries.keys() & run.keys():
+        run[key] += entries[key]
+    entries.update(run)
+
+
+# The basis ints a chain slot may hold, with {basis int: position} and
+# their degrees.
+_Range = namedtuple("_Range", "ints pos degs")
+# The chains of one level over one object tuple objs = (c0, ..., cm), the
+# product of the slots' ranges: the chain with a_j at position p_j of
+# ranges[j] has row offset + Σ p_j·strides[j], the last slot fastest.
+_Grid = namedtuple("_Grid", "offset size objs ranges strides")
+
+
+class _Level:
+    """The chains of one level as its grids in catalog order, each numbered
+    on from the one before.  It reads as the sequence of chains, tuples
+    (a0, a1, ..., am) of basis ints, and stores none of them."""
+
+    __slots__ = ("grids", "at", "size", "_starts")
+    __hash__ = None
+
+    def __init__(self, grids: list):
+        self.grids = grids
+        self.at = {g.objs: g for g in grids}  # object tuple -> grid
+        self.size = sum(g.size for g in grids)
+        self._starts = [g.offset for g in grids]
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            itertools.product(*(r.ints for r in g.ranges)) for g in self.grids)
+
+    def __getitem__(self, i):
+        i = range(self.size)[operator.index(i)]
+        g = self.grids[bisect.bisect_right(self._starts, i) - 1]
+        i -= g.offset
+        return tuple(r.ints[i // s % len(r.ints)]
+                     for r, s in zip(g.ranges, g.strides))
+
+    def __eq__(self, other):
+        return isinstance(other, (_Level, list)) and list(self) == list(other)
+
+
 class _Skeleton:
     """The part of the standard complex that does not depend on the twist
     beyond its object map: the basis tables, the chain catalog and its
@@ -185,7 +229,10 @@ class _Skeleton:
         self.normalized = normalized
         self.basis_ids: tuple[str, ...] = tuple(sorted(category.basis))
         self.basis_index = {b: i for i, b in enumerate(self.basis_ids)}
-        self.deg = [category.deg(b) for b in self.basis_ids]
+        infos = [category.basis[b] for b in self.basis_ids]
+        self.deg = [info.degree for info in infos]
+        self.src = [info.src for info in infos]
+        self.tgt = [info.tgt for info in infos]
         self.diff = [_lin(self.basis_index, category.diff_basis(b))
                      for b in self.basis_ids]
         self.compose = _ComposeTable(category, self.basis_ids, self.basis_index)
@@ -199,6 +246,7 @@ class _Skeleton:
         self._positions: dict[int, dict[int, dict[int, int]]] = {}
         self._inner: dict[int, dict] = {}  # kept once a second complex shares
         self._homs: dict = {}
+        self._steps: dict = {}
         self.complexes = 0  # how many complexes were built on this skeleton
 
     @property
@@ -213,8 +261,10 @@ class _Skeleton:
     def d1(self) -> _Lazy:
         return _Lazy(self._d1, self._build_d1)
 
-    def degree(self, chain) -> int:
-        return sum(map(self.deg.__getitem__, chain))
+    def objects(self, chain) -> tuple:
+        """(c0, c1, ..., cm): c_i = tgt(a_i) for i >= 1, c0 = src(am)."""
+        return ((self.src[chain[-1]],)
+                + tuple(map(self.tgt.__getitem__, chain[1:])))
 
     def window(self, m) -> tuple[int, int]:
         """The total degrees a level-m chain can have."""
@@ -222,87 +272,122 @@ class _Skeleton:
 
     # -- enumeration -----------------------------------------------------
 
-    def _hom(self, src, tgt):
+    def _hom(self, src, tgt) -> tuple[_Range, _Range]:
         """(every basis int, the bar-slot choices) of hom(src, tgt)."""
         key = (src, tgt)
         if key not in self._homs:
-            cat, index = self.category, self.basis_index
+            cat, index, deg = self.category, self.basis_index, self.deg
             ids = cat.hom(src, tgt)
-            self._homs[key] = (tuple(index[b] for b in ids),
-                               tuple(index[b] for b in ids
-                                     if not (self.normalized and cat.is_unit(b))))
+            self._homs[key] = tuple(
+                _Range(ints, {b: p for p, b in enumerate(ints)},
+                       [deg[b] for b in ints])
+                for ints in (tuple(index[b] for b in ids),
+                             tuple(index[b] for b in ids
+                                   if not (self.normalized and cat.is_unit(b)))))
         return self._homs[key]
 
-    def _enumerate(self, m) -> list[tuple[int, ...]]:
-        hom, F, objects = self._hom, self.obj_map, self.category.objects
+    def _step(self, tgt, bar: int) -> list:
+        """The objects c with hom(c, tgt)[bar] non-empty, in order."""
+        key = (tgt, bar)
+        if key not in self._steps:
+            self._steps[key] = [c for c in self.category.objects
+                                if self._hom(c, tgt)[bar].ints]
+        return self._steps[key]
+
+    def _enumerate(self, m) -> _Level:
+        hom, F, step = self._hom, self.obj_map, self._step
         # the object tuples (c0, ..., cm) in the order of itertools.product,
         # extended slot by slot along non-empty hom spaces only: c1 needs
         # hom(c1, F(c0)), each later ci a bar choice in hom(ci, c(i-1))
-        tuples = [(c0,) for c0 in objects]
+        tuples = [(c0,) for c0 in self.category.objects]
         for i in range(1, m + 1):
-            tuples = [t + (c,) for t in tuples for c in objects
-                      if (hom(c, t[-1])[1] if i > 1 else hom(c, F[t[0]])[0])]
-        chains = []
+            tuples = [t + (c,) for t in tuples
+                      for c in (step(t[-1], 1) if i > 1 else step(F[t[0]], 0))]
+        grids, offset = [], 0
         for objs in tuples:
             c0 = objs[0]
             ranges = [hom(objs[1] if m else c0, F[c0])[0]]
-            for i in range(1, m + 1):
-                ranges.append(hom(objs[i + 1] if i < m else c0, objs[i])[1])
-            # nothing when the closing slot hom(c0, cm) is empty
-            chains.extend(itertools.product(*ranges))
-        return chains
+            strides = [1]
+            for i in range(m, 0, -1):
+                ranges.insert(1, hom(objs[i + 1] if i < m else c0, objs[i])[1])
+                strides.insert(0, strides[0] * len(ranges[1].ints))
+            size = strides[0] * len(ranges[0].ints)
+            if size:  # nothing when the closing slot hom(c0, cm) is empty
+                grids.append(_Grid(offset, size, objs, ranges, strides))
+                offset += size
+        return _Level(grids)
 
     def _index(self, m) -> dict[tuple[int, ...], int]:
         return {ch: i for i, ch in enumerate(self.levels[m])}
 
     # -- d1 and the inner faces of d2 ------------------------------------
+    #
+    # On a grid, a face that turns slot p (or slots i, i+1) into a basis
+    # int b with coefficient c adds c, with a sign, at one row and column
+    # per head (the slots before) and tail (the slots after): two
+    # arithmetic progressions, read off the strides.
 
     def _build_d1(self, m) -> SparseMatrix:
         """Internal differential with the total-complex sign (-1)^m; the
         differential of a_p carries the Koszul sign of a0 ... a_{p-1}."""
-        deg, diff = self.deg, self.diff
-        chains, row_of = self.levels[m], self.row_of[m]
+        diff, level = self.diff, self.levels[m]
         acc = {}
-        if any(diff):
-            for col, ch in enumerate(chains):
-                sign = -1 if m % 2 else 1
-                for p, a in enumerate(ch):
+        for g in level.grids if any(diff) else ():
+            heads = [m]  # m plus the degree of each head
+            for p, (r, s) in enumerate(zip(g.ranges, g.strides)):
+                span = len(r.ints) * s
+                rels = [_spread([h * span for h, e in enumerate(heads)
+                                 if e % 2 == odd], [range(s)])
+                        for odd in (0, 1)]
+                for pa, a in enumerate(r.ints):
                     # d(a) in slot p, on the chains of the (normalized)
                     # catalog; normalise_entries drops the sums that cancel
                     for b, c in diff[a]:
-                        row = row_of.get(ch[:p] + (b,) + ch[p + 1:])
-                        if row is not None:
-                            key = (row, col)
-                            acc[key] = acc.get(key, 0) + sign * c
-                    if deg[a] % 2:
-                        sign = -sign
-        return SparseMatrix.trusted(len(chains), len(chains),
+                        q = r.pos.get(b)
+                        if q is not None:
+                            for rel, v in zip(rels, (c, -c)):
+                                _emit(acc, g.offset + q * s, rel,
+                                      g.offset + pa * s, rel, v)
+                heads = _spread(heads, [r.degs])
+        return SparseMatrix.trusted(len(level), len(level),
                                     normalise_entries(acc))
 
     def inner_faces(self, m) -> dict:
         """The faces a_i∘a_{i+1} of d2 on level m >= 1, with sign (-1)^i,
-        as a fresh entries dict the caller may extend.  The skeleton keeps
-        a copy only once more than one complex is built on it, so that a
-        lone complex holds its faces once, inside its d2.  Faces built
-        before the second complex are built again once, by the first
+        as a fresh entries dict the caller may extend; a face of a grid
+        over (c0, ..., cm) lands in the grid without c(i+1).  The skeleton
+        keeps a copy only once more than one complex is built on it, so
+        that a lone complex holds its faces once, inside its d2.  Faces
+        built before the second complex are built again once, by the first
         complex that reads them after it: complexes meant to share should
         all be built before any reads its d2, as verify_decomposition
         does."""
         kept = self._inner.get(m)
         if kept is not None:
             return dict(kept)
-        compose, row_of = self.compose, self.row_of[m - 1]
+        compose, below = self.compose, self.levels[m - 1]
         acc = {}
-        for col, ch in enumerate(self.levels[m]):
-            for i in range(m):
-                lin = compose[ch[i], ch[i + 1]]
-                if lin:
-                    head, tail, sign = ch[:i], ch[i + 2:], -1 if i % 2 else 1
-                    for b, c in lin:  # as in _build_d1
-                        row = row_of.get(head + (b,) + tail)
-                        if row is not None:
-                            key = (row, col)
-                            acc[key] = acc.get(key, 0) + sign * c
+        for i in range(m):
+            for g in self.levels[m].grids:
+                tg = below.at.get(g.objs[:i + 1] + g.objs[i + 2:])
+                if tg is None:
+                    continue
+                left, right, target = g.ranges[i], g.ranges[i + 1], tg.ranges[i]
+                s, span = g.strides[i + 1], g.strides[i] * len(left.ints)
+                rows = None
+                for pa, a in enumerate(left.ints):
+                    for pb, a1 in enumerate(right.ints):
+                        for b, c in compose[a, a1]:
+                            q = target.pos.get(b)
+                            if q is None:
+                                continue
+                            if rows is None:
+                                n, rs = g.size // span, s * len(target.ints)
+                                cols = _spread(range(0, g.size, span), [range(s)])
+                                rows = _spread(range(0, n * rs, rs), [range(s)])
+                            _emit(acc, tg.offset + q * s, rows,
+                                  g.offset + pa * g.strides[i] + pb * s, cols,
+                                  -c if i % 2 else c)
         if self.complexes > 1:
             self._inner[m] = acc
             return dict(acc)
@@ -338,9 +423,10 @@ class _Skeleton:
                         if lo == hi:  # every chain has degree k + m
                             by_degree[k + m] = range(len(self.levels[m]))
                         else:
-                            for i, ch in enumerate(self.levels[m]):
-                                by_degree.setdefault(self.degree(ch),
-                                                     []).append(i)
+                            for g in self.levels[m].grids:
+                                degs = _spread([0], [r.degs for r in g.ranges])
+                                for i, d in enumerate(degs, g.offset):
+                                    by_degree.setdefault(d, []).append(i)
                     local = by_degree.get(k + m)
                     if local:
                         runs.append((m, local))
@@ -411,8 +497,10 @@ def _skeleton(category: DgCategory, twist: DgFunctor, max_level: int,
 
 
 class StandardComplex:
-    """The truncated standard complex; `levels[m]` lists the level-m chains
-    as tuples of basis ints and `row_of[m]` maps each chain to its row.
+    """The truncated standard complex; `levels[m]` reads as the list of
+    level-m chains, tuples of basis ints, without storing them, and
+    `row_of[m]` is the {chain: row} dict built from it, which only the
+    chain maps read.
 
     Everything but the wrap face of d2 lives in a skeleton shared with the
     other live complexes on the same category and object map.  `levels`,
@@ -465,9 +553,7 @@ class StandardComplex:
 
     def objects(self, chain) -> tuple[str, ...]:
         """(c0, c1, ..., cm): c_i = tgt(a_i) for i >= 1, c0 = src(am)."""
-        basis, ids = self.category.basis, self.basis_ids
-        return ((basis[ids[chain[-1]]].src,)
-                + tuple(basis[ids[b]].tgt for b in chain[1:]))
+        return self.skeleton.objects(chain)
 
     def chain_ids(self, m: int, i: int) -> tuple[str, ...]:
         """The basis ids (a0, a1, ..., am) of chain i at level m."""
@@ -478,31 +564,50 @@ class StandardComplex:
 
     def _build_d2(self, m) -> SparseMatrix:
         """The skeleton's inner faces, then the wrap-around face where the
-        last slot acts through the twist."""
+        last slot acts through the twist: F(am)∘a0 on a grid over
+        (c0, ..., cm) lands in the grid over (cm, c1, ..., c(m-1)), at one
+        row and column per middle a1 ... a(m-1)."""
         sk = self.skeleton
-        chains = sk.levels[m]
+        level = sk.levels[m]
         if m == 0:
-            return SparseMatrix(0, len(chains))
+            return SparseMatrix(0, len(level))
         deg, twist, compose = self._deg, self._twist, self.compose
-        row_of = sk.row_of[m - 1]
+        below = sk.levels[m - 1]
         acc = sk.inner_faces(m)
-        faces = {}  # (am, a0) -> F(am)∘a0
-        for col, ch in enumerate(chains):
-            last, a0 = ch[m], ch[0]
-            lin = faces.get((last, a0))
-            if lin is None:
-                lin = faces[last, a0] = [(b, ct * c) for t, ct in twist[last]
-                                         for b, c in compose[t, a0]]
-            if lin:
-                d = deg[last]  # d·(|ch| - d) is even unless d is odd
-                odd = m + d * (self.degree(ch) - d) if d % 2 else m
-                sign, tail = -1 if odd % 2 else 1, ch[1:m]
-                for b, c in lin:  # as in _Skeleton._build_d1
-                    row = row_of.get((b,) + tail)
-                    if row is not None:
-                        key = (row, col)
-                        acc[key] = acc.get(key, 0) + sign * c
-        return SparseMatrix.trusted(len(sk.levels[m - 1]), len(chains),
+        faces = {}  # (am, a0) -> F(am)∘a0 as {b: c}
+        for g in level.grids:
+            tg = below.at.get(g.objs[m:] + g.objs[1:m])
+            if tg is None:
+                continue
+            n_last = len(g.ranges[m].ints)
+            n_mid = g.strides[0] // n_last
+            middles = None
+            for p0, a0 in enumerate(g.ranges[0].ints):
+                for pm, am in enumerate(g.ranges[m].ints):
+                    lin = faces.get((am, a0))
+                    if lin is None:
+                        lin = faces[am, a0] = {}
+                        for t, ct in twist[am]:
+                            for b, c in compose[t, a0]:
+                                lin[b] = lin.get(b, 0) + ct * c
+                    for b, c in lin.items():
+                        q = tg.ranges[0].pos.get(b)
+                        if q is None:
+                            continue
+                        if middles is None:  # (rows, cols) by middle parity
+                            degs = _spread([0], [r.degs for r in g.ranges[1:m]])
+                            middles = []
+                            for odd in (0, 1):
+                                mids = [x for x, e in enumerate(degs)
+                                        if e % 2 == odd]
+                                middles.append((mids, [x * n_last for x in mids]))
+                        for odd, (rows, cols) in enumerate(middles):
+                            # |am|·(|a0| + |middle|) is even unless |am| is odd
+                            flip = m + deg[am] * (deg[a0] + odd)
+                            _emit(acc, tg.offset + q * n_mid, rows,
+                                  g.offset + p0 * g.strides[0] + pm, cols,
+                                  -c if flip % 2 else c)
+        return SparseMatrix.trusted(len(below), len(level),
                                     normalise_entries(acc))
 
     # -- total-degree bookkeeping ---------------------------------------
@@ -673,115 +778,22 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
     return HomologySummary(out)
 
 
-class ChainMapData:
-    def __init__(self, source: StandardComplex, target: StandardComplex,
-                 blocks: list):
-        self.source = source
-        self.target = target
-        self.blocks = blocks  # per level m: levels_src[m] -> levels_tgt[m]
-
-    def check_commutes(self) -> list[str]:
-        diags = []
-        src, tgt = self.source, self.target
-        top = min(src.max_level, tgt.max_level)
-        for m in range(top + 1):
-            if tgt.d1[m].mul(self.blocks[m]) != self.blocks[m].mul(src.d1[m]):
-                diags.append(f"internal differential not respected at level {m}")
-            if m >= 1:
-                lhs = tgt.d2[m].mul(self.blocks[m])
-                rhs = self.blocks[m - 1].mul(src.d2[m])
-                if lhs != rhs:
-                    diags.append(f"face differential not respected at level {m}")
-        return diags
-
-    def apply_block_vector(self, k, vec):
-        """Push a sparse vector in source degree-k coordinates to target."""
-        src = self.source.degree_block(k)
-        tgt_pos = self.target.skeleton.positions(k)
-        by_col = {}  # level -> {column: [(row, value), ...]}, indexed on use
-        out = {}
-        for j, coef in vec.items():
-            m, i = src[j]
-            if m not in by_col:
-                index = by_col[m] = {}
-                for (r, c), v in self.blocks[m].entries.items():
-                    index.setdefault(c, []).append((r, v))
-            for r, v in by_col[m].get(i, ()):
-                key = tgt_pos.get(m, {}).get(r)
-                if key is None:
-                    continue
-                s = out.get(key, 0) + v * coef
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
-
-
-def induced_chain_map(phi: DgFunctor, alpha: NatTransform,
-                      src: StandardComplex, tgt: StandardComplex,
-                      check: bool = True) -> ChainMapData:
-    """Chain map sending a0[a1|...|am] to (alpha_{c0} ∘ phi(a0))[phi(a1)|...]."""
-    if check:
-        diags = validate_nat_transform(alpha, require_closed=True)
-        if diags or alpha.degree != 0:
-            raise StructuralError(f"invalid coefficient transform: {diags}")
-        # alpha must run from phi∘F to F'∘phi
-        lhs = compose_functors(phi, src.twist)
-        rhs = compose_functors(tgt.twist, phi)
-        for obj in src.category.objects:
-            comp = alpha.component(obj)
-            for b in comp:
-                bi = tgt.category.basis[b]
-                if (bi.src, bi.tgt) != (lhs.apply_obj(obj), rhs.apply_obj(obj)):
-                    raise StructuralError(
-                        f"coefficient transform at {obj} does not run "
-                        f"phi∘F -> F'∘phi")
-    cat_t = tgt.category
-    images = [_lin(tgt.basis_index, phi.apply_basis(b)) for b in src.basis_ids]
-    coeffs = {}  # (c0, a0) -> alpha_{c0} ∘ phi(a0) on target basis ints
-    blocks = []
-    for m in range(src.max_level + 1):
-        acc = {}
-        row_of = tgt.row_of[m]
-        for col, ch in enumerate(src.levels[m]):
-            key = (src.objects(ch)[0], ch[0])
-            if key not in coeffs:
-                coeffs[key] = _lin(tgt.basis_index, cat_t.compose_lin(
-                    alpha.component(key[0]),
-                    phi.apply_basis(src.basis_ids[ch[0]])))
-            _emit_product(acc, col, row_of,
-                          [coeffs[key]] + [images[b] for b in ch[1:]], 1)
-        blocks.append(SparseMatrix(len(tgt.levels[m]), len(src.levels[m]), acc))
-    cm = ChainMapData(src, tgt, blocks)
-    if check:
-        diags = cm.check_commutes()
-        if diags:
-            raise StructuralError("; ".join(diags))
-    return cm
-
-
-def twist_endo_map(sc: StandardComplex) -> ChainMapData:
-    """(F, id)_* for the complex's own twist F."""
-    F = sc.twist
-    alpha = NatTransform(compose_functors(F, F), compose_functors(F, F),
-                         {obj: {sc.category.unit(F.apply_obj(F.apply_obj(obj))): 1}
-                          for obj in sc.category.objects}, 0)
-    return induced_chain_map(F, alpha, sc, sc)
-
-
 def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
                              levels=None) -> list:
     """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
     automorphism phi that sends every basis morphism to ±1 times another.
 
-    One pair (rows, signs) per level m, two flat lists as long as the
+    One pair (rows, signs) per level m, two flat arrays as long as the
     level: chain i goes to signs[i] times chain rows[i], with signs[i] in
-    {1, -1}.  Only the levels in `levels` (default: all) are built; the
+    {1, -1}; arrays hold the rows as machine ints, where a list would hold
+    an int object per chain.  Only the levels in `levels` (default: all)
+    are built; the
     others are None.  This is the chain map of phi whose coefficient
     transform is the unit at F(phi(c0)); it is a chain map only when phi
     commutes with the twist F, which check_equivariant verifies.
     """
+    from array import array  # only here: compute never loads it
+
     target, sign = [], []  # basis int -> its image's basis int and sign
     for bid in sc.basis_ids:
         img = phi.apply_basis(bid)
@@ -795,28 +807,35 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
 
     signed = -1 in sign
     wanted = range(sc.max_level + 1) if levels is None else set(levels)
+    sk = sc.skeleton
     perm = []
     for m in range(sc.max_level + 1):
         if m not in wanted:
             perm.append(None)
             continue
-        chains, row_of = sc.levels[m], sc.row_of[m]
-        # position by position, so that the loops run inside map and zip
-        slots = list(zip(*chains))
-        rows = list(map(row_of.get, zip(*[map(target.__getitem__, slot)
-                                          for slot in slots])))
-        if None in rows:
-            raise StructuralError(
-                f"{phi.name or 'functor'} sends a level-{m} chain out of "
-                f"the complex")
+        level = sk.levels[m]
+        rows, odd = array("q"), []
+        for g in level.grids:
+            # phi maps a grid's chains into one grid, the image of its
+            # first chain's; a chain's row there is the offset plus, slot
+            # by slot, its image's position times the stride
+            tg = level.at.get(sk.objects([target[r.ints[0]] for r in g.ranges]))
+            pos = tg and [[tr.pos.get(target[b]) for b in r.ints]
+                          for r, tr in zip(g.ranges, tg.ranges)]
+            if not pos or any(None in p for p in pos):
+                raise StructuralError(
+                    f"{phi.name or 'functor'} sends a level-{m} chain out of "
+                    f"the complex")
+            rows.extend(_spread([tg.offset], [[x * s for x in p]
+                                              for p, s in zip(pos, tg.strides)]))
+            if signed:  # the number of slots sent to minus their image
+                odd += _spread([0], [[sign[b] < 0 for b in r.ints]
+                                     for r in g.ranges])
         if len(set(rows)) != len(rows):
             raise StructuralError(
                 f"{phi.name or 'functor'} is not injective on level {m}")
-        if signed:
-            signs = list(map(prod, zip(*[map(sign.__getitem__, slot)
-                                         for slot in slots])))
-        else:
-            signs = [1] * len(rows)
+        signs = (array("b", [-1 if x % 2 else 1 for x in odd]) if signed
+                 else array("b", [1]) * len(rows))
         perm.append((rows, signs))
     return perm
 
@@ -850,59 +869,14 @@ def check_equivariant(sc: StandardComplex, perm: list, levels=None) -> None:
                 f"differential at level {m}")
 
 
-def homotopy_H(sc: StandardComplex) -> list[SparseMatrix]:
-    """Cyclic-insertion homotopy H, one block per level k <= max_level - 1,
-    mapping level k to level k + 1.
-
-    Satisfies d1 H + H d1 = 0 and d2 H + H d2 = 1 - (F, id)_* on the levels
-    where both sides are defined.
-    """
-    cat, F = sc.category, sc.twist
-    deg, twist = sc._deg, sc._twist
-    out = []
-    for k in range(sc.max_level):
-        acc = {}
-        row_of = sc.row_of[k + 1]
-        for col, ch in enumerate(sc.levels[k]):
-            objs = sc.objects(ch)
-            degs = [deg[b] for b in ch]  # a0, a1, ..., ak
-            for j in range(k + 1):
-                # move the last j bar slots (through F) in front of a0
-                moved = ch[k - j + 1:]
-                kept = ch[1:k - j + 1]
-                moved_deg = sum(degs[k - j + 1:])
-                kept_deg = sum(degs[:k - j + 1])
-                sign = (-1) ** (j * k + moved_deg * kept_deg)
-                # anchor object: source of the first moved slot, or c0
-                anchor = objs[(k - j + 1) % (k + 1)] if j else objs[0]
-                unit = sc.basis_index[cat.unit(F.apply_obj(anchor))]
-                lins = ([((unit, 1),)] + [twist[s] for s in moved]
-                        + [((ch[0], 1),)] + [((s, 1),) for s in kept])
-                _emit_product(acc, col, row_of, lins, sign)
-        out.append(SparseMatrix(len(sc.levels[k + 1]), len(sc.levels[k]), acc))
-    return out
+# The chain maps live in .chainmaps, which no verb imports; they are read
+# here under their old names, loading it on first use.
+_CHAIN_MAPS = ("ChainMapData", "induced_chain_map", "twist_endo_map",
+               "homotopy_H", "homology_action")
 
 
-def homology_action(cm: ChainMapData, degrees, force: bool = False) -> dict:
-    """Matrices of the induced map on homology, one per total degree.
-
-    Uses exact cycle/boundary bases; refuses degrees without an exact
-    truncation certificate unless force=True.
-    """
-    out = {}
-    src, tgt = cm.source, cm.target
-    for k in degrees:
-        if not (src.certified(k) and tgt.certified(k)) and not force:
-            raise StructuralError(
-                f"degree {k} lacks an exact truncation certificate")
-        reps_s, _ = src.homology_basis(k)
-        coordinates = tgt.homology_coordinates(k)
-        acc = {}
-        for j, z in enumerate(reps_s):
-            x = coordinates(cm.apply_block_vector(k, z))
-            if x is None:
-                raise StructuralError(
-                    f"image of a cycle is not a cycle at degree {k}")
-            acc.update(((i, j), v) for i, v in x.items())
-        out[k] = SparseMatrix(len(tgt.homology_basis(k)[0]), len(reps_s), acc)
-    return out
+def __getattr__(name):
+    if name in _CHAIN_MAPS:
+        from . import chainmaps
+        return getattr(chainmaps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

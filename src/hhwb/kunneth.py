@@ -228,8 +228,8 @@ def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
 def s2_check(a: StandardComplex, target: StandardComplex | None = None) -> list[str]:
     """Sh ∘ (Koszul swap of complex factors) = (swap functor, id)_* ∘ Sh,
     as exact matrix identities on all constructed blocks."""
+    from .chainmaps import induced_chain_map
     from .dgcore import Permutation, identity_nat, permutation_functor
-    from .hochschild import induced_chain_map
 
     sh = shuffle_map(a, a, target)
     tgt = sh.target

@@ -8,7 +8,10 @@ of them is on a command-line path, so they live here rather than in
 
 from __future__ import annotations
 
+import itertools
+
 from hhwb import decomposition
+from hhwb.chainmaps import ChainMapData
 from hhwb.decomposition import Partition, _lambda_complex, _reach, _window
 from hhwb.dgcore import (
     DgCategory,
@@ -17,12 +20,7 @@ from hhwb.dgcore import (
     Permutation,
     compose_functors,
 )
-from hhwb.hochschild import (
-    ChainMapData,
-    HomologySummary,
-    StandardComplex,
-    total_homology,
-)
+from hhwb.hochschild import HomologySummary, StandardComplex, total_homology
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank
 
 # -- dgcore ------------------------------------------------------------------
@@ -126,3 +124,112 @@ def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,
                 f"degree {k}: summand dim {whole.degrees[k].dim} != "
                 f"convolved {conv.get(k, 0)}")
     return diags
+
+
+# -- hochschild: the tuple-based assembly ------------------------------------
+#
+# Each level's chains as a list of tuples (a0, a1, ..., am) of basis ints,
+# from every object tuple, and a {chain: row} dict, and d1, d2 and the chain
+# permutations built chain by chain from them, slicing and looking up a
+# tuple per face.  The library numbers the same chains as positions in
+# per-object-tuple grids; these recompute its catalog and matrices by that
+# direct route.
+
+
+def brute_force_levels(sk, top):
+    """Levels 0..top of a skeleton from every object tuple (c0, ..., cm):
+    a0 in hom(c1, F(c0)) and a_i in hom(c_{i+1}, c_i), reading c_{m+1} as
+    c0, the bar slots a_i (i >= 1) without units when normalized."""
+    cat, F, index = sk.category, sk.obj_map, sk.basis_index
+
+    def hom(src, tgt, bar):
+        return [index[b] for b in cat.hom(src, tgt)
+                if not (bar and sk.normalized and cat.is_unit(b))]
+
+    levels = []
+    for m in range(top + 1):
+        chains = []
+        for objs in itertools.product(cat.objects, repeat=m + 1):
+            nxt = objs[1:] + objs[:1]
+            slots = [hom(nxt[0], F[objs[0]], False)]
+            slots += [hom(nxt[i], objs[i], True) for i in range(1, m + 1)]
+            chains.extend(itertools.product(*slots))
+        levels.append(chains)
+    return levels
+
+
+def reference_levels(sc: StandardComplex, m: int) -> list:
+    return brute_force_levels(sc.skeleton, m)[m]
+
+
+def _row_of(chains: list) -> dict:
+    return {ch: i for i, ch in enumerate(chains)}
+
+
+def _add(acc: dict, key, v) -> None:
+    acc[key] = acc.get(key, 0) + v
+
+
+def reference_d1(sc: StandardComplex, m: int) -> SparseMatrix:
+    """d1 on level m: d(a_p) in slot p, with sign (-1)^m times the Koszul
+    sign of a0 ... a_{p-1}."""
+    deg, diff = sc._deg, sc.skeleton.diff
+    chains = reference_levels(sc, m)
+    row_of = _row_of(chains)
+    acc = {}
+    for col, ch in enumerate(chains):
+        sign = -1 if m % 2 else 1
+        for p, a in enumerate(ch):
+            for b, c in diff[a]:
+                row = row_of.get(ch[:p] + (b,) + ch[p + 1:])
+                if row is not None:
+                    _add(acc, (row, col), sign * c)
+            if deg[a] % 2:
+                sign = -sign
+    return SparseMatrix(len(chains), len(chains), acc)
+
+
+def reference_d2(sc: StandardComplex, m: int) -> SparseMatrix:
+    """d2 on level m: the inner faces a_i∘a_{i+1} with sign (-1)^i, then
+    the wrap face F(am)∘a0 with sign (-1)^(m + |am|·(|a0| + ... + |a(m-1)|))."""
+    chains = reference_levels(sc, m)
+    if m == 0:
+        return SparseMatrix(0, len(chains))
+    deg, twist, compose = sc._deg, sc._twist, sc.compose
+    below = reference_levels(sc, m - 1)
+    row_of = _row_of(below)
+    acc = {}
+    for col, ch in enumerate(chains):
+        for i in range(m):
+            sign = -1 if i % 2 else 1
+            for b, c in compose[ch[i], ch[i + 1]]:
+                row = row_of.get(ch[:i] + (b,) + ch[i + 2:])
+                if row is not None:
+                    _add(acc, (row, col), sign * c)
+        last = ch[m]
+        rest = sum(deg[a] for a in ch[:m])
+        sign = -1 if (m + deg[last] * rest) % 2 else 1
+        for t, ct in twist[last]:
+            for b, c in compose[t, ch[0]]:
+                row = row_of.get((b,) + ch[1:m])
+                if row is not None:
+                    _add(acc, (row, col), sign * ct * c)
+    return SparseMatrix(len(below), len(chains), acc)
+
+
+def reference_chain_permutation(sc: StandardComplex, phi: DgFunctor,
+                                m: int) -> tuple:
+    """(rows, signs) of phi on level m: chain i goes to signs[i] times
+    chain rows[i], each slot's basis int sent to its image's."""
+    chains = reference_levels(sc, m)
+    row_of = _row_of(chains)
+    rows, signs = [], []
+    for ch in chains:
+        image, sign = [], 1
+        for a in ch:
+            ((t, v),) = phi.apply_basis(sc.basis_ids[a]).items()
+            image.append(sc.basis_index[t])
+            sign *= int(v)
+        rows.append(row_of[tuple(image)])
+        signs.append(sign)
+    return rows, signs

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from hhwb.chainmaps import homotopy_H, twist_endo_map
 from hhwb.cli import main
 from hhwb.contraction import (
     FiniteAlgebra,
@@ -29,13 +30,7 @@ from hhwb.decomposition import (
     verify_decomposition,
 )
 from hhwb.dgcore import Permutation, identity_functor, tensor, tensor_functor
-from hhwb.hochschild import (
-    TwistSpec,
-    build_complex,
-    homotopy_H,
-    total_homology,
-    twist_endo_map,
-)
+from hhwb.hochschild import TwistSpec, build_complex, total_homology
 from hhwb.kunneth import kunneth_verify, s2_check, shuffle_map, \
     verify_shuffle_chain_map
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, projector_invariant_dim

@@ -18,12 +18,30 @@ from hhwb.dgcore import (
     DgCategory,
     Permutation,
     identity_functor,
+    permutation_functor,
     validate_category,
 )
-from hhwb.hochschild import TwistSpec, build_complex, total_homology
+from hhwb.hochschild import (
+    TwistSpec,
+    build_complex,
+    signed_chain_permutation,
+    total_homology,
+)
 from hhwb.qlinalg import EXACT, RankMode
 
-from conftest import dual_numbers, quiver_a2, square_zero_with_diff
+from conftest import (
+    dual_numbers,
+    ground_field,
+    odd_dual,
+    quiver_a2,
+    square_zero_with_diff,
+)
+from oracles import (
+    reference_chain_permutation,
+    reference_d1,
+    reference_d2,
+    reference_levels,
+)
 
 EMPTY = hashlib.sha256(b"[]").hexdigest()
 
@@ -286,3 +304,57 @@ def test_unchecked_differentials_keep_the_entry_contract():
             seen_fraction |= any(type(v) is Fraction
                                  for v in mtx.entries.values())
     assert seen_fraction
+
+
+# -- the grid assembly against the tuple-based reference --------------------
+
+
+def _perm(n, *cycles):
+    return Permutation.from_cycles(n, list(cycles))
+
+
+# (category, twist as (n, cycles) or None, the permutations (n, cycles) whose
+# chain permutations are compared, max level)
+REFERENCE_CASES = {
+    "K": (ground_field, None, [], 4),
+    "D": (dual_numbers, None, [], 4),
+    "E": (odd_dual, None, [], 4),
+    "T": (square_zero_with_diff, None, [], 4),
+    "A2": (quiver_a2, None, [], 4),
+    "two-cycle": (lambda: two_cycle(2), None, [], 4),
+    "DxD-id": (dual_numbers, (2, ()), [(2, (1, 2))], 4),
+    "DxD-(1 2)": (dual_numbers, (2, ((1, 2),)), [(2, (1, 2))], 4),
+    "ExE-(1 2)": (odd_dual, (2, ((1, 2),)), [(2, (1, 2))], 4),
+    "TxT-(1 2)": (square_zero_with_diff, (2, ((1, 2),)), [(2, (1, 2))], 3),
+    "cube^2-(1 2)": (lambda: truncated_cube(2), (2, ((1, 2),)),
+                     [(2, (1, 2))], 3),
+    "D^3-(1 2 3)": (dual_numbers, (3, ((1, 2, 3),)),
+                    [(3, (1, 2, 3)), (3, (1, 3, 2))], 4),
+    "E^3-(1 2)": (odd_dual, (3, ((1, 2),)), [(3, (1, 2)), (3, (3,))], 3),
+    "A2^2-(1 2)": (quiver_a2, (2, ((1, 2),)), [(2, (1, 2))], 4),
+}
+
+
+@pytest.mark.parametrize("normalized", [True, False],
+                         ids=["normalized", "full"])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_grid_assembly_matches_the_tuple_reference(case, normalized):
+    make, twist, perms, max_level = REFERENCE_CASES[case]
+    c = make()
+    if twist is None:
+        sc = build_complex(c, identity_functor(c), max_level, normalized)
+    else:
+        n, cycles = twist
+        sc = build_complex(c, TwistSpec.perm(n, _perm(n, *cycles)),
+                           max_level, normalized)
+    phis = [permutation_functor(c, n, _perm(n, cycle), power=sc.category)
+            for n, cycle in perms] or [identity_functor(c)]
+    chain_perms = [signed_chain_permutation(sc, phi) for phi in phis]
+    for m in range(max_level + 1):
+        assert list(sc.levels[m]) == reference_levels(sc, m), m
+        assert sc.d1[m].entries == reference_d1(sc, m).entries, m
+        assert sc.d2[m].entries == reference_d2(sc, m).entries, m
+        for phi, perm in zip(phis, chain_perms):
+            rows, signs = perm[m]
+            assert (list(rows), list(signs)) == reference_chain_permutation(
+                sc, phi, m), m

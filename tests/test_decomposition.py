@@ -5,6 +5,7 @@ import pytest
 import sympy
 
 from hhwb import decomposition
+from hhwb.chainmaps import homology_action, induced_chain_map
 from hhwb.decomposition import (
     CentralizerPresentation,
     OrbitComplex,
@@ -29,8 +30,6 @@ from hhwb.hochschild import (
     TwistSpec,
     build_complex,
     check_equivariant,
-    homology_action,
-    induced_chain_map,
     signed_chain_permutation,
 )
 from hhwb.qlinalg import (

@@ -5,6 +5,12 @@ import pytest
 import sympy
 
 from hhwb import hochschild
+from hhwb.chainmaps import (
+    homology_action,
+    homotopy_H,
+    induced_chain_map,
+    twist_endo_map,
+)
 from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
@@ -19,12 +25,8 @@ from hhwb.hochschild import (
     TwistSpec,
     build_complex,
     check_equivariant,
-    homology_action,
-    homotopy_H,
-    induced_chain_map,
     signed_chain_permutation,
     total_homology,
-    twist_endo_map,
 )
 from hhwb.qlinalg import (
     EXACT,
@@ -425,3 +427,13 @@ def test_action_refuses_uncertified_degree(D):
     with pytest.raises(Exception):
         homology_action(identity_chain_map(sc), [-2])
     homology_action(identity_chain_map(sc), [-2], force=True)
+
+
+def test_hochschild_hands_out_the_chain_maps():
+    from hhwb import chainmaps
+
+    for name in ("ChainMapData", "induced_chain_map", "twist_endo_map",
+                 "homotopy_H", "homology_action"):
+        assert getattr(hochschild, name) is getattr(chainmaps, name)
+    with pytest.raises(AttributeError):
+        hochschild.no_such_name

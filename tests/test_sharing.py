@@ -3,7 +3,6 @@ catalog, d1, the inner faces of d2 and the chain permutations are built
 once, and every level is built only when a degree reads it."""
 
 import gc
-import itertools
 import weakref
 
 import pytest
@@ -17,10 +16,17 @@ from hhwb.decomposition import (
     partitions,
     sigma_of,
 )
-from hhwb.dgcore import permutation_functor, tensor_power
-from hhwb.hochschild import TwistSpec, build_complex, signed_chain_permutation
+from hhwb.dgcore import Permutation, permutation_functor, tensor_power
+from hhwb.hochschild import (
+    TwistSpec,
+    build_complex,
+    signed_chain_permutation,
+    total_homology,
+)
+from hhwb.qlinalg import RankMode
 
 from conftest import dual_numbers, quiver_a2
+from oracles import brute_force_levels
 from test_assembly import two_cycle
 from test_cli import DUAL, QUIVER, run_json
 
@@ -118,6 +124,34 @@ def test_levels_are_built_on_first_access():
     assert sc.levels.built() == [0, 1, 2, 3, 4, 5]
 
 
+def test_homology_reads_chains_only_as_grid_positions(capsys, monkeypatch):
+    decoded = []
+    for name in ("__iter__", "__getitem__"):
+        def spy(self, *args, _read=getattr(hochschild._Level, name)):
+            decoded.append(len(self))
+            return _read(self, *args)
+
+        monkeypatch.setattr(hochschild._Level, name, spy)
+    sc = build_complex(dual_numbers(), TwistSpec.perm(2, Permutation(
+        (1, 0))), 4)
+    dims = total_homology(sc, range(-3, 1), RankMode.modular()).dims()
+    assert dims == {0: 2, -1: 1, -2: 1, -3: 1}
+    res = run_json(capsys, "decompose", DUAL, "--n", "3", "--max-level",
+                   "3", "--degrees=-2..0")["results"]
+    assert res["lhs_totals"] == {"0": 10, "-1": 8, "-2": 9}
+    # no level was read as chain tuples, and no {chain: row} map was built
+    assert decoded == []
+    assert sc.levels.built() == [0, 1, 2, 3, 4]
+    assert sc.row_of.built() == []
+    monkeypatch.undo()
+    gc.collect()
+    chains = {len(level): set(level) for level in sc.levels}
+    for obj in gc.get_objects():
+        if type(obj) in (list, dict) and len(obj) in chains:
+            level = chains[len(obj)]
+            assert not all(type(ch) is tuple and ch in level for ch in obj)
+
+
 def test_a_lone_complex_holds_its_faces_once():
     c = dual_numbers()
     lone = build_complex(c, TwistSpec.identity(), 3)
@@ -194,28 +228,6 @@ def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
     assert rep.lhs_totals == {0: 10, -1: 8, -2: 9} and rep.all_equal
     # (1 2) and (2 3) for (1,1,1); (2 3) again, shared, for (1,2); (1 2 3)
     assert sorted(built) == ["perm(0, 2, 1)", "perm(1, 0, 2)", "perm(1, 2, 0)"]
-
-
-def brute_force_levels(sk, top):
-    """Levels 0..top of a skeleton from every object tuple (c0, ..., cm):
-    a0 in hom(c1, F(c0)) and a_i in hom(c_{i+1}, c_i), reading c_{m+1} as
-    c0, the bar slots a_i (i >= 1) without units when normalized."""
-    cat, F, index = sk.category, sk.obj_map, sk.basis_index
-
-    def hom(src, tgt, bar):
-        return [index[b] for b in cat.hom(src, tgt)
-                if not (bar and sk.normalized and cat.is_unit(b))]
-
-    levels = []
-    for m in range(top + 1):
-        chains = []
-        for objs in itertools.product(cat.objects, repeat=m + 1):
-            nxt = objs[1:] + objs[:1]
-            slots = [hom(nxt[0], F[objs[0]], False)]
-            slots += [hom(nxt[i], objs[i], True) for i in range(1, m + 1)]
-            chains.extend(itertools.product(*slots))
-        levels.append(chains)
-    return levels
 
 
 @pytest.mark.parametrize("normalized", [True, False], ids=["norm", "full"])
