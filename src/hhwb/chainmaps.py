@@ -5,12 +5,13 @@ No verb reads these; the tests and hhwb.kunneth do.  hochschild hands
 them out under their own names and imports this module on first use, so
 that compute and decompose do not compile it.  Chains are read here as
 tuples, through each complex's `levels[m]` and its {chain: row} dict
-`row_of[m]`.
+`row_of[m]`; a vector over a total-degree block is read by level and
+written back through the complexes' block_levels and block_vector, so the
+layout of a block stays hochschild's.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 
 from .dgcore import (
@@ -65,52 +66,39 @@ class ChainMapData:
 
     def apply_block_vector(self, k, vec):
         """Push a sparse vector in source degree-k coordinates to target."""
-        runs = self.source.skeleton._runs(k)
-        starts = list(itertools.accumulate(
-            [len(local) for _, local in runs[:-1]], initial=0))
-        tgt_pos = self.target.skeleton.positions(k)
-        out = {}
-        for j, coef in vec.items():
-            x = bisect.bisect_right(starts, j) - 1
-            m, local = runs[x]
-            rows, index = tgt_pos.get(m), self._by_col.get(m)
-            if rows is None:
-                continue
+        parts = {}
+        for m, cols in self.source.block_levels(k, vec).items():
+            index = self._by_col.get(m)
             if index is None:
                 index = self._by_col[m] = {}
                 for (r, c), v in self.blocks[m].entries.items():
                     index.setdefault(c, []).append((r, v))
-            for r, v in index.get(local[j - starts[x]], ()):
-                key = rows.get(r)
-                if key is None:
-                    continue
-                s = out.get(key, 0) + v * coef
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return out
+            acc = parts[m] = {}
+            for c, coef in cols.items():
+                for r, v in index.get(c, ()):
+                    acc[r] = acc.get(r, 0) + v * coef
+        return self.target.block_vector(k, parts)
 
 
 def induced_chain_map(phi: DgFunctor, alpha: NatTransform,
-                      src: StandardComplex, tgt: StandardComplex,
-                      check: bool = True) -> ChainMapData:
-    """Chain map sending a0[a1|...|am] to (alpha_{c0} ∘ phi(a0))[phi(a1)|...]."""
-    if check:
-        diags = validate_nat_transform(alpha, require_closed=True)
-        if diags or alpha.degree != 0:
-            raise StructuralError(f"invalid coefficient transform: {diags}")
-        # alpha must run from phi∘F to F'∘phi
-        lhs = compose_functors(phi, src.twist)
-        rhs = compose_functors(tgt.twist, phi)
-        for obj in src.category.objects:
-            comp = alpha.component(obj)
-            for b in comp:
-                bi = tgt.category.basis[b]
-                if (bi.src, bi.tgt) != (lhs.apply_obj(obj), rhs.apply_obj(obj)):
-                    raise StructuralError(
-                        f"coefficient transform at {obj} does not run "
-                        f"phi∘F -> F'∘phi")
+                      src: StandardComplex, tgt: StandardComplex
+                      ) -> ChainMapData:
+    """Chain map sending a0[a1|...|am] to (alpha_{c0} ∘ phi(a0))[phi(a1)|...],
+    checked to commute with d1 and d2."""
+    diags = validate_nat_transform(alpha, require_closed=True)
+    if diags or alpha.degree != 0:
+        raise StructuralError(f"invalid coefficient transform: {diags}")
+    # alpha must run from phi∘F to F'∘phi
+    lhs = compose_functors(phi, src.twist)
+    rhs = compose_functors(tgt.twist, phi)
+    for obj in src.category.objects:
+        comp = alpha.component(obj)
+        for b in comp:
+            bi = tgt.category.basis[b]
+            if (bi.src, bi.tgt) != (lhs.apply_obj(obj), rhs.apply_obj(obj)):
+                raise StructuralError(
+                    f"coefficient transform at {obj} does not run "
+                    f"phi∘F -> F'∘phi")
     cat_t = tgt.category
     images = [_lin(tgt.basis_index, phi.apply_basis(b)) for b in src.basis_ids]
     coeffs = {}  # (c0, a0) -> alpha_{c0} ∘ phi(a0) on target basis ints
@@ -128,10 +116,9 @@ def induced_chain_map(phi: DgFunctor, alpha: NatTransform,
                           [coeffs[key]] + [images[b] for b in ch[1:]], 1)
         blocks.append(SparseMatrix(len(tgt.levels[m]), len(src.levels[m]), acc))
     cm = ChainMapData(src, tgt, blocks)
-    if check:
-        diags = cm.check_commutes()
-        if diags:
-            raise StructuralError("; ".join(diags))
+    diags = cm.check_commutes()
+    if diags:
+        raise StructuralError("; ".join(diags))
     return cm
 
 

@@ -296,67 +296,23 @@ def _common_options(args, command: str) -> tuple[dict, RankMode]:
     }, mode
 
 
-def cmd_compute(args) -> int:
+def _report_verb(args, own_options, run, table) -> int:
+    """compute and decompose: load the input, check the common options and
+    then the verb's own, own_options() being the dict of them that joins
+    the cache key.  On a cache miss validate the category, run the verb,
+    whose run(category, options, mode) gives the report's results, and
+    cache the report.  table(results) gives the CSV header, the CSV rows
+    and the exit code, for a cached report as for a fresh one."""
     started = time.monotonic()
     raw, data = load_input(args.path)
-    options, mode = _common_options(args, "compute")
-    twist = parse_twist(args.twist)
-    options["twist"] = args.twist or "identity"
+    options, mode = _common_options(args, args.command)
+    options.update(own_options())
     input_sha = sha256(raw).hexdigest()
     key = cache_key(input_sha, options)
     cdir = cache_dir(args)
     hit = cache_get(cdir, key)
     if hit is not None:
-        cached, rep = hit
-        rows = [(k, v["dim"], v["certificate"])
-                for k, v in sorted(rep["results"].items(),
-                                   key=lambda kv: -int(kv[0]))]
-        emit(cached, args, rows, "degree,dim,certificate")
-        return EXIT_OK
-    cat = category_from_dict(data)
-    diags = validate_category(cat)
-    if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        return EXIT_MISMATCH
-    sc = build_complex(cat, twist, args.max_level, normalized=args.normalized)
-    summary = total_homology(sc, options["degrees"], mode=mode)
-    rep = base_report(input_sha, options, started)
-    rep["results"] = {
-        str(k): {
-            "dim": r.dim,
-            "certificate": r.certificate,
-            "mode": r.mode,
-            "primes": list(r.primes) if r.primes else None,
-            "agreed": r.agreed,
-            "exact_fallback": r.exact_fallback,
-            "reason": r.reason,
-        }
-        for k, r in summary.degrees.items()
-    }
-    payload = report_bytes(rep)
-    cache_put(cdir, key, payload)
-    rows = [(k, summary.degrees[k].dim, summary.degrees[k].certificate)
-            for k in options["degrees"]]
-    emit(payload, args, rows, "degree,dim,certificate")
-    return EXIT_OK
-
-
-def cmd_decompose(args) -> int:
-    started = time.monotonic()
-    # imported here, not at the top, so that compute does not load it
-    from .decomposition import verify_decomposition
-    raw, data = load_input(args.path)
-    options, mode = _common_options(args, "decompose")
-    if args.n < 1:
-        raise InputError(f"--n {args.n}: decompose needs n >= 1")
-    options["n"] = args.n
-    input_sha = sha256(raw).hexdigest()
-    key = cache_key(input_sha, options)
-    cdir = cache_dir(args)
-    hit = cache_get(cdir, key)
-    if hit is not None:
-        cached, rep = hit
+        payload, rep = hit
     else:
         cat = category_from_dict(data)
         diags = validate_category(cat)
@@ -364,24 +320,60 @@ def cmd_decompose(args) -> int:
             for d in diags:
                 print(d, file=sys.stderr)
             return EXIT_MISMATCH
-        report = verify_decomposition(cat, args.n, options["degrees"],
-                                      args.max_level,
-                                      normalized=args.normalized,
-                                      mode=mode)
+        results = run(cat, options, mode)
         rep = base_report(input_sha, options, started)
-        rep["results"] = report.to_dict()
-        cached = report_bytes(rep)
-        cache_put(cdir, key, cached)
-    verdicts = rep["results"]["verdicts"]
-    rows = [(k, rep["results"]["lhs_totals"][k],
-             rep["results"]["rhs_totals"][k], verdicts[k])
-            for k in sorted(verdicts, key=int, reverse=True)]
-    emit(cached, args, rows, "degree,lhs,rhs,verdict")
-    if any(v == "Mismatch" for v in verdicts.values()):
-        return EXIT_MISMATCH
-    if any(v == "Heuristic" for v in verdicts.values()):
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+        rep["results"] = results
+        payload = report_bytes(rep)
+        cache_put(cdir, key, payload)
+    header, rows, code = table(rep["results"])
+    emit(payload, args, rows, header)
+    return code
+
+
+def cmd_compute(args) -> int:
+    def own_options():
+        parse_twist(args.twist)  # a bad twist fails here, before any work
+        return {"twist": args.twist or "identity"}
+
+    def run(cat, options, mode):
+        sc = build_complex(cat, parse_twist(options["twist"]),
+                           options["max_level"], options["normalized"])
+        summary = total_homology(sc, options["degrees"], mode=mode)
+        return {str(k): dict(r._asdict(), primes=list(r.primes) or None)
+                for k, r in summary.degrees.items()}
+
+    def table(results):
+        return "degree,dim,certificate", [
+            (k, results[k]["dim"], results[k]["certificate"])
+            for k in sorted(results, key=int, reverse=True)], EXIT_OK
+
+    return _report_verb(args, own_options, run, table)
+
+
+def cmd_decompose(args) -> int:
+    def own_options():
+        if args.n < 1:
+            raise InputError(f"--n {args.n}: decompose needs n >= 1")
+        return {"n": args.n}
+
+    def run(cat, options, mode):
+        # imported here, not at the top, so that compute does not load it
+        from .decomposition import verify_decomposition
+        return verify_decomposition(
+            cat, options["n"], options["degrees"], options["max_level"],
+            options["normalized"], mode).to_dict()
+
+    def table(results):
+        verdicts = results["verdicts"]
+        rows = [(k, results["lhs_totals"][k], results["rhs_totals"][k],
+                 verdicts[k])
+                for k in sorted(verdicts, key=int, reverse=True)]
+        kinds = set(verdicts.values())
+        code = (EXIT_MISMATCH if "Mismatch" in kinds
+                else EXIT_INCONCLUSIVE if "Heuristic" in kinds else EXIT_OK)
+        return "degree,lhs,rhs,verdict", rows, code
+
+    return _report_verb(args, own_options, run, table)
 
 
 def cmd_series(args) -> int:

@@ -39,11 +39,9 @@ from .hochschild import (
 from .qlinalg import (
     EXACT,
     RankMode,
-    RankResult,
     SparseMatrix,
     StructuralError,
     normalise_entries,
-    rank_info,
 )
 
 
@@ -187,8 +185,10 @@ class OrbitComplex:
 
     Over Q averaging over G is a chain-level projector onto C^G (Maschke),
     so H(C^G) = H(C)^G; over GF(p) the same holds for p > |G|.  It has the
-    interface total_homology reads, so C^G is d²-checked and certified like
-    C, whose truncation it shares.
+    interface total_homology reads (block_dim, total_differential,
+    certified, max_level), so C^G is d²-checked, ranked and certified like
+    C, whose truncation it shares; it keeps only its orbits, and reads C's
+    blocks through C's block_permutation.
     """
 
     def __init__(self, sc: StandardComplex, perms: list):
@@ -197,8 +197,6 @@ class OrbitComplex:
         self.max_level = sc.max_level
         self.certified = sc.certified
         self._orbit_cache: dict = {}
-        self._diff_cache: dict = {}
-        self._rank_cache: dict = {}
 
     def orbits(self, k):
         """(reps, orbit_of, sign) on degree_block(k): the surviving orbits'
@@ -206,21 +204,10 @@ class OrbitComplex:
         drops out) and s(y)."""
         if k in self._orbit_cache:
             return self._orbit_cache[k]
-        sk = self.sc.skeleton
         size = self.sc.block_dim(k)
-        whole = sk.whole(k)  # the level the block is, in order, or None
-        gens = []  # (rows, signs) of each generator on the block
-        for perm in self.perms:  # each maps a level, and a degree, to itself
-            if whole is not None:
-                gens.append(perm[whole])
-                continue
-            rows, signs = [0] * size, [1] * size
-            for m, local in sk.positions(k).items():
-                level_rows, level_signs = perm[m]
-                for i, x in local.items():
-                    rows[x] = local[level_rows[i]]
-                    signs[x] = level_signs[i]
-            gens.append((rows, signs))
+        # (rows, signs) of each generator on the block; each maps a level,
+        # and a degree, to itself
+        gens = [self.sc.block_permutation(k, perm) for perm in self.perms]
         sign = [0] * size
         orbit_of = [-1] * size
         reps = []
@@ -254,8 +241,6 @@ class OrbitComplex:
     def total_differential(self, k) -> SparseMatrix:
         """The orbit differential D from degree k to k+1, read off C's
         total_differential(k)."""
-        if k in self._diff_cache:
-            return self._diff_cache[k]
         _, orbit_of, sign = self.orbits(k)
         reps_out = self.orbits(k + 1)[0]
         row_of = {r: o for o, r in enumerate(reps_out)}
@@ -266,16 +251,8 @@ class OrbitComplex:
             if row is None or col < 0:
                 continue
             ent[row, col] = ent.get((row, col), 0) + (v if sign[c] == 1 else -v)
-        mtx = self._diff_cache[k] = SparseMatrix.trusted(
-            len(reps_out), self.block_dim(k), normalise_entries(ent))
-        return mtx
-
-    def differential_rank(self, k, mode: RankMode = EXACT) -> RankResult:
-        """Rank of total_differential(k); each (k, mode) is ranked once."""
-        key = (k, mode)
-        if key not in self._rank_cache:
-            self._rank_cache[key] = rank_info(self.total_differential(k), mode)
-        return self._rank_cache[key]
+        return SparseMatrix.trusted(len(reps_out), self.block_dim(k),
+                                    normalise_entries(ent))
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
@@ -389,8 +366,7 @@ def super_sym_power_dims(h: dict, a: int) -> dict:
     return {q: d for q, d in per_x[a].items() if d}
 
 
-def rhs_dims(h: dict, n: int, degrees=None, allow_truncated: bool = False
-             ) -> dict:
+def rhs_dims(h: dict, n: int, allow_truncated: bool = False) -> dict:
     """The t-degree-n component of the super-symmetric algebra on one copy
     of h per t-power i ≥ 1."""
     support = [k for k, d in h.items() if d]
@@ -405,10 +381,7 @@ def rhs_dims(h: dict, n: int, degrees=None, allow_truncated: bool = False
             term = dims_convolve(term, super_sym_power_dims(h, mult))
         for q, d in term.items():
             total[q] = total.get(q, 0) + d
-    total = {q: d for q, d in total.items() if d}
-    if degrees is not None:
-        total = {q: total.get(q, 0) for q in degrees}
-    return total
+    return {q: d for q, d in total.items() if d}
 
 
 # -- report assembly --------------------------------------------------------

@@ -57,15 +57,13 @@ from .dgcore import (
 from .qlinalg import (
     EXACT,
     RankMode,
-    RankResult,
     SparseMatrix,
     StructuralError,
-    add_pivot,
     column_space_basis,
     kernel_basis,
     normalise_entries,
     rank_info,
-    reduce_row,
+    tagged_reduction,
 )
 
 
@@ -505,7 +503,9 @@ class StandardComplex:
     Everything but the wrap face of d2 lives in a skeleton shared with the
     other live complexes on the same category and object map.  `levels`,
     `row_of`, `d1` and `d2` build a level on first access, so a computation
-    only pays for the levels its degrees read."""
+    only pays for the levels its degrees read.  Other modules read a
+    degree block through block_dim, total_differential and the block
+    coordinates (block_permutation, block_levels, block_vector) alone."""
 
     def __init__(self, category: DgCategory, twist: DgFunctor, max_level: int,
                  normalized: bool):
@@ -526,7 +526,6 @@ class StandardComplex:
         self._diff_cache: dict[int, SparseMatrix] = {}
         self._d1_parts: dict[int, dict] = {}  # see total_differential
         self._d2_parts: dict[int, dict] = {}
-        self._rank_cache: dict[tuple[int, RankMode], RankResult] = {}
         self._homology_cache: dict[int, tuple] = {}
 
     @property
@@ -654,13 +653,6 @@ class StandardComplex:
         self._diff_cache[k] = mtx
         return mtx
 
-    def differential_rank(self, k, mode: RankMode = EXACT) -> RankResult:
-        """Rank of total_differential(k); each (k, mode) is ranked once."""
-        key = (k, mode)
-        if key not in self._rank_cache:
-            self._rank_cache[key] = rank_info(self.total_differential(k), mode)
-        return self._rank_cache[key]
-
     # -- truncation certificates ----------------------------------------
 
     def certified(self, k) -> bool:
@@ -683,24 +675,17 @@ class StandardComplex:
     def homology_basis(self, k):
         """(representatives, boundary_basis) at total degree k; vectors are
         sparse dicts over degree_block(k) coordinates.  Exact arithmetic.
-        The boundary basis is extended greedily by cycles; as in
-        qlinalg.solver, each row is tagged past the last coordinate with the
-        combination of these vectors it is, for homology_coordinates."""
+        The boundary basis is extended greedily by cycles, in one
+        qlinalg.tagged_reduction that also serves homology_coordinates."""
         if k not in self._homology_cache:
             cycles = kernel_basis(self.total_differential(k))
             boundaries = column_space_basis(self.total_differential(k - 1))
-            tag = self.block_dim(k)
-            pivots, reps, rep_of = {}, [], {}  # rep_of: tag column -> rep
-            for j, v in enumerate(boundaries + cycles):
-                r = dict(v)
-                r[tag + j] = 1
-                reduce_row(r, pivots)
-                if min(r) < tag:  # always for a boundary
-                    add_pivot(r, pivots)
-                    if j >= len(boundaries):
-                        rep_of[tag + j] = len(reps)
-                        reps.append(v)
-            self._homology_cache[k] = (reps, boundaries, pivots, rep_of)
+            kept, coordinates = tagged_reduction(boundaries + cycles,
+                                                 self.block_dim(k))
+            nb = len(boundaries)
+            rep_of = {j: i for i, j in enumerate(j for j in kept if j >= nb)}
+            reps = [cycles[j - nb] for j in rep_of]
+            self._homology_cache[k] = (reps, boundaries, coordinates, rep_of)
         return self._homology_cache[k][:2]
 
     def homology_coordinates(self, k):
@@ -708,17 +693,58 @@ class StandardComplex:
         representatives of homology_basis(k), or None when the degree-k
         vector z is not a cycle; one reduction per degree serves every z."""
         self.homology_basis(k)
-        _, _, pivots, rep_of = self._homology_cache[k]
-        tag = self.block_dim(k)
+        _, _, coordinates, rep_of = self._homology_cache[k]
 
-        def coordinates(z: dict):
-            r = {i: v for i, v in z.items() if v}
-            reduce_row(r, pivots)
-            if r and min(r) < tag:
-                return None  # z is not in the span of reps and boundaries
-            return {rep_of[c]: -v for c, v in r.items() if c in rep_of}
+        def of_reps(z: dict):
+            x = coordinates(z)
+            return None if x is None else {rep_of[j]: v for j, v in x.items()
+                                           if j in rep_of}
 
-        return coordinates
+        return of_reps
+
+    # -- block coordinates ------------------------------------------------
+    #
+    # A vector over degree_block(k) is read by level, and written back,
+    # only here: the layout of a block over the levels is the skeleton's.
+
+    def block_permutation(self, k, perm: list) -> tuple:
+        """A chain permutation `perm`, one (rows, signs) pair per level that
+        maps each degree to itself, as one (rows, signs) pair over the
+        positions of degree_block(k): the level's own pair, uncopied, when
+        the block is one whole level."""
+        sk = self.skeleton
+        m = sk.whole(k)
+        if m is not None:
+            return perm[m]
+        size = self.block_dim(k)
+        rows, signs = [0] * size, [1] * size
+        for m, local in sk.positions(k).items():
+            level_rows, level_signs = perm[m]
+            for i, x in local.items():
+                rows[x] = local[level_rows[i]]
+                signs[x] = level_signs[i]
+        return rows, signs
+
+    def block_levels(self, k, vec: dict) -> dict:
+        """A sparse vector over degree_block(k) as {level: {local index:
+        value}}."""
+        runs = self.skeleton._runs(k)
+        starts = list(itertools.accumulate(
+            [len(local) for _, local in runs[:-1]], initial=0))
+        out = {}
+        for j, v in vec.items():
+            x = bisect.bisect_right(starts, j) - 1
+            m, local = runs[x]
+            out.setdefault(m, {})[local[j - starts[x]]] = v
+        return out
+
+    def block_vector(self, k, parts: dict) -> dict:
+        """The inverse of block_levels: {level: {local index: value}} on
+        chains of total degree k as a sparse vector over degree_block(k),
+        without its zeros."""
+        positions = self.skeleton.positions(k)
+        return {positions[m][i]: v for m, vec in parts.items()
+                for i, v in vec.items() if v}
 
 
 def build_complex(c: DgCategory, twist, max_level: int,
@@ -756,16 +782,24 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
                    ) -> HomologySummary:
     """Per-degree homology dimensions with truncation certificates.
 
-    `degrees` iterates total cohomological degrees.
+    `degrees` iterates total cohomological degrees.  `sc` is read through
+    block_dim, total_differential, certified and max_level alone, so a
+    StandardComplex and an invariant subcomplex (decomposition.OrbitComplex)
+    go through the same checks.  Each total differential is read once and
+    ranked once in a call.
     """
-    out = {}
+    diffs, ranks, out = {}, {}, {}
     for k in degrees:
-        d_out = sc.total_differential(k)
-        d_in = sc.total_differential(k - 1)
+        for j in (k, k - 1):
+            if j not in diffs:
+                diffs[j] = sc.total_differential(j)
+        d_out, d_in = diffs[k], diffs[k - 1]
         if not d_out.mul(d_in).is_zero():
             raise StructuralError(f"differential does not square to zero at degree {k}")
-        out_info = sc.differential_rank(k, mode)
-        in_info = sc.differential_rank(k - 1, mode)
+        for j in (k, k - 1):
+            if j not in ranks:
+                ranks[j] = rank_info(diffs[j], mode)
+        out_info, in_info = ranks[k], ranks[k - 1]
         dim = (d_out.cols - out_info.value) - in_info.value
         primes = tuple(p for p, _ in out_info.per_prime)
         agreed = out_info.agreed and in_info.agreed

@@ -134,31 +134,23 @@ def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
     """Push a pair of total-degree (i, j) cycles through Sh; result lives in
     target degree_block(i + j) coordinates."""
     a, b, tgt = sh.a, sh.b, sh.target
-    blk_a = a.degree_block(i)
-    blk_b = b.degree_block(j)
-    tgt_pos = tgt.skeleton.positions(i + j)
-    by_col = {}  # (k, l) -> {column: [(row, value), ...]}, indexed on use
-    out = {}
-    for pa, ca in za.items():
-        k, ia = blk_a[pa]
-        for pb, cb in zb.items():
-            l, ib = blk_b[pb]
+    parts_b = b.block_levels(j, zb)
+    parts = {}  # target level -> {row: value}
+    for k, xa in a.block_levels(i, za).items():
+        for l, xb in parts_b.items():
             if (k, l) not in sh.blocks:
                 raise StructuralError(
                     f"needed shuffle block ({k},{l}) outside truncation")
-            if (k, l) not in by_col:
-                index = by_col[(k, l)] = {}
-                for (r, c), v in sh.blocks[(k, l)].entries.items():
-                    index.setdefault(c, []).append((r, v))
-            col = ia * len(b.levels[l]) + ib
-            for r, v in by_col[(k, l)].get(col, ()):
-                key = tgt_pos[k + l][r]
-                s = out.get(key, 0) + v * ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return out
+            index = {}  # column -> [(row, value), ...]
+            for (r, c), v in sh.blocks[(k, l)].entries.items():
+                index.setdefault(c, []).append((r, v))
+            nb = len(b.levels[l])
+            acc = parts.setdefault(k + l, {})
+            for ia, ca in xa.items():
+                for ib, cb in xb.items():
+                    for r, v in index.get(ia * nb + ib, ()):
+                        acc[r] = acc.get(r, 0) + v * ca * cb
+    return tgt.block_vector(i + j, parts)
 
 
 @dataclass

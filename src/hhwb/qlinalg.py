@@ -527,29 +527,42 @@ def projector_invariant_dim(p: SparseMatrix, mode: RankMode = EXACT) -> int:
     return r
 
 
-def solver(m: SparseMatrix):
-    """b -> solve(m, b) for many b at the cost of one reduction: the columns
-    of m, in order, each tagged with the combination of columns it is, are
-    reduced once; a column in the span of earlier ones is dropped, so x is
-    zero there, as rref puts it."""
-    cols = _row_dicts(m.transpose())
-    tag = m.rows  # column j is tagged at tag + j, past every row
-    pivots = {}
-    for j in range(m.cols):
-        r = cols.get(j, {})
+def tagged_reduction(vectors, tag: int):
+    """(kept, coordinates) from one reduction of `vectors`, sparse dicts
+    over coordinates below `tag`: vector j, tagged at tag + j with the
+    combination of vectors it is, is reduced against those before it and
+    kept, in `kept`, when it is independent of them.  coordinates(b) is
+    {j: x_j} with b = Σ x_j·vectors[j] over kept j, or None when b is not
+    in their span; one reduction serves every b."""
+    pivots, kept = {}, []
+    for j, v in enumerate(vectors):
+        r = dict(v)
         r[tag + j] = 1
         reduce_row(r, pivots)
         if min(r) < tag:
             add_pivot(r, pivots)
+            kept.append(j)
 
-    def solve_for(b: dict):
-        r = {i: _entry(v) for i, v in b.items() if v and 0 <= i < tag}
+    def coordinates(b: dict):
+        r = {i: v for i, v in b.items() if v}
         reduce_row(r, pivots)
         if r and min(r) < tag:
-            return None  # b is not in the column space
+            return None  # b is not in the span
         return {c - tag: -v for c, v in r.items()}
 
-    return solve_for
+    return kept, coordinates
+
+
+def solver(m: SparseMatrix):
+    """b -> solve(m, b) for many b at the cost of one reduction of the
+    columns of m (tagged_reduction); a column in the span of earlier ones
+    is dropped, so x is zero there, as rref puts it."""
+    cols = _row_dicts(m.transpose())
+    tag = m.rows
+    _, coordinates = tagged_reduction(
+        (cols.get(j, {}) for j in range(m.cols)), tag)
+    return lambda b: coordinates(
+        {i: _entry(v) for i, v in b.items() if v and 0 <= i < tag})
 
 
 def solve(m: SparseMatrix, b: dict):

@@ -8,7 +8,10 @@ import pytest
 
 from hhwb import cli, decomposition
 from hhwb.cli import EXIT_INTERNAL, main
-from hhwb.qlinalg import StructuralError
+from hhwb.hochschild import TwistSpec, build_complex, total_homology
+from hhwb.qlinalg import EXACT, StructuralError
+
+from conftest import square_zero_with_diff
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GROUND = str(FIXTURES / "ground_field.json")
@@ -234,6 +237,49 @@ def test_compute_loads_neither_decomposition_nor_kunneth(tmp_path):
     assert "hhwb.kunneth" not in modules
 
 
+def test_compute_reads_json_diff_entries(tmp_path, capsys):
+    # T = conftest.square_zero_with_diff, d(u) = v, written as JSON
+    data = {
+        "name": "T",
+        "objects": ["*"],
+        "homs": [{"name": "1", "src": "*", "tgt": "*", "degree": 0},
+                 {"name": "u", "src": "*", "tgt": "*", "degree": 0},
+                 {"name": "v", "src": "*", "tgt": "*", "degree": 1}],
+        "units": {"*": "1"},
+        "compose": [{"g": g, "f": f, "result": []}
+                    for g in ("u", "v") for f in ("u", "v")],
+        "diff": [{"basis": "u", "result": [{"basis": "v", "num": 1}]}],
+    }
+    argv = ["--mode", "exact", "--max-level", "4", "--degrees=-3..1"]
+    dims = {}
+    for name, diff in (("T", data["diff"]), ("T0", [])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dict(data, diff=diff)))
+        rep = run_json(capsys, "compute", str(path), *argv)
+        dims[name] = {int(k): v["dim"] for k, v in rep["results"].items()}
+    sc = build_complex(square_zero_with_diff(), TwistSpec.identity(), 4)
+    assert dims["T"] == total_homology(sc, range(-3, 2), EXACT).dims()
+    assert dims["T"] != dims["T0"]  # so the diff entry was read
+
+
+@pytest.mark.parametrize("verb,argv", [
+    ("compute", []),
+    ("decompose", ["--n", "2"]),
+])
+def test_invalid_category_exits_1_with_no_report(tmp_path, capsys, verb,
+                                                 argv):
+    cdir, out = tmp_path / "cache", tmp_path / "report.json"
+    code, stdout, err = run(capsys, verb, BROKEN, *argv, "--max-level", "2",
+                            "--degrees=-1..0", "--cache-dir", str(cdir),
+                            "--out", str(out))
+    assert code == cli.EXIT_MISMATCH == 1
+    assert "associativity fails" in err
+    assert "Traceback" not in err
+    assert stdout == ""
+    assert not out.exists()
+    assert not list(cdir.glob("*.json"))
+
+
 # -- decompose --------------------------------------------------------------
 
 
@@ -261,6 +307,51 @@ def test_decompose_heuristic_exit_code(capsys):
     rep = json.loads(out)
     assert rep["results"]["verdicts"]["-2"] == "Heuristic"
     assert rep["results"]["verdicts"]["0"] == "Equal"
+
+
+def test_decompose_cache_hit_is_byte_identical(tmp_path, capsys,
+                                               monkeypatch):
+    cdir = tmp_path / "cache"
+
+    def decompose(csv):
+        code, out, err = run(capsys, "decompose", DUAL, "--n", "2",
+                             "--max-level", "3", "--degrees=-2..0",
+                             "--cache-dir", str(cdir), "--csv", str(csv))
+        return code, out, csv.read_text()
+
+    first = decompose(tmp_path / "first.csv")
+
+    def crash(*args, **kwargs):
+        raise AssertionError("a cache hit runs no decomposition")
+
+    monkeypatch.setattr(decomposition, "verify_decomposition", crash)
+    second = decompose(tmp_path / "second.csv")
+    assert first == second  # exit code, payload (timings and all), CSV
+    assert first[0] == 0
+    assert first[2].splitlines()[1] == "0,5,5,Equal"
+    assert len(list(cdir.glob("*.json"))) == 1
+
+
+def test_mismatch_verdict_exits_1(tmp_path, capsys, monkeypatch):
+    rhs_dims = decomposition.rhs_dims
+
+    def one_too_many(h, n, **kwargs):
+        out = rhs_dims(h, n, **kwargs)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(decomposition, "rhs_dims", one_too_many)
+    csv = tmp_path / "table.csv"
+    code, out, err = run(capsys, "decompose", DUAL, "--n", "2",
+                         "--max-level", "3", "--degrees=-2..0",
+                         "--csv", str(csv))
+    assert code == cli.EXIT_MISMATCH == 1, err
+    res = json.loads(out)["results"]
+    assert res["verdicts"] == {"0": "Mismatch", "-1": "Equal", "-2": "Equal"}
+    assert res["lhs_totals"]["0"] == 5 and res["rhs_totals"]["0"] == 6
+    assert csv.read_text().splitlines() == [
+        "degree,lhs,rhs,verdict", "0,5,6,Mismatch", "-1,3,3,Equal",
+        "-2,3,3,Equal"]
 
 
 @pytest.mark.parametrize("verb,argv,code", [

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 import sympy
 
-from hhwb import decomposition
+from hhwb import decomposition, hochschild
 from hhwb.chainmaps import homology_action, induced_chain_map
 from hhwb.decomposition import (
     CentralizerPresentation,
@@ -208,10 +208,11 @@ def test_rhs_matches_series_oracle(n):
 
 def test_rhs_known_values_for_dual_numbers():
     h = {0: 2, -1: 1, -2: 1, -3: 1}
-    two = rhs_dims(h, 2, degrees=[0, -1, -2, -3])
-    assert two == {0: 5, -1: 3, -2: 3, -3: 4}
-    three = rhs_dims(h, 3, degrees=[0, -1, -2])
-    assert three == {0: 10, -1: 8, -2: 9}
+    two = rhs_dims(h, 2)
+    assert {k: two.get(k, 0) for k in [0, -1, -2, -3]} == {
+        0: 5, -1: 3, -2: 3, -3: 4}
+    three = rhs_dims(h, 3)
+    assert {k: three.get(k, 0) for k in [0, -1, -2]} == {0: 10, -1: 8, -2: 9}
 
 
 def test_rhs_mixed_sign_refused():
@@ -500,14 +501,25 @@ def test_decomposition_reports_prime_agreement(D):
 
 
 def test_decomposition_reports_orbit_rank_disagreement(D, monkeypatch):
-    # a disagreement on an orbit-complex rank must reach `agreed`
-    rank_info = decomposition.rank_info
+    # a disagreement on an orbit-complex rank alone must reach `agreed`
+    rank_info = hochschild.rank_info
+    orbit_differential = decomposition.OrbitComplex.total_differential
+    orbit_matrices = []  # every matrix an orbit complex handed out
+
+    def recording(self, k):
+        mtx = orbit_differential(self, k)
+        orbit_matrices.append(mtx)
+        return mtx
 
     def disagreeing(m, mode=EXACT):
         r = rank_info(m, mode)
+        if not any(m is x for x in orbit_matrices):
+            return r
         return r._replace(per_prime=((1048583, r.value), (1048589, -1)))
 
-    monkeypatch.setattr(decomposition, "rank_info", disagreeing)
+    monkeypatch.setattr(decomposition.OrbitComplex, "total_differential",
+                        recording)
+    monkeypatch.setattr(hochschild, "rank_info", disagreeing)
     rep = verify_decomposition(D, 2, [0, -1], max_level=3,
                                mode=RankMode.modular())
     assert rep.agreed == {0: False, -1: False}
