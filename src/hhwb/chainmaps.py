@@ -85,7 +85,7 @@ def induced_chain_map(phi: DgFunctor, alpha: NatTransform,
                       ) -> ChainMapData:
     """Chain map sending a0[a1|...|am] to (alpha_{c0} ∘ phi(a0))[phi(a1)|...],
     checked to commute with d1 and d2."""
-    diags = validate_nat_transform(alpha, require_closed=True)
+    diags = validate_nat_transform(alpha)
     if diags or alpha.degree != 0:
         raise StructuralError(f"invalid coefficient transform: {diags}")
     # alpha must run from phi∘F to F'∘phi

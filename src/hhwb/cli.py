@@ -61,32 +61,54 @@ def _lincomb(entries, where: str) -> dict:
     return {b: c for b, c in out.items() if c}
 
 
+def _str(x) -> str:
+    """x, which the input must give as a string: an object or basis name."""
+    if not isinstance(x, str):
+        raise TypeError(f"{x!r} is not a string")
+    return x
+
+
+def _section(data: dict, key: str, kind: type, required: bool):
+    """data[key], which must be a JSON array (kind list) or object (kind
+    dict); an absent optional key reads as an empty one."""
+    if key not in data:
+        if required:
+            raise InputError(f"missing top-level key {key!r}")
+        return kind()
+    if not isinstance(data[key], kind):
+        raise InputError(f"top-level key {key!r} must be a JSON "
+                         f"{'array' if kind is list else 'object'}")
+    return data[key]
+
+
 def category_from_dict(data: dict) -> DgCategory:
+    objects = _section(data, "objects", list, True)
+    homs = _section(data, "homs", list, True)
+    units = _section(data, "units", dict, True)
     try:
-        objects = list(data["objects"])
-        homs = data["homs"]
-        units = dict(data["units"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"missing or malformed top-level key: {exc}")
+        objects = [_str(o) for o in objects]
+        units = {o: _str(u) for o, u in units.items()}
+    except TypeError as exc:
+        raise InputError(f"bad objects or units ({exc})")
     basis = {}
     for h in homs:
         try:
-            basis[h["name"]] = BasisInfo(h["src"], h["tgt"],
-                                         int(h.get("degree", 0)))
+            basis[_str(h["name"])] = BasisInfo(_str(h["src"]), _str(h["tgt"]),
+                                               int(h.get("degree", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad hom entry {h!r} ({exc})")
     compose = {}
-    for entry in data.get("compose", []):
+    for entry in _section(data, "compose", list, False):
         try:
-            key = (entry["g"], entry["f"])
+            key = (_str(entry["g"]), _str(entry["f"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad compose entry {entry!r} ({exc})")
         compose[key] = _lincomb(entry.get("result", []),
                                 f"compose {key[0]}∘{key[1]}")
     diff = {}
-    for entry in data.get("diff", []):
+    for entry in _section(data, "diff", list, False):
         try:
-            b = entry["basis"]
+            b = _str(entry["basis"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad diff entry {entry!r} ({exc})")
         diff[b] = _lincomb(entry.get("result", []), f"diff {b}")
@@ -100,9 +122,11 @@ def category_from_dict(data: dict) -> DgCategory:
 
 def functor_from_dict(c: DgCategory, data: dict) -> DgFunctor:
     try:
-        obj_map = dict(data["obj_map"])
+        obj_map, hom_map = data["obj_map"], data["hom_map"]
+        if not (isinstance(obj_map, dict) and isinstance(hom_map, dict)):
+            raise TypeError("obj_map and hom_map must be JSON objects")
         hom_map = {b: _lincomb(v, f"functor hom {b}")
-                   for b, v in data["hom_map"].items()}
+                   for b, v in hom_map.items()}
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad functor entry ({exc})")
     return DgFunctor(c, c, obj_map, hom_map, name=data.get("name", "functor"))
@@ -132,18 +156,27 @@ def parse_twist(s: str | None) -> TwistSpec:
     n = int(m.group(1))
     if n < 1:
         raise InputError(f"bad twist {s!r}: needs at least one tensor factor")
-    cycles = []
     rest = m.group(2).strip()
-    for grp in re.findall(r"\(([^)]*)\)", rest):
-        entries = tuple(int(x) for x in grp.replace(",", " ").split())
-        if entries:
-            cycles.append(entries)
     if re.sub(r"\([^)]*\)", "", rest).strip():
         raise InputError(f"bad cycle notation in twist {s!r}")
-    try:
-        return TwistSpec.perm(n, Permutation.from_cycles(n, cycles))
-    except (ValueError, IndexError) as exc:
-        raise InputError(f"bad twist {s!r}: {exc}")
+    cycles, seen = [], set()
+    for grp in re.findall(r"\(([^)]*)\)", rest):
+        # each entry an integer in 1..n, and none in two places, so that
+        # the cycles are disjoint and name one permutation
+        cycle = []
+        for x in grp.replace(",", " ").split():
+            i = int(x) if x.isdecimal() else 0
+            if not 1 <= i <= n:
+                raise InputError(f"bad twist {s!r}: cycle ({grp}) has entry "
+                                 f"{x}, not one of 1..{n}")
+            if i in seen:
+                raise InputError(f"bad twist {s!r}: cycle ({grp}) repeats "
+                                 f"entry {x}")
+            seen.add(i)
+            cycle.append(i)
+        if cycle:
+            cycles.append(tuple(cycle))
+    return TwistSpec.perm(n, Permutation.from_cycles(n, cycles))
 
 
 def parse_degrees(s: str | None, max_level: int) -> list:
@@ -219,14 +252,14 @@ def cache_put(cdir: str | None, key: str, payload: bytes):
 # -- output -----------------------------------------------------------------
 
 
-def emit(payload: bytes, args, csv_rows=None, csv_header=None):
+def emit(payload: bytes, args, csv_rows, csv_header):
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload.decode())
         sys.stdout.write("\n")
-    if getattr(args, "csv", None) and csv_rows is not None:
+    if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(csv_header + "\n")
             for row in csv_rows:
@@ -256,7 +289,7 @@ def cmd_validate(args) -> int:
     raw, data = load_input(args.path)
     cat = category_from_dict(data)
     diags = validate_category(cat)
-    for fdata in data.get("functors", []):
+    for fdata in _section(data, "functors", list, False):
         f = functor_from_dict(cat, fdata)
         diags += [f"functor {f.name}: {d}" for d in validate_functor(f)]
     if diags:
@@ -411,9 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_input=True):
-        if with_input:
-            sp.add_argument("path", help="category description (JSON)")
+    def common(sp):
+        sp.add_argument("path", help="category description (JSON)")
         sp.add_argument("--max-level", type=int, default=5)
         norm = sp.add_mutually_exclusive_group()
         norm.add_argument("--normalized", dest="normalized",

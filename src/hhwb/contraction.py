@@ -321,14 +321,14 @@ def quotient_bimodule(m: FiniteBimodule, vectors) -> FiniteBimodule:
     return out
 
 
-def random_bimodule(a: FiniteAlgebra, seed: int, generators: int = 2
-                    ) -> FiniteBimodule:
-    """Seeded random quotient of the free rank-1 A2^e module."""
+def random_bimodule(a: FiniteAlgebra, seed: int) -> FiniteBimodule:
+    """Seeded random quotient of the free rank-1 A2^e module by two random
+    vectors."""
     sq = algebra_square(a)
     free = free_env_module(sq)
     rng = random.Random(seed)
     vecs = []
-    for _ in range(generators):
+    for _ in range(2):
         vec = {i: Fraction(rng.randint(-2, 2)) for i in range(free.dim)}
         vec = {i: v for i, v in vec.items() if v}
         if vec:

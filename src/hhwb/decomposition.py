@@ -159,14 +159,11 @@ def centralizer_gens(lam: Partition) -> CentralizerPresentation:
 
 
 def _lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,
-                    normalized: bool = True,
-                    power: DgCategory | None = None) -> StandardComplex:
-    """The complex of c^{⊗n} twisted by σ_λ, on `power` when given.  Live
-    complexes on one power share its skeleton (hochschild._Skeleton)
-    wherever their twists agree on objects, which every one-object c
-    gives."""
-    if power is None:
-        power = tensor_power(c, n)
+                    normalized: bool, power: DgCategory) -> StandardComplex:
+    """The complex of c^{⊗n} twisted by σ_λ, on `power`, the n-th tensor
+    power of c.  Live complexes on one power share its skeleton
+    (hochschild._Skeleton) wherever their twists agree on objects, which
+    every one-object c gives."""
     return build_complex(power, permutation_functor(c, n, sigma_of(lam),
                                                     power=power),
                          max_level, normalized=normalized)
@@ -199,7 +196,7 @@ class OrbitComplex:
         self._orbit_cache: dict = {}
 
     def orbits(self, k):
-        """(reps, orbit_of, sign) on degree_block(k): the surviving orbits'
+        """(reps, orbit_of, sign) on block k: the surviving orbits'
         representatives, each position's orbit index (-1 when its orbit
         drops out) and s(y)."""
         if k in self._orbit_cache:
@@ -273,45 +270,37 @@ def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
     return perm
 
 
-def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
-                   max_level: int, normalized: bool = True,
-                   mode: RankMode = EXACT, _sc: StandardComplex | None = None,
-                   _summary: HomologySummary | None = None,
-                   _pres: CentralizerPresentation | None = None,
-                   _used: dict | None = None,
-                   _perms: dict | None = None) -> dict:
-    """Dimensions of the S-invariants of the λ-summand per degree.
+def invariant_dims(c: DgCategory, sc: StandardComplex,
+                   summary: HomologySummary, pres: CentralizerPresentation,
+                   degrees, mode: RankMode, perms: dict) -> tuple[dict, dict]:
+    """Dimensions of the S-invariants of the λ-summand per degree, and per
+    degree the DegreeResults of the orbit complexes they used.
 
-    Each is the homology of the signed-orbit complex C^S (OrbitComplex),
-    or of the λ complex C itself when S is trivial.  Every generator's
+    `sc` is the λ complex C on a tensor power of c, `summary` its homology
+    in (at least) `degrees` and `pres` its centralizer presentation;
+    `perms` caches the chain permutations (_checked_chain_permutation).
+    Each dimension is the homology of the signed-orbit complex C^S
+    (OrbitComplex), or of C itself when S is trivial.  Every generator's
     chain permutation is checked to commute with the differential.
     Rotations act trivially on homology, so only the block-permutation part
     S of the centralizer is needed; this is checked as the identity
-    dim H(C^<c>) = dim H(C).  When given, `_summary` is C's homology and
-    `_pres` its centralizer presentation, `_used` gets, per degree, the
-    DegreeResults of the orbit complexes, and `_perms` caches the chain
-    permutations (_checked_chain_permutation).
+    dim H(C^<c>) = dim H(C).
     """
-    sc = _sc if _sc is not None else _lambda_complex(c, n, lam, max_level,
-                                                     normalized)
     for k in degrees:
         if not sc.certified(k):
             raise StructuralError(
                 f"degree {k} lacks an exact truncation certificate")
-    full = (_summary if _summary is not None
-            else total_homology(sc, degrees, mode)).dims()
-    pres = _pres if _pres is not None else centralizer_gens(lam)
+    full = summary.dims()
     levels = sc.skeleton.levels_near(degrees)
-    cache = _perms if _perms is not None else {}
+    used = {k: [] for k in degrees}
 
     def orbit_dims(gens) -> dict:
-        perms = [_checked_chain_permutation(c, sc, g, levels, cache)
+        group = [_checked_chain_permutation(c, sc, g, levels, perms)
                  for g in gens]
-        summary = total_homology(OrbitComplex(sc, perms), degrees, mode)
-        if _used is not None:
-            for k in degrees:
-                _used[k].append(summary.degrees[k])
-        return summary.dims()
+        orbits = total_homology(OrbitComplex(sc, group), degrees, mode)
+        for k in degrees:
+            used[k].append(orbits.degrees[k])
+        return orbits.dims()
 
     out = (orbit_dims(pres.s_generators) if pres.s_generators
            else {k: full[k] for k in degrees})
@@ -322,7 +311,7 @@ def invariant_dims(c: DgCategory, n: int, lam: Partition, degrees,
                 raise StructuralError(
                     f"rotations act non-trivially in degree {k}: "
                     f"dim H(C^<c>) = {rotated[k]} != dim H(C) = {full[k]}")
-    return out
+    return out, used
 
 
 def dims_convolve(h1: dict, h2: dict) -> dict:
@@ -490,9 +479,10 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         for k in degrees:
             used[k].append(summary.degrees[k])
         action_degrees = [k for k in degrees if certified[k]]
-        inv = invariant_dims(c, n, lam, action_degrees, max_level, normalized,
-                             mode=mode, _sc=sc, _summary=summary,
-                             _pres=pres[lam], _used=used, _perms=chain_perms)
+        inv, orbit_results = invariant_dims(c, sc, summary, pres[lam],
+                                            action_degrees, mode, chain_perms)
+        for k, results in orbit_results.items():
+            used[k] += results
         per_partition.append(PartitionSummary(
             partition=lam,
             twisted={k: summary.degrees[k].dim for k in degrees},

@@ -23,8 +23,7 @@ integral presentation gives matrices of plain ints, and the d^2 = 0
 check, the equivariance check and rank mod p all run on ints.  A level's
 d1 and d2 are built once and never copied: a total-degree block from one
 whole level to the whole level below is that level's d2, and any other
-block takes its part of a level that spans several degrees from one
-split of the level.
+block reads its entries off the d1 and d2 of each level it meets.
 
 Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
 object map.  Everything else (the basis tables, the chain catalog and its
@@ -430,13 +429,9 @@ class _Skeleton:
                         runs.append((m, local))
         return runs
 
-    def degree_block(self, k) -> list[tuple[int, int]]:
-        """Global coordinates of total degree k, (level, local index) in
-        level order; a fresh list on each call."""
-        return [(m, i) for m, local in self._runs(k) for i in local]
-
     def positions(self, k) -> dict[int, dict[int, int]]:
-        """{level: {local index: position}} of degree_block(k), built once."""
+        """{level: {local index: position}} of block k, the chains of total
+        degree k level by level, each level's in order; built once."""
         out = self._positions.get(k)
         if out is None:
             out = self._positions[k] = {}
@@ -447,30 +442,14 @@ class _Skeleton:
         return out
 
     def whole(self, k):
-        """The level that degree_block(k) is, whole and in order, or None
-        (a block lists each level's chains in order)."""
+        """The level that block k is, whole and in order, or None (a block
+        lists each level's chains in order)."""
         runs = self._runs(k)
         if len(runs) == 1:
             m, local = runs[0]
             if len(local) == len(self.levels[m]):
                 return m
         return None
-
-    def split(self, cache: dict, m, mtx: SparseMatrix) -> dict:
-        """The entries of mtx, a map from level m, as {internal degree of
-        the column: (keys, values)}, kept in cache[m] for a caller that pops
-        each part as it uses it, so a level is read once, not per degree."""
-        if m not in cache:
-            degree_of = [0] * mtx.cols
-            for d, cols in self._by_degree[m].items():
-                for c in cols:
-                    degree_of[c] = d
-            cache[m] = parts = {d: ([], []) for d in self._by_degree[m]}
-            for key, v in mtx.entries.items():
-                keys, values = parts[degree_of[key[1]]]
-                keys.append(key)
-                values.append(v)
-        return cache[m]
 
 
 # (id(category), object images, max level, normalized) -> skeleton; a
@@ -524,8 +503,6 @@ class StandardComplex:
                        for b in self.basis_ids]
         self._d2: list = [None] * (max_level + 1)
         self._diff_cache: dict[int, SparseMatrix] = {}
-        self._d1_parts: dict[int, dict] = {}  # see total_differential
-        self._d2_parts: dict[int, dict] = {}
         self._homology_cache: dict[int, tuple] = {}
 
     @property
@@ -611,18 +588,14 @@ class StandardComplex:
 
     # -- total-degree bookkeeping ---------------------------------------
 
-    def degree_block(self, k) -> list[tuple[int, int]]:
-        """Global coordinates of total degree k: list of (level, local index)."""
-        return self.skeleton.degree_block(k)
-
     def block_dim(self, k) -> int:
         return sum(len(local) for _, local in self.skeleton._runs(k))
 
     def total_differential(self, k) -> SparseMatrix:
         """The map from total degree k to total degree k+1: d2[m] itself
         when blocks k and k+1 are the whole levels m and m-1 (level m has
-        no chains of degree k+1, so d1[m] adds nothing), else read off each
-        level's d1 and d2 once, split by degree (see _Skeleton.split)."""
+        no chains of degree k+1, so d1[m] adds nothing), else read off the
+        d1 and d2 of each level that block k meets."""
         mtx = self._diff_cache.get(k)
         if mtx is not None:
             return mtx
@@ -635,19 +608,16 @@ class StandardComplex:
             ent = {}
             for m, cols in sk.positions(k).items():
                 # d2 lands one level below d1, so the two never share an entry
-                for cache, d, rows in (
-                        (self._d1_parts, self.d1, rows_at.get(m)),
-                        (self._d2_parts, self.d2, rows_at.get(m - 1))):
+                for d, rows in ((self.d1, rows_at.get(m)),
+                                (self.d2, rows_at.get(m - 1))):
                     if rows is None:
                         continue
-                    if len(cols) == len(sk.levels[m]):  # all in degree k
-                        entries = d[m].entries.items()
-                    else:
-                        entries = zip(*sk.split(cache, m, d[m]).pop(k + m))
-                    for (r, c), v in entries:
-                        i = rows.get(r)
-                        if i is not None:
-                            ent[i, cols[c]] = v
+                    for (r, c), v in d[m].entries.items():
+                        j = cols.get(c)
+                        if j is not None:
+                            i = rows.get(r)
+                            if i is not None:
+                                ent[i, j] = v
             mtx = SparseMatrix.trusted(self.block_dim(k + 1), self.block_dim(k),
                                        ent)
         self._diff_cache[k] = mtx
@@ -674,7 +644,7 @@ class StandardComplex:
 
     def homology_basis(self, k):
         """(representatives, boundary_basis) at total degree k; vectors are
-        sparse dicts over degree_block(k) coordinates.  Exact arithmetic.
+        sparse dicts over the positions of block k.  Exact arithmetic.
         The boundary basis is extended greedily by cycles, in one
         qlinalg.tagged_reduction that also serves homology_coordinates."""
         if k not in self._homology_cache:
@@ -704,13 +674,14 @@ class StandardComplex:
 
     # -- block coordinates ------------------------------------------------
     #
-    # A vector over degree_block(k) is read by level, and written back,
-    # only here: the layout of a block over the levels is the skeleton's.
+    # A vector over block k (the chains of total degree k, level by level)
+    # is read by level, and written back, only here: the layout of a block
+    # over the levels is the skeleton's.
 
     def block_permutation(self, k, perm: list) -> tuple:
         """A chain permutation `perm`, one (rows, signs) pair per level that
         maps each degree to itself, as one (rows, signs) pair over the
-        positions of degree_block(k): the level's own pair, uncopied, when
+        positions of block k: the level's own pair, uncopied, when
         the block is one whole level."""
         sk = self.skeleton
         m = sk.whole(k)
@@ -726,8 +697,7 @@ class StandardComplex:
         return rows, signs
 
     def block_levels(self, k, vec: dict) -> dict:
-        """A sparse vector over degree_block(k) as {level: {local index:
-        value}}."""
+        """A sparse vector over block k as {level: {local index: value}}."""
         runs = self.skeleton._runs(k)
         starts = list(itertools.accumulate(
             [len(local) for _, local in runs[:-1]], initial=0))
@@ -740,8 +710,8 @@ class StandardComplex:
 
     def block_vector(self, k, parts: dict) -> dict:
         """The inverse of block_levels: {level: {local index: value}} on
-        chains of total degree k as a sparse vector over degree_block(k),
-        without its zeros."""
+        chains of total degree k as a sparse vector over block k, without
+        its zeros."""
         positions = self.skeleton.positions(k)
         return {positions[m][i]: v for m, vec in parts.items()
                 for i, v in vec.items() if v}
@@ -813,15 +783,14 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
 
 
 def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
-                             levels=None) -> list:
+                             levels) -> list:
     """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
     automorphism phi that sends every basis morphism to ±1 times another.
 
     One pair (rows, signs) per level m, two flat arrays as long as the
     level: chain i goes to signs[i] times chain rows[i], with signs[i] in
     {1, -1}; arrays hold the rows as machine ints, where a list would hold
-    an int object per chain.  Only the levels in `levels` (default: all)
-    are built; the
+    an int object per chain.  Only the levels in `levels` are built; the
     others are None.  This is the chain map of phi whose coefficient
     transform is the unit at F(phi(c0)); it is a chain map only when phi
     commutes with the twist F, which check_equivariant verifies.
@@ -840,7 +809,7 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
         sign.append(int(v))
 
     signed = -1 in sign
-    wanted = range(sc.max_level + 1) if levels is None else set(levels)
+    wanted = set(levels)
     sk = sc.skeleton
     perm = []
     for m in range(sc.max_level + 1):
@@ -874,13 +843,13 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
     return perm
 
 
-def check_equivariant(sc: StandardComplex, perm: list, levels=None) -> None:
+def check_equivariant(sc: StandardComplex, perm: list, levels) -> None:
     """Raise StructuralError unless the signed chain permutation `perm`
     commutes with d1 and d2: d[g r, g c] = s(r) s(c) d[r, c] for every
-    nonzero entry of d1[m] and d2[m], for each m in `levels` (default:
-    all).  `perm` is a bijection on each level (as signed_chain_permutation
-    ensures), so this maps the nonzero entries of each block injectively
-    into themselves, which makes g d = d g exact."""
+    nonzero entry of d1[m] and d2[m], for each m in `levels`.  `perm` is
+    a bijection on each level (as signed_chain_permutation ensures), so
+    this maps the nonzero entries of each block injectively into
+    themselves, which makes g d = d g exact."""
 
     def respects(mtx, row_perm, col_perm) -> bool:
         ent = mtx.entries
@@ -892,7 +861,7 @@ def check_equivariant(sc: StandardComplex, perm: list, levels=None) -> None:
                 return False
         return True
 
-    for m in range(sc.max_level + 1) if levels is None else levels:
+    for m in levels:
         if not respects(sc.d1[m], perm[m], perm[m]):
             raise StructuralError(
                 f"chain permutation does not commute with the internal "

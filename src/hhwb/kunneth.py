@@ -11,9 +11,9 @@ import itertools
 from dataclasses import dataclass
 
 from .decomposition import dims_convolve  # defined there, kept importable here
-from .dgcore import _tensor_id, functor_equal, tensor, tensor_functor
+from .dgcore import _tensor_id, functor_equal, tensor_functor
 from .hochschild import StandardComplex
-from .qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank
+from .qlinalg import SparseMatrix, StructuralError, rank
 
 
 @dataclass
@@ -28,12 +28,7 @@ class ShuffleMap:
 
 
 def shuffle_map(a: StandardComplex, b: StandardComplex,
-                target: StandardComplex | None = None) -> ShuffleMap:
-    if target is None:
-        cat_t = tensor(a.category, b.category)
-        twist = tensor_functor(a.twist, b.twist, cat_t, cat_t)
-        target = StandardComplex(cat_t, twist, max(a.max_level, b.max_level),
-                                 a.normalized)
+                target: StandardComplex) -> ShuffleMap:
     if target.normalized != a.normalized or target.normalized != b.normalized:
         raise StructuralError("normalization modes of factors and target differ")
     expected_twist = tensor_functor(a.twist, b.twist,
@@ -131,8 +126,8 @@ def verify_shuffle_chain_map(sh: ShuffleMap) -> list[str]:
 
 
 def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
-    """Push a pair of total-degree (i, j) cycles through Sh; result lives in
-    target degree_block(i + j) coordinates."""
+    """Push a pair of total-degree (i, j) cycles through Sh; the result is
+    a vector over the target's block i + j."""
     a, b, tgt = sh.a, sh.b, sh.target
     parts_b = b.block_levels(j, zb)
     parts = {}  # target level -> {row: value}
@@ -176,8 +171,7 @@ class KunnethReport:
 
 
 def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
-                   target: StandardComplex | None = None,
-                   mode: RankMode = EXACT) -> KunnethReport:
+                   target: StandardComplex) -> KunnethReport:
     sh = shuffle_map(a, b, target)
     tgt = sh.target
     chain_diags = verify_shuffle_chain_map(sh)
@@ -213,11 +207,11 @@ def kunneth_verify(a: StandardComplex, b: StandardComplex, degrees,
                     cols.update(((r, ncol), v) for r, v in x.items())
                     ncol += 1
         induced = SparseMatrix(h_t, ncol, cols)
-        out[kdeg] = DegreeKunneth(conv, h_t, rank(induced, mode), certified)
+        out[kdeg] = DegreeKunneth(conv, h_t, rank(induced), certified)
     return KunnethReport(chain_diags, out)
 
 
-def s2_check(a: StandardComplex, target: StandardComplex | None = None) -> list[str]:
+def s2_check(a: StandardComplex, target: StandardComplex) -> list[str]:
     """Sh ∘ (Koszul swap of complex factors) = (swap functor, id)_* ∘ Sh,
     as exact matrix identities on all constructed blocks."""
     from .chainmaps import induced_chain_map

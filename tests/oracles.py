@@ -19,6 +19,7 @@ from hhwb.dgcore import (
     NatTransform,
     Permutation,
     compose_functors,
+    tensor_power,
 )
 from hhwb.hochschild import HomologySummary, StandardComplex, total_homology
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank
@@ -66,6 +67,13 @@ def identity_chain_map(sc: StandardComplex) -> ChainMapData:
                         [SparseMatrix.identity(len(lv)) for lv in sc.levels])
 
 
+def degree_block(sc: StandardComplex, k) -> list:
+    """The chains of total degree k as (level, local index), in the order
+    of the positions of block k."""
+    return [(m, i) for m, local in sc.skeleton.positions(k).items()
+            for i in local]
+
+
 # -- decomposition -----------------------------------------------------------
 
 
@@ -92,8 +100,25 @@ def twisted_summand_dims(c: DgCategory, n: int, lam: Partition, degrees,
     """Homology of the n-th tensor power twisted by σ_λ, before invariants."""
     if lam.n != n:
         raise StructuralError(f"{lam} is not a partition of {n}")
-    sc = _lambda_complex(c, n, lam, max_level, normalized)
+    sc = _lambda_complex(c, n, lam, max_level, normalized, tensor_power(c, n))
     return total_homology(sc, degrees, mode=mode)
+
+
+def lambda_invariant_dims(c: DgCategory, lam: Partition, degrees,
+                          max_level: int, normalized: bool = True,
+                          mode: RankMode = EXACT) -> dict:
+    """decomposition.invariant_dims for one λ on its own: the λ complex on
+    a fresh tensor power, its homology in `degrees`, its centralizer
+    presentation and an empty chain-permutation cache.  centralizer_gens
+    and invariant_dims are looked up on the module, so that a test can
+    replace them there."""
+    sc = _lambda_complex(c, lam.n, lam, max_level, normalized,
+                         tensor_power(c, lam.n))
+    summary = total_homology(sc, degrees, mode=mode)
+    dims, _ = decomposition.invariant_dims(
+        c, sc, summary, decomposition.centralizer_gens(lam), degrees, mode,
+        {})
+    return dims
 
 
 def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,

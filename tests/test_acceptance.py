@@ -24,7 +24,6 @@ from hhwb.contraction import (
 from hhwb.decomposition import (
     Partition,
     centralizer_gens,
-    invariant_dims,
     partitions,
     sigma_of,
     verify_decomposition,
@@ -36,7 +35,7 @@ from hhwb.kunneth import kunneth_verify, s2_check, shuffle_map, \
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, projector_invariant_dim
 
 from conftest import dual_numbers, ground_field, quiver_a2
-from oracles import twisted_summand_dims
+from oracles import lambda_invariant_dims, twisted_summand_dims
 from test_cli import DUAL, GROUND, QUIVER
 from test_hochschild import bar_complex_dims_T2, periodic_resolution_dims_D
 
@@ -258,9 +257,10 @@ def test_criterion_10_structural(capsys):
     # averaging projector is idempotent with rank = trace; rotations act as
     # the homology identity
     D = dual_numbers()
-    inv = invariant_dims(D, 2, Partition((1, 1)), [0, -1, -2], max_level=3)
+    inv = lambda_invariant_dims(D, Partition((1, 1)), [0, -1, -2], max_level=3)
     assert inv == {0: 3, -1: 2, -2: 2}
-    inv_rot = invariant_dims(D, 2, Partition((2,)), [0, -1, -2], max_level=3)
+    inv_rot = lambda_invariant_dims(D, Partition((2,)), [0, -1, -2],
+                                    max_level=3)
     assert inv_rot == {0: 2, -1: 1, -2: 1}
     # centralizer generators commute with sigma for all partitions, n <= 6
     for n in range(1, 7):

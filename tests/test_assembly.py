@@ -293,7 +293,7 @@ def test_unchecked_differentials_keep_the_entry_contract():
     sc = _lambda_complex(c, 2, Partition((1, 1)), 3, True, power)
     swap = permutation_functor(c, 2, Permutation.from_cycles(2, [(1, 2)]),
                                power=power)
-    oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap)])
+    oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap, range(4))])
     seen_fraction = False
     for k in range(-3, 1):
         for mtx in (sc.total_differential(k), oc.total_differential(k)):
@@ -349,7 +349,8 @@ def test_grid_assembly_matches_the_tuple_reference(case, normalized):
                            max_level, normalized)
     phis = [permutation_functor(c, n, _perm(n, cycle), power=sc.category)
             for n, cycle in perms] or [identity_functor(c)]
-    chain_perms = [signed_chain_permutation(sc, phi) for phi in phis]
+    chain_perms = [signed_chain_permutation(sc, phi, range(max_level + 1))
+                   for phi in phis]
     for m in range(max_level + 1):
         assert list(sc.levels[m]) == reference_levels(sc, m), m
         assert sc.d1[m].entries == reference_d1(sc, m).entries, m

@@ -108,6 +108,22 @@ def test_compute_bad_twist(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("twist,cycle", [
+    ("perm:3:(1 -2)", "(1 -2)"),
+    ("perm:3:(1 1)", "(1 1)"),
+    ("perm:3:(123)", "(123)"),
+    ("perm:3:(1 2)(2 3)", "(2 3)"),
+    ("perm:3:(1 a)", "(1 a)"),
+], ids=["negative", "repeated", "out-of-range", "repeated-across",
+        "not-a-number"])
+def test_bad_twist_cycle_exits_2_naming_the_cycle(capsys, twist, cycle):
+    code, out, err = run(capsys, "compute", DUAL, "--twist", twist)
+    assert code == 2
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and f"cycle {cycle}" in line
+
+
 def test_compute_bad_degree_range(capsys):
     code, _, err = run(capsys, "compute", DUAL, "--degrees", "zero")
     assert code == 2

@@ -396,8 +396,8 @@ def test_homology_coordinates_of_cycles_and_non_cycles(D):
 def test_signed_chain_permutation_matches_induced_chain_map(D):
     F = negx(D)
     sc = build_complex(D, F, 3, normalized=True)
-    perm = signed_chain_permutation(sc, F)
-    check_equivariant(sc, perm)
+    perm = signed_chain_permutation(sc, F, range(sc.max_level + 1))
+    check_equivariant(sc, perm, range(sc.max_level + 1))
     cm = induced_chain_map(F, identity_nat(F), sc, sc)
     for m, (rows, signs) in enumerate(perm):
         level = zip(rows, signs)
@@ -412,7 +412,45 @@ def test_signed_chain_permutation_refuses_a_scaling(D):
                       name="twox")
     sc = build_complex(D, identity_functor(D), 2, normalized=True)
     with pytest.raises(StructuralError, match="±1"):
-        signed_chain_permutation(sc, twice)
+        signed_chain_permutation(sc, twice, range(sc.max_level + 1))
+
+
+def basis_map(c, images, name):
+    """The map of c with one object sending basis morphism b to
+    images[b] = (target, sign), with no check that it is a functor."""
+    from hhwb.dgcore import DgFunctor
+    return DgFunctor(c, c, {"*": "*"},
+                     {b: {t: Fraction(s)} for b, (t, s) in images.items()},
+                     name=name)
+
+
+def test_signed_chain_permutation_refuses_a_chain_sent_out(D):
+    # 1 <-> x sends the bar slot x of a level-1 chain to the unit 1, which
+    # no bar slot of the normalized complex holds
+    swap = basis_map(D, {"1": ("x", 1), "x": ("1", 1)}, "swap")
+    sc = build_complex(D, identity_functor(D), 2, normalized=True)
+    with pytest.raises(StructuralError,
+                       match="swap sends a level-1 chain out of the complex"):
+        signed_chain_permutation(sc, swap, range(sc.max_level + 1))
+
+
+def test_signed_chain_permutation_refuses_a_map_that_is_not_injective(D):
+    # 1, x -> 1 sends both level-0 chains, 1 and x, to the chain 1
+    onto_one = basis_map(D, {"1": ("1", 1), "x": ("1", 1)}, "one")
+    sc = build_complex(D, identity_functor(D), 2, normalized=True)
+    with pytest.raises(StructuralError, match="one is not injective on level 0"):
+        signed_chain_permutation(sc, onto_one, range(sc.max_level + 1))
+
+
+def test_check_equivariant_catches_the_internal_differential(T):
+    # on T, d(u) = v; u -> -u, v -> v sends d(u) to v but d(-u) = -v
+    flip = basis_map(T, {"1": ("1", 1), "u": ("u", -1), "v": ("v", 1)},
+                     "flip")
+    sc = build_complex(T, identity_functor(T), 2, normalized=True)
+    perm = signed_chain_permutation(sc, flip, range(sc.max_level + 1))
+    with pytest.raises(StructuralError,
+                       match="internal differential at level 0"):
+        check_equivariant(sc, perm, range(sc.max_level + 1))
 
 
 def test_twist_endo_acts_as_identity_on_homology(D):

@@ -169,6 +169,45 @@ def test_functor_diagnostic(tmp_path, capsys, category, functor, message):
     assert f"functor F: {message}" in capsys.readouterr().out.splitlines()
 
 
+def compose_entry(**changes):
+    return [dict({"g": "x", "f": "x", "result": []}, **changes)]
+
+
+# inputs of the wrong JSON shape, each refused as an input error (exit 2)
+# before any work; functors are read by validate alone
+MALFORMED = {
+    "homs a number": (dual(homs=5), True),
+    "compose a number": (dual(compose=5), True),
+    "diff a number": (dual(diff=7), True),
+    "units a list": (dual(units=["1"]), True),
+    "unit a list": (dual(units={"*": ["1"]}), True),
+    "object a list": (dual(objects=[["*"]]), True),
+    "compose name a list": (dual(compose=compose_entry(g=["x"])), True),
+    "diff name a list": (dual(diff=[{"basis": ["x"], "result": []}]), True),
+    "functors a number": (dual(functors=5), False),
+    "obj_map a list": (dual(functors=[dict(GOOD_FUNCTOR[1],
+                                           obj_map=[["*", "*"]])]), False),
+    "hom_map a list": (dual(functors=[dict(GOOD_FUNCTOR[1],
+                                           hom_map=[["1", []]])]), False),
+}
+
+
+@pytest.mark.parametrize("data,computes", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, data, computes):
+    path = write(tmp_path, data)
+    verbs = [["validate", path]]
+    if computes:
+        verbs.append(["compute", path, "--max-level", "1", "--degrees=0..0"])
+    for argv in verbs:
+        assert main(argv) == cli.EXIT_PARSE, argv
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert line.startswith("error: ")
+        assert "Traceback" not in out.err
+
+
 def test_malformed_functor_is_a_parse_error(tmp_path, capsys):
     path = write(tmp_path, dual(functors=[{"obj_map": {"*": "*"}}]))
     assert main(["validate", path]) == cli.EXIT_PARSE == 2

@@ -89,7 +89,7 @@ def test_chain_permutation_cache_matches_a_fresh_permutation():
         for h in pres.s_generators + pres.c_generators:
             perm = _checked_chain_permutation(c, sc, h, levels, cache)
             phi = permutation_functor(c, 3, h, power=sc.category)
-            assert perm == signed_chain_permutation(sc, phi)
+            assert perm == signed_chain_permutation(sc, phi, levels)
             if h.images in seen:
                 assert perm is seen[h.images]  # (2 3) serves (1,1,1) and (1,2)
             seen[h.images] = perm
@@ -219,7 +219,7 @@ def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
     built = []
     signed = decomposition.signed_chain_permutation
 
-    def spy(sc, phi, levels=None):
+    def spy(sc, phi, levels):
         built.append(phi.name)
         return signed(sc, phi, levels)
 
