@@ -55,7 +55,7 @@ def _lincomb(entries, where: str) -> dict:
     out = {}
     for e in entries:
         try:
-            out[e["basis"]] = Fraction(int(e["num"]), int(e.get("den", 1)))
+            out[e["basis"]] = Fraction(_int(e["num"]), _int(e.get("den", 1)))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: bad term {e!r} ({exc})")
     return {b: c for b, c in out.items() if c}
@@ -65,6 +65,14 @@ def _str(x) -> str:
     """x, which the input must give as a string: an object or basis name."""
     if not isinstance(x, str):
         raise TypeError(f"{x!r} is not a string")
+    return x
+
+
+def _int(x) -> int:
+    """x, which the input must give as a JSON integer: a degree, or a
+    coefficient's numerator or denominator."""
+    if type(x) is not int:
+        raise TypeError(f"{x!r} is not an integer")
     return x
 
 
@@ -94,7 +102,7 @@ def category_from_dict(data: dict) -> DgCategory:
     for h in homs:
         try:
             basis[_str(h["name"])] = BasisInfo(_str(h["src"]), _str(h["tgt"]),
-                                               int(h.get("degree", 0)))
+                                               _int(h.get("degree", 0)))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad hom entry {h!r} ({exc})")
     compose = {}

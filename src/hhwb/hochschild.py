@@ -757,20 +757,27 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
     StandardComplex and an invariant subcomplex (decomposition.OrbitComplex)
     go through the same checks.  Each total differential is read once and
     ranked once in a call.
+
+    The ranks are taken from the top degree down, by clearing: when
+    d_(j+1)·d_j = 0 was checked here, the block of d_(j+1) at its
+    `unit_pivots` (given for int entries alone) has determinant ±1, so the
+    rows of d_j at those pivots' columns are an integral combination of
+    its other rows, and rank_info leaves them out.
     """
+    degrees = list(degrees)
     diffs, ranks, out = {}, {}, {}
     for k in degrees:
         for j in (k, k - 1):
             if j not in diffs:
                 diffs[j] = sc.total_differential(j)
-        d_out, d_in = diffs[k], diffs[k - 1]
-        if not d_out.mul(d_in).is_zero():
+        if not diffs[k].mul(diffs[k - 1]).is_zero():
             raise StructuralError(f"differential does not square to zero at degree {k}")
-        for j in (k, k - 1):
-            if j not in ranks:
-                ranks[j] = rank_info(diffs[j], mode)
+    for j in sorted(diffs, reverse=True):
+        cleared = set(ranks[j + 1].unit_pivots) if j + 1 in degrees else ()
+        ranks[j] = rank_info(diffs[j], mode, cleared)
+    for k in degrees:
         out_info, in_info = ranks[k], ranks[k - 1]
-        dim = (d_out.cols - out_info.value) - in_info.value
+        dim = (diffs[k].cols - out_info.value) - in_info.value
         primes = tuple(p for p, _ in out_info.per_prime)
         agreed = out_info.agreed and in_info.agreed
         cert = "exact" if sc.certified(k) else "heuristic"

@@ -3,14 +3,19 @@
 A matrix entry is an `int` where it is integral and a `fractions.Fraction`
 where it is not; never a float, and every division has a Fraction
 operand.  Rank splits the rows into connected components and eliminates
-each with Markowitz-style pivots in two stages.  The first, shared by
-every field, pivots only on entries ±1, units over Z and mod every prime,
-so it commutes with reduction mod a prime dividing no denominator.  Each
-field then ranks the rows left, the residue: GF(p) on plain ints in
-modular mode, Q in exact mode or when the primes disagree or one divides
-a denominator (a rank mod p is at most the rank over Q, and equal for
-all but finitely many p).  Kernels, column spaces and solving reduce
-rows one at a time against a pivot dict over Q.
+each in two stages, first taking every entry alone in its column, which
+needs no elimination, then Markowitz-style pivots.  The first stage,
+shared by every field, pivots only on entries ±1, units over Z and mod
+every prime, so it commutes with reduction mod a prime dividing no
+denominator.  Each field then ranks the rows left, the residue: GF(p) on
+plain ints in modular mode, Q in exact mode or when the primes disagree
+or one divides a denominator (a rank mod p is at most the rank over Q,
+and equal for all but finitely many p).  The first stage's pivot columns
+are returned too: on an integral d_(k+1) with d_(k+1)·d_k = 0 they name
+rows of d_k that an integral combination of its other rows gives, which
+hochschild.total_homology then leaves out of the rank of d_k (clearing).
+Kernels, column spaces and solving reduce rows one at a time against a
+pivot dict over Q.
 """
 
 from __future__ import annotations
@@ -174,16 +179,20 @@ class SparseMatrix:
         if self.cols != other.rows:
             raise StructuralError("shape mismatch in mul")
         by_row = {}
-        for (i, j), v in other.entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        ent = {}
+        for (k, j), w in other.entries.items():
+            by_row.setdefault(k, []).append((j, w))
+        left = {}
         for (i, k), v in self.entries.items():
-            for j, w in by_row.get(k, ()):
-                s = ent.get((i, j), 0) + v * w
+            left.setdefault(i, []).append((k, v))
+        ent = {}
+        for i, terms in left.items():
+            acc = {}  # row i of the product, keyed by column
+            for k, v in terms:
+                for j, w in by_row.get(k, ()):
+                    acc[j] = acc.get(j, 0) + v * w
+            for j, s in acc.items():
                 if s:
-                    ent[(i, j)] = s
-                else:
-                    ent.pop((i, j), None)
+                    ent[i, j] = s
         return SparseMatrix.trusted(self.rows, other.cols,
                                     normalise_entries(ent))
 
@@ -316,14 +325,17 @@ def rref(rows) -> dict:
     return pivots
 
 
-def _component_rows(m: SparseMatrix) -> list:
-    """The nonzero rows of m as sparse dicts, grouped by connected
-    component of the graph joining each row to its columns, in one pass
-    over the entries.  Rank is the sum of the components' ranks."""
+def _component_rows(m: SparseMatrix, skip=()) -> list:
+    """The nonzero rows of m, but those in `skip`, as sparse dicts, grouped
+    by connected component of the graph joining each row to its columns,
+    in one pass over the entries.  Rank is the sum of the components'
+    ranks."""
     rows = {}
     comp = {}   # row -> the list of rows of its component, shared
     owner = {}  # column -> the first row seen with an entry there
     for (i, j), v in m.entries.items():
+        if i in skip:
+            continue
         r = rows.get(i)
         if r is None:
             rows[i] = {j: v}
@@ -346,11 +358,13 @@ def _component_rows(m: SparseMatrix) -> list:
     return list(groups.values())
 
 
-def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
-    """(pivots, rows left) of a sparse elimination over Q (p == 0) or
-    GF(p) of nonzero rows, which it consumes.
+def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
+    """(pivot columns, rows left) of a sparse elimination over Q (p == 0)
+    or GF(p) of nonzero rows, which it consumes.
 
-    Each pivot is the sparsest remaining row, at its column shared with the
+    First every entry alone in its column is a pivot, needing no
+    elimination, again and again as taking them empties columns.  Then
+    each pivot is the sparsest remaining row, at its column shared with the
     fewest other rows.  A column -> rows index, updated on every fill-in
     and cancellation, finds the rows to eliminate and the column counts; a
     heap of (length, row) finds the sparsest row.  With `units` a pivot
@@ -362,9 +376,25 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
     for i, r in rows.items():
         for c in r:
             col_rows.setdefault(c, set()).add(i)
+    pivots = []
+    lone = [c for c, hits in col_rows.items() if len(hits) == 1]
+    while lone:
+        pc = lone.pop()
+        if len(col_rows[pc]) != 1:
+            continue  # its row was taken at another column
+        (i,) = col_rows[pc]
+        piv = rows[i]
+        if units and piv[pc] != 1 and piv[pc] != -1:
+            continue
+        del rows[i]
+        pivots.append(pc)
+        for c in piv:
+            hits = col_rows[c]
+            hits.discard(i)
+            if len(hits) == 1:
+                lone.append(c)
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
-    rank = 0
     while heap:
         n, i = heapq.heappop(heap)
         piv = rows.get(i)
@@ -382,7 +412,7 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
         del rows[i]
         for c in piv:
             col_rows[c].discard(i)
-        rank += 1
+        pivots.append(pc)
         hits = col_rows.pop(pc)
         if not hits:
             continue
@@ -423,7 +453,7 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[int, list]:
                 heapq.heappush(heap, (len(r), j))
             else:
                 del rows[j]
-    return rank, list(rows.values())
+    return pivots, list(rows.values())
 
 
 def _rows_mod_p(rows, p: int) -> list:
@@ -441,10 +471,11 @@ def _rows_mod_p(rows, p: int) -> list:
 
 
 class RankResult(namedtuple("RankResult",
-                            "value mode per_prime failed_primes",
-                            defaults=((), ()))):
+                            "value mode per_prime failed_primes unit_pivots",
+                            defaults=((), (), ()))):
     """A rank, the RankMode it was taken in, the (prime, rank) pairs of a
-    modular mode and the primes that failed."""
+    modular mode, the primes that failed and, for a matrix of ints, the
+    columns of the pivots of the ±1 stage shared by every field."""
 
     __slots__ = ()
 
@@ -458,30 +489,37 @@ class RankResult(namedtuple("RankResult",
         return bool(self.failed_primes) or not self.agreed
 
 
-def rank_info(m: SparseMatrix, mode: RankMode = EXACT) -> RankResult:
+def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
+              cleared=()) -> RankResult:
     """Rank of m, exactly or mod each prime of a modular mode, which fails
     if it divides a denominator of m; `per_prime`, `failed_primes` and
-    `agreed` report what the primes gave."""
+    `agreed` report what the primes gave.  The rows in `cleared` are
+    never eliminated: the caller vouches that each is an integral
+    combination of the others, so that leaving them out changes no rank,
+    over Q or mod any prime.  The denominators are still read from every
+    row, so the primes fail as they would on the whole of m.  When m has
+    int entries alone, `unit_pivots` are the columns of the ±1 stage's
+    pivots: its multipliers are then ints too, so the block of m at those
+    pivots has determinant ±1 over Z."""
     primes = mode.primes if mode.kind == "modular" else ()
-    dens = primes and {v.denominator for v in m.entries.values()
-                       if type(v) is not int}
+    dens = {v.denominator for v in m.entries.values() if type(v) is not int}
     failed = tuple(p for p in primes if any(d % p == 0 for d in dens))
     # per component, so that one column index is alive at a time
-    shared, residues = 0, []
-    for comp in _component_rows(m):
-        k, left = _component_rank(comp, 0, units=True)
-        shared += k
+    shared, residues = [], []
+    for comp in _component_rows(m, cleared):
+        pivots, left = _component_rank(comp, 0, units=True)
+        shared += pivots
         if left:
             residues.append(left)
     per_prime = tuple(
-        (p, shared + sum(_component_rank(_rows_mod_p(s, p), p)[0]
-                         for s in residues))
+        (p, len(shared) + sum(len(_component_rank(_rows_mod_p(s, p), p)[0])
+                              for s in residues))
         for p in primes if p not in failed)
     result = RankResult(max((r for _, r in per_prime), default=0), mode,
-                        per_prime, failed)
+                        per_prime, failed, () if dens else shared)
     if mode.kind == "exact" or result.exact_fallback:
-        result = result._replace(value=shared + sum(
-            _component_rank(s, 0)[0] for s in residues))
+        result = result._replace(value=len(shared) + sum(
+            len(_component_rank(s, 0)[0]) for s in residues))
     return result
 
 

@@ -518,8 +518,8 @@ def test_decomposition_reports_orbit_rank_disagreement(D, monkeypatch):
         orbit_matrices.append(mtx)
         return mtx
 
-    def disagreeing(m, mode=EXACT):
-        r = rank_info(m, mode)
+    def disagreeing(m, mode=EXACT, cleared=()):
+        r = rank_info(m, mode, cleared)
         if not any(m is x for x in orbit_matrices):
             return r
         return r._replace(per_prime=((1048583, r.value), (1048589, -1)))

@@ -48,23 +48,30 @@ def hh_dims(c, twist, max_level, degrees, normalized=True, mode=EXACT):
 # -- independent oracles ----------------------------------------------------
 
 
-def periodic_resolution_dims_D(top):
-    """Homology of k[x]/x^2 from its 2-periodic bimodule resolution.
+def periodic_resolution_dims(order, top):
+    """Homology of k[x]/x^order from its 2-periodic bimodule resolution.
 
-    The resolution has maps x⊗1 - 1⊗x and x⊗1 + 1⊗x alternating; after
-    applying A ⊗_{A^e} - they become 0 and multiplication by 2x.  Computed
-    with sympy, independently of the package's linear algebra.
+    The resolution has maps x⊗1 - 1⊗x and Σ x^i ⊗ x^(order-1-i)
+    alternating; after applying A ⊗_{A^e} - they become 0 and
+    multiplication by order·x^(order-1).  Computed with sympy,
+    independently of the package's linear algebra.
     """
-    zero = sympy.zeros(2, 2)
-    two_x = sympy.Matrix([[0, 0], [2, 0]])  # basis (1, x); 1 -> 2x
-    maps = [zero if n % 2 else two_x for n in range(1, top + 2)]  # d_1, d_2, ...
+    zero = sympy.zeros(order, order)
+    top_power = sympy.zeros(order, order)  # basis (1, x, ..., x^(order-1))
+    top_power[order - 1, 0] = order  # 1 -> order·x^(order-1)
+    maps = [zero if n % 2 else top_power for n in range(1, top + 2)]  # d_1, d_2, ...
     dims = []
     for n in range(top + 1):
-        d_out = maps[n - 1] if n >= 1 else sympy.zeros(0, 2)
+        d_out = maps[n - 1] if n >= 1 else sympy.zeros(0, order)
         d_in = maps[n]
-        ker = 2 - (d_out.rank() if n >= 1 else 0)
+        ker = order - (d_out.rank() if n >= 1 else 0)
         dims.append(ker - d_in.rank())
     return dims
+
+
+def periodic_resolution_dims_D(top):
+    """Homology of the dual numbers k[x]/x^2 (maps 0 and 1 -> 2x)."""
+    return periodic_resolution_dims(2, top)
 
 
 def bar_complex_dims_T2(top):
@@ -196,9 +203,9 @@ def test_each_total_differential_is_ranked_once(D, monkeypatch):
     ranked = []
     rank_info = hochschild.rank_info
 
-    def counting(m, mode):
+    def counting(m, mode, cleared):
         ranked.append(m.cols)
-        return rank_info(m, mode)
+        return rank_info(m, mode, cleared)
 
     monkeypatch.setattr(hochschild, "rank_info", counting)
     sc = build_complex(D, identity_functor(D), 4, normalized=True)

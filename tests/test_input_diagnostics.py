@@ -184,6 +184,20 @@ MALFORMED = {
     "object a list": (dual(objects=[["*"]]), True),
     "compose name a list": (dual(compose=compose_entry(g=["x"])), True),
     "diff name a list": (dual(diff=[{"basis": ["x"], "result": []}]), True),
+    # JSON numbers are read only when they are integers, never truncated
+    "degree a fraction": (dual(homs=[hom("1"), hom("x", degree=2.5)]), True),
+    "degree a boolean": (dual(homs=[hom("1"), hom("x", degree=True)]), True),
+    "numerator a fraction": (
+        dual(compose=compose_entry(result=term("x", 0.5))), True),
+    "numerator a string": (
+        dual(compose=compose_entry(result=term("x", "1"))), True),
+    "denominator a fraction": (
+        dual(compose=compose_entry(result=[{"basis": "x", "num": 1,
+                                            "den": 0.5}])), True),
+    "functor coefficient a fraction": (
+        dual(functors=[dict(GOOD_FUNCTOR[1],
+                            hom_map={"1": term("1"), "x": term("x", 1.0)})]),
+        False),
     "functors a number": (dual(functors=5), False),
     "obj_map a list": (dual(functors=[dict(GOOD_FUNCTOR[1],
                                            obj_map=[["*", "*"]])]), False),

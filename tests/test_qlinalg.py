@@ -18,7 +18,7 @@ from hhwb.qlinalg import (
     solve,
 )
 
-from oracles import homology_dimension
+from oracles import homology_dimension, reference_mul
 
 MOD = RankMode.modular()
 
@@ -52,6 +52,36 @@ def test_internal_products_keep_the_entry_contract():
     assert half.mul(two).entries == {(0, 0): Fraction(3, 2), (0, 1): Fraction(1, 9),
                                      (1, 0): Fraction(9, 2), (1, 1): 1}
     assert type(half.mul(two).entries[(1, 1)]) is int
+
+
+# entries whose products cancel, to integers or to zero, in a sum
+PRODUCT_ENTRIES = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2),
+                   Fraction(2, 3), Fraction(3, 2)]
+
+
+@st.composite
+def matrix_pairs(draw):
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def matrix(r, c):
+        cells = draw(st.dictionaries(
+            st.tuples(st.integers(0, max(r - 1, 0)),
+                      st.integers(0, max(c - 1, 0))),
+            st.sampled_from(PRODUCT_ENTRIES), max_size=r * c))
+        return SparseMatrix(r, c, cells)
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@given(matrix_pairs())
+@settings(max_examples=200, deadline=None)
+def test_mul_matches_the_reference_loop(pair):
+    a, b = pair
+    product = a.mul(b)
+    assert product == reference_mul(a, b)
+    assert [type(v) for v in product.entries.values()] == [
+        int if v.denominator == 1 else Fraction
+        for v in map(Fraction, product.entries.values())]
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None])
