@@ -48,7 +48,7 @@ class ChainMapData:
         self.source = source
         self.target = target
         self.blocks = blocks  # per level m: levels_src[m] -> levels_tgt[m]
-        self._by_col: dict[int, dict] = {}  # level -> {col: [(row, v), ...]}
+        self._by_col: dict[int, dict] = {}  # level -> {col: {row: v}}
 
     def check_commutes(self) -> list[str]:
         diags = []
@@ -70,12 +70,10 @@ class ChainMapData:
         for m, cols in self.source.block_levels(k, vec).items():
             index = self._by_col.get(m)
             if index is None:
-                index = self._by_col[m] = {}
-                for (r, c), v in self.blocks[m].entries.items():
-                    index.setdefault(c, []).append((r, v))
+                index = self._by_col[m] = self.blocks[m].transpose().by_row
             acc = parts[m] = {}
             for c, coef in cols.items():
-                for r, v in index.get(c, ()):
+                for r, v in index.get(c, {}).items():
                     acc[r] = acc.get(r, 0) + v * coef
         return self.target.block_vector(k, parts)
 

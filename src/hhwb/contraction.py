@@ -14,8 +14,7 @@ from fractions import Fraction
 from functools import reduce
 
 from .dgcore import DgCategory, _tensor_id, opposite, tensor
-from .qlinalg import (SparseMatrix, StructuralError, _row_dicts, add_pivot,
-                      reduce_row, rref)
+from .qlinalg import SparseMatrix, StructuralError, add_pivot, reduce_row, rref
 
 
 class FiniteAlgebra:
@@ -196,7 +195,7 @@ def enveloping_embeddings(a: FiniteAlgebra) -> EnvelopingEmbeddings:
     # validate: unital multiplicative maps
     unit_pair = a.unit * d + a.unit
     for name, mat in emb.all().items():
-        img_unit = {r: v for (r, c), v in mat.entries.items() if c == unit_pair}
+        img_unit = mat.transpose().by_row.get(unit_pair, {})
         unit4 = ((u * d + u) * d + u) * d + u
         if img_unit != {unit4: Fraction(1)}:
             raise StructuralError(f"{name} does not preserve the unit")
@@ -255,7 +254,7 @@ def _quotient_from_relations(ambient_dim, rel_rows) -> TensorOverResult:
 def _relations(rel: list, left: SparseMatrix, right: SparseMatrix) -> None:
     """Append to rel the relations left(x) = right(x), one per basis vector
     x of the common source: the nonzero columns of left - right."""
-    rel.extend(_row_dicts(left.sub(right).transpose()).values())
+    rel.extend(left.sub(right).transpose().by_row.values())
 
 
 def tensor_over(n_mod: FiniteBimodule, m_mod: FiniteBimodule) -> TensorOverResult:

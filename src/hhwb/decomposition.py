@@ -23,6 +23,7 @@ identity, prime agreement) still runs on each complex and each C^S.
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from math import comb, factorial
 
@@ -41,7 +42,7 @@ from .qlinalg import (
     RankMode,
     SparseMatrix,
     StructuralError,
-    normalise_entries,
+    normalise_rows,
 )
 
 
@@ -198,15 +199,15 @@ class OrbitComplex:
     def orbits(self, k):
         """(reps, orbit_of, sign) on block k: the surviving orbits'
         representatives, each position's orbit index (-1 when its orbit
-        drops out) and s(y)."""
+        drops out) and s(y), the last two as flat arrays."""
         if k in self._orbit_cache:
             return self._orbit_cache[k]
         size = self.sc.block_dim(k)
         # (rows, signs) of each generator on the block; each maps a level,
         # and a degree, to itself
         gens = [self.sc.block_permutation(k, perm) for perm in self.perms]
-        sign = [0] * size
-        orbit_of = [-1] * size
+        sign = array("b", bytes(size))
+        orbit_of = array("i", [-1]) * size
         reps = []
         for start in range(size):
             if sign[start]:
@@ -236,20 +237,20 @@ class OrbitComplex:
         return len(self.orbits(k)[0])
 
     def total_differential(self, k) -> SparseMatrix:
-        """The orbit differential D from degree k to k+1, read off C's
-        total_differential(k)."""
+        """The orbit differential D from degree k to k+1, read off the rows
+        of C's total_differential(k) at the representatives."""
         _, orbit_of, sign = self.orbits(k)
         reps_out = self.orbits(k + 1)[0]
-        row_of = {r: o for o, r in enumerate(reps_out)}
-        ent = {}
-        for (r, c), v in self.sc.total_differential(k).entries.items():
-            row = row_of.get(r)
-            col = orbit_of[c]
-            if row is None or col < 0:
-                continue
-            ent[row, col] = ent.get((row, col), 0) + (v if sign[c] == 1 else -v)
+        by_row = self.sc.total_differential(k).by_row
+        out = {}
+        for o, r in enumerate(reps_out):
+            acc = out[o] = {}
+            for c, v in by_row.get(r, {}).items():
+                col = orbit_of[c]
+                if col >= 0:
+                    acc[col] = acc.get(col, 0) + (v if sign[c] == 1 else -v)
         return SparseMatrix.trusted(len(reps_out), self.block_dim(k),
-                                    normalise_entries(ent))
+                                    normalise_rows(out))
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,

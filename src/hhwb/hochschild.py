@@ -17,13 +17,13 @@ arithmetic progressions of rows and columns, and a chain permutation slot
 by slot.  The differentials are assembled from per-basis-int tables
 (degree, differential, twist, and a lazily filled composition table)
 whose coefficients are ints where the structure constants are integral
-and Fractions where they are not; nothing divides.  The finished
-matrices keep the same contract (see qlinalg.SparseMatrix), so an
-integral presentation gives matrices of plain ints, and the d^2 = 0
-check, the equivariance check and rank mod p all run on ints.  A level's
-d1 and d2 are built once and never copied: a total-degree block from one
-whole level to the whole level below is that level's d2, and any other
-block reads its entries off the d1 and d2 of each level it meets.
+and Fractions where they are not; nothing divides.  Faces are added into
+row dicts, the store of qlinalg.SparseMatrix, and keep its contract, so
+an integral presentation gives matrices of plain ints, and the d^2 = 0
+check, the equivariance check and rank mod p read rows of ints.  A
+level's d1 and d2 are built once and never copied: a total-degree block
+from one whole level to the whole level below is that level's d2, and
+any other block copies the rows of each level's d1 and d2 it meets.
 
 Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
 object map.  Everything else (the basis tables, the chain catalog and its
@@ -60,7 +60,7 @@ from .qlinalg import (
     StructuralError,
     column_space_basis,
     kernel_basis,
-    normalise_entries,
+    normalise_rows,
     rank_info,
     tagged_reduction,
 )
@@ -160,13 +160,14 @@ def _spread(values, tables) -> list:
     return values
 
 
-def _emit(entries: dict, row0: int, rows, col0: int, cols, v) -> None:
-    """entries[row0 + r, col0 + c] += v for each pair (r, c) of rows, cols."""
-    run = dict(zip(zip(map(row0.__add__, rows), map(col0.__add__, cols)),
-                   itertools.repeat(v)))
-    for key in entries.keys() & run.keys():
-        run[key] += entries[key]
-    entries.update(run)
+def _emit(acc: dict, row0: int, rows, col0: int, cols, v) -> None:
+    """acc[row0 + r][col0 + c] += v for each pair (r, c) of rows, cols."""
+    for r, c in zip(map(row0.__add__, rows), map(col0.__add__, cols)):
+        row = acc.get(r)
+        if row is None:
+            acc[r] = {c: v}
+        else:
+            row[c] = row.get(c, 0) + v
 
 
 # The basis ints a chain slot may hold, with {basis int: position} and
@@ -338,7 +339,7 @@ class _Skeleton:
                         for odd in (0, 1)]
                 for pa, a in enumerate(r.ints):
                     # d(a) in slot p, on the chains of the (normalized)
-                    # catalog; normalise_entries drops the sums that cancel
+                    # catalog; normalise_rows drops the sums that cancel
                     for b, c in diff[a]:
                         q = r.pos.get(b)
                         if q is not None:
@@ -347,21 +348,19 @@ class _Skeleton:
                                       g.offset + pa * s, rel, v)
                 heads = _spread(heads, [r.degs])
         return SparseMatrix.trusted(len(level), len(level),
-                                    normalise_entries(acc))
+                                    normalise_rows(acc))
 
     def inner_faces(self, m) -> dict:
         """The faces a_i∘a_{i+1} of d2 on level m >= 1, with sign (-1)^i,
-        as a fresh entries dict the caller may extend; a face of a grid
-        over (c0, ..., cm) lands in the grid without c(i+1).  The skeleton
-        keeps a copy only once more than one complex is built on it, so
-        that a lone complex holds its faces once, inside its d2.  Faces
-        built before the second complex are built again once, by the first
-        complex that reads them after it: complexes meant to share should
-        all be built before any reads its d2, as verify_decomposition
-        does."""
+        as fresh row dicts the caller may extend; a face of a grid over
+        (c0, ..., cm) lands in the grid without c(i+1).  The skeleton keeps
+        a copy only once a second complex is built on it, so that a lone
+        complex holds its faces once, inside its d2.  Faces built before
+        the second complex are built again: complexes meant to share should
+        all be built before any reads its d2, as verify_decomposition does."""
         kept = self._inner.get(m)
         if kept is not None:
-            return dict(kept)
+            return {i: dict(row) for i, row in kept.items()}
         compose, below = self.compose, self.levels[m - 1]
         acc = {}
         for i in range(m):
@@ -387,7 +386,7 @@ class _Skeleton:
                                   -c if i % 2 else c)
         if self.complexes > 1:
             self._inner[m] = acc
-            return dict(acc)
+            return self.inner_faces(m)  # a copy
         return acc
 
     # -- total-degree bookkeeping ---------------------------------------
@@ -476,8 +475,8 @@ def _skeleton(category: DgCategory, twist: DgFunctor, max_level: int,
 class StandardComplex:
     """The truncated standard complex; `levels[m]` reads as the list of
     level-m chains, tuples of basis ints, without storing them, and
-    `row_of[m]` is the {chain: row} dict built from it, which only the
-    chain maps read.
+    `row_of[m]` is the {chain: row} dict built from it, for the chain
+    maps.
 
     Everything but the wrap face of d2 lives in a skeleton shared with the
     other live complexes on the same category and object map.  `levels`,
@@ -584,7 +583,7 @@ class StandardComplex:
                                   g.offset + p0 * g.strides[0] + pm, cols,
                                   -c if flip % 2 else c)
         return SparseMatrix.trusted(len(below), len(level),
-                                    normalise_entries(acc))
+                                    normalise_rows(acc))
 
     # -- total-degree bookkeeping ---------------------------------------
 
@@ -605,21 +604,22 @@ class StandardComplex:
             mtx = self.d2[m]
         else:
             rows_at = sk.positions(k + 1)
-            ent = {}
+            out = {}
             for m, cols in sk.positions(k).items():
-                # d2 lands one level below d1, so the two never share an entry
+                # d2 lands one level below d1: the two never share an entry
                 for d, rows in ((self.d1, rows_at.get(m)),
                                 (self.d2, rows_at.get(m - 1))):
                     if rows is None:
                         continue
-                    for (r, c), v in d[m].entries.items():
-                        j = cols.get(c)
-                        if j is not None:
-                            i = rows.get(r)
-                            if i is not None:
-                                ent[i, j] = v
+                    for r, row in d[m].by_row.items():
+                        i = rows.get(r)
+                        if i is not None:
+                            row = {j: v for c, v in row.items()
+                                   if (j := cols.get(c)) is not None}
+                            if row:
+                                out.setdefault(i, {}).update(row)
             mtx = SparseMatrix.trusted(self.block_dim(k + 1), self.block_dim(k),
-                                       ent)
+                                       out)
         self._diff_cache[k] = mtx
         return mtx
 
@@ -755,7 +755,7 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
     `degrees` iterates total cohomological degrees.  `sc` is read through
     block_dim, total_differential, certified and max_level alone, so a
     StandardComplex and an invariant subcomplex (decomposition.OrbitComplex)
-    go through the same checks.  Each total differential is read once and
+    go through the same checks.  Each total differential is read and
     ranked once in a call.
 
     The ranks are taken from the top degree down, by clearing: when
@@ -794,13 +794,12 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
     """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
     automorphism phi that sends every basis morphism to ±1 times another.
 
-    One pair (rows, signs) per level m, two flat arrays as long as the
-    level: chain i goes to signs[i] times chain rows[i], with signs[i] in
-    {1, -1}; arrays hold the rows as machine ints, where a list would hold
-    an int object per chain.  Only the levels in `levels` are built; the
-    others are None.  This is the chain map of phi whose coefficient
-    transform is the unit at F(phi(c0)); it is a chain map only when phi
-    commutes with the twist F, which check_equivariant verifies.
+    One pair (rows, signs) per level m, flat arrays (C int, signed char)
+    as long as the level: chain i goes to signs[i] = ±1 times chain
+    rows[i].  Only the levels in `levels` are built; the others are None.
+    This is the chain map of phi whose coefficient transform is the unit
+    at F(phi(c0)); it is a chain map only when phi commutes with the
+    twist F, which check_equivariant verifies.
     """
     from array import array  # only here: compute never loads it
 
@@ -824,7 +823,7 @@ def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
             perm.append(None)
             continue
         level = sk.levels[m]
-        rows, odd = array("q"), []
+        rows, odd = array("i"), []
         for g in level.grids:
             # phi maps a grid's chains into one grid, the image of its
             # first chain's; a chain's row there is the offset plus, slot
@@ -856,16 +855,17 @@ def check_equivariant(sc: StandardComplex, perm: list, levels) -> None:
     nonzero entry of d1[m] and d2[m], for each m in `levels`.  `perm` is
     a bijection on each level (as signed_chain_permutation ensures), so
     this maps the nonzero entries of each block injectively into
-    themselves, which makes g d = d g exact."""
+    themselves, making g d = d g exact."""
 
     def respects(mtx, row_perm, col_perm) -> bool:
-        ent = mtx.entries
+        by_row = mtx.by_row
         rows, row_signs = row_perm
         cols, col_signs = col_perm
-        for (r, c), v in ent.items():
-            if ent.get((rows[r], cols[c])) != (
-                    v if row_signs[r] == col_signs[c] else -v):
-                return False
+        for r, row in by_row.items():
+            image, s = by_row.get(rows[r], {}), row_signs[r]
+            for c, v in row.items():
+                if image.get(cols[c]) != (v if s == col_signs[c] else -v):
+                    return False
         return True
 
     for m in levels:

@@ -136,14 +136,12 @@ def shuffle_push(sh: ShuffleMap, i: int, j: int, za: dict, zb: dict) -> dict:
             if (k, l) not in sh.blocks:
                 raise StructuralError(
                     f"needed shuffle block ({k},{l}) outside truncation")
-            index = {}  # column -> [(row, value), ...]
-            for (r, c), v in sh.blocks[(k, l)].entries.items():
-                index.setdefault(c, []).append((r, v))
+            index = sh.blocks[(k, l)].transpose().by_row  # col -> {row: v}
             nb = len(b.levels[l])
             acc = parts.setdefault(k + l, {})
             for ia, ca in xa.items():
                 for ib, cb in xb.items():
-                    for r, v in index.get(ia * nb + ib, ()):
+                    for r, v in index.get(ia * nb + ib, {}).items():
                         acc[r] = acc.get(r, 0) + v * ca * cb
     return tgt.block_vector(i + j, parts)
 

@@ -1,19 +1,20 @@
 """Exact rational and multi-modular sparse linear algebra.
 
-A matrix entry is an `int` where it is integral and a `fractions.Fraction`
-where it is not; never a float, and every division has a Fraction
-operand.  Rank splits the rows into connected components and eliminates
-each in two stages, first taking every entry alone in its column, which
-needs no elimination, then Markowitz-style pivots.  The first stage,
-shared by every field, pivots only on entries ±1, units over Z and mod
-every prime, so it commutes with reduction mod a prime dividing no
+A matrix is stored by row, {row: {col: value}}, so products, rank and
+the callers' checks read its rows as they are.  An entry is an `int` where
+it is integral and a `fractions.Fraction` where it is not; never a float,
+and every division has a Fraction operand.  Rank splits the rows into
+connected components and eliminates each in two stages, first taking
+every entry alone in its column, then Markowitz-style pivots.  The first
+stage, shared by every field, pivots only on entries ±1, units over Z and
+mod every prime, so it commutes with reduction mod a prime dividing no
 denominator.  Each field then ranks the rows left, the residue: GF(p) on
 plain ints in modular mode, Q in exact mode or when the primes disagree
 or one divides a denominator (a rank mod p is at most the rank over Q,
 and equal for all but finitely many p).  The first stage's pivot columns
 are returned too: on an integral d_(k+1) with d_(k+1)·d_k = 0 they name
 rows of d_k that an integral combination of its other rows gives, which
-hochschild.total_homology then leaves out of the rank of d_k (clearing).
+hochschild.total_homology leaves out of the rank of d_k (clearing).
 Kernels, column spaces and solving reduce rows one at a time against a
 pivot dict over Q.
 """
@@ -71,37 +72,41 @@ def _entry(v):
     raise StructuralError(f"matrix entry {v!r} is neither an int nor a Fraction")
 
 
-def normalise_entries(ent: dict) -> dict:
-    """ent with each integral Fraction replaced by its numerator and each
-    zero dropped, in place."""
-    zeros = []
-    for key, v in ent.items():
-        if type(v) is not int and v.denominator == 1:
-            v = ent[key] = v.numerator
-        if not v:
-            zeros.append(key)
-    for key in zeros:
-        del ent[key]
-    return ent
+def normalise_rows(rows: dict) -> dict:
+    """rows {row: {col: value}} with integral Fractions made ints and
+    zeros and empty rows dropped, in place."""
+    empty = []
+    for i, row in rows.items():
+        for j, v in row.items():
+            if type(v) is not int and v.denominator == 1:
+                row[j] = v.numerator
+        if 0 in row.values():
+            row = rows[i] = {j: v for j, v in row.items() if v}
+        if not row:
+            empty.append(i)
+    for i in empty:
+        del rows[i]
+    return rows
 
 
 class SparseMatrix:
-    """Immutable-by-convention sparse matrix over Q.
+    """Immutable-by-convention sparse matrix over Q, stored by row.
 
-    Entries are a dict {(row, col): value} with no explicit zeros; a value
-    is an int where it is integral, else a Fraction; never a float.  The
-    constructor normalises an integral Fraction to its numerator and
-    rejects any other type.
+    `by_row` is {row: {col: value}} with no zero value and no empty row; a
+    value is an int where it is integral, else a Fraction; never a float.
+    The constructor takes ((row, col), value) pairs, or a dict of them,
+    normalises an integral Fraction to its numerator and rejects any other
+    type; items() yields the pairs back.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "by_row")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise StructuralError("negative dimensions")
         self.rows = rows
         self.cols = cols
-        ent = {}
+        self.by_row = data = {}
         if entries:
             for (i, j), v in (entries.items() if isinstance(entries, dict) else entries):
                 if not (0 <= i < rows and 0 <= j < cols):
@@ -109,21 +114,20 @@ class SparseMatrix:
                 if type(v) is not int:
                     v = _entry(v)
                 if v:
-                    if (i, j) in ent:
+                    row = data.setdefault(i, {})
+                    if j in row:
                         raise StructuralError(f"duplicate entry at ({i},{j})")
-                    ent[(i, j)] = v
-        self.entries = ent
+                    row[j] = v
 
     @classmethod
-    def trusted(cls, rows: int, cols: int, entries: dict) -> "SparseMatrix":
-        """A matrix on `entries` as given, without the constructor's checks:
-        for internal producers whose entries are already ints or
-        non-integral Fractions, nonzero and in range.  The dict is kept,
-        not copied."""
+    def trusted(cls, rows: int, cols: int, by_row: dict) -> "SparseMatrix":
+        """A matrix on `by_row` as given, kept, not copied, without the
+        constructor's checks: for internal producers of rows that already
+        keep the contract above, in range."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
-        m.entries = entries
+        m.by_row = by_row
         return m
 
     @classmethod
@@ -136,41 +140,51 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls.trusted(n, n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols)
 
+    def items(self):
+        """((row, col), value) for each nonzero entry, row by row."""
+        return (((i, j), v) for i, row in self.by_row.items()
+                for j, v in row.items())
+
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.by_row.values()))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.by_row
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.trusted(
-            self.cols, self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()})
+        out = {}
+        for i, row in self.by_row.items():
+            for j, v in row.items():
+                col = out.get(j)
+                if col is None:
+                    out[j] = {i: v}
+                else:
+                    col[i] = v
+        return SparseMatrix.trusted(self.cols, self.rows, out)
 
     def scale(self, c) -> "SparseMatrix":
         c = _entry(c)
         if not c:
             return SparseMatrix(self.rows, self.cols)
-        return SparseMatrix(self.rows, self.cols,
-                            {k: c * v for k, v in self.entries.items()})
+        return SparseMatrix.trusted(self.rows, self.cols, normalise_rows(
+            {i: {j: c * v for j, v in row.items()}
+             for i, row in self.by_row.items()}))
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise StructuralError("shape mismatch in add")
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            s = ent.get(k, 0) + v
-            if s:
-                ent[k] = s
-            else:
-                ent.pop(k, None)
-        return SparseMatrix(self.rows, self.cols, ent)
+        out = {i: dict(row) for i, row in self.by_row.items()}
+        for i, row in other.by_row.items():
+            acc = out.setdefault(i, {})
+            for j, v in row.items():
+                acc[j] = acc.get(j, 0) + v
+        return SparseMatrix.trusted(self.rows, self.cols, normalise_rows(out))
 
     def sub(self, other: "SparseMatrix") -> "SparseMatrix":
         return self.add(other.scale(-1))
@@ -178,83 +192,60 @@ class SparseMatrix:
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise StructuralError("shape mismatch in mul")
-        by_row = {}
-        for (k, j), w in other.entries.items():
-            by_row.setdefault(k, []).append((j, w))
-        left = {}
-        for (i, k), v in self.entries.items():
-            left.setdefault(i, []).append((k, v))
-        ent = {}
-        for i, terms in left.items():
-            acc = {}  # row i of the product, keyed by column
-            for k, v in terms:
-                for j, w in by_row.get(k, ()):
+        right = other.by_row
+        out = {}
+        for i, row in self.by_row.items():
+            acc = {}  # row i of the product
+            for k, v in row.items():
+                for j, w in right.get(k, {}).items():
                     acc[j] = acc.get(j, 0) + v * w
-            for j, s in acc.items():
-                if s:
-                    ent[i, j] = s
-        return SparseMatrix.trusted(self.rows, other.cols,
-                                    normalise_entries(ent))
+            if acc:
+                out[i] = acc
+        return SparseMatrix.trusted(self.rows, other.cols, normalise_rows(out))
 
     def kron(self, other: "SparseMatrix") -> "SparseMatrix":
         """The Kronecker product self ⊗ other: for other r×c, entry
         (i·r + k, j·c + l) is self[i, j]·other[k, l], the index order of a
         tensor product whose second factor varies fastest."""
         r, c = other.rows, other.cols
-        right = other.entries.items()
-        ent = {}
-        for (i, j), v in self.entries.items():
-            row, col = i * r, j * c
-            for (k, l), w in right:
-                ent[row + k, col + l] = v * w
+        right = other.by_row.items()
+        out = {}
+        for i, row in self.by_row.items():
+            for k, rk in right:
+                out[i * r + k] = {j * c + l: v * w for j, v in row.items()
+                                  for l, w in rk.items()}
         return SparseMatrix.trusted(self.rows * r, self.cols * c,
-                                    normalise_entries(ent))
+                                    normalise_rows(out))
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a sparse column vector {index: int or Fraction}."""
         out = {}
-        by_col = {}
-        for (i, j), v in self.entries.items():
-            by_col.setdefault(j, []).append((i, v))
-        for j, c in vec.items():
-            for i, v in by_col.get(j, ()):
-                s = out.get(i, 0) + v * c
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
+        for i, row in self.by_row.items():
+            if s := sum(v * vec[j] for j, v in row.items() if j in vec):
+                out[i] = s
         return out
 
     def trace(self):
         if self.rows != self.cols:
             raise StructuralError("trace of non-square matrix")
-        return sum(v for (i, j), v in self.entries.items() if i == j)
+        return sum(row.get(i, 0) for i, row in self.by_row.items())
 
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.by_row == other.by_row)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
+        return hash((self.rows, self.cols, tuple(sorted(self.items()))))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
 
 
-def _row_dicts(m: SparseMatrix) -> dict:
-    """{row: {column: value}} of the nonzero rows of m."""
-    rows = {}
-    for (i, j), v in m.entries.items():
-        rows.setdefault(i, {})[j] = v
-    return rows
-
-
 # -- the elimination kernel -------------------------------------------------
 #
-# Rows are sparse dicts {column: value} with no zero values.  Values are
-# ints or Fractions, or (for rank only) plain ints in [0, p) when a prime p
-# is given.
+# Rows are sparse dicts {column: value} with no zero values: ints or
+# Fractions, or, for rank mod a prime p, plain ints in [0, p).
 
 
 def _subtract(row: dict, f, piv: dict) -> None:
@@ -326,35 +317,29 @@ def rref(rows) -> dict:
 
 
 def _component_rows(m: SparseMatrix, skip=()) -> list:
-    """The nonzero rows of m, but those in `skip`, as sparse dicts, grouped
-    by connected component of the graph joining each row to its columns,
-    in one pass over the entries.  Rank is the sum of the components'
-    ranks."""
-    rows = {}
+    """Copies of the rows of m but those in `skip`, in index order, grouped
+    by connected component of the graph joining each row to its columns.
+    Rank is the sum of the components' ranks."""
     comp = {}   # row -> the list of rows of its component, shared
     owner = {}  # column -> the first row seen with an entry there
-    for (i, j), v in m.entries.items():
-        if i in skip:
-            continue
-        r = rows.get(i)
-        if r is None:
-            rows[i] = {j: v}
-            ci = comp[i] = [i]
-        else:
-            r[j] = v
-            ci = comp[i]
-        o = owner.setdefault(j, i)
-        if o != i:
-            co = comp[o]
-            if co is not ci:  # merge the smaller component into the larger
-                if len(co) < len(ci):
-                    co, ci = ci, co
-                co += ci
-                for x in ci:
-                    comp[x] = co
+    by_row = m.by_row
+    order = [i for i in sorted(by_row) if i not in skip]
+    for i in order:
+        ci = comp[i] = [i]
+        for j in by_row[i]:
+            o = owner.setdefault(j, i)
+            if o != i:
+                co = comp[o]
+                if co is not ci:  # merge the smaller component into the larger
+                    if len(co) < len(ci):
+                        co, ci = ci, co
+                    co += ci
+                    for x in ci:
+                        comp[x] = co
+                    ci = co
     groups = {}
-    for i, r in rows.items():
-        groups.setdefault(comp[i][0], []).append(r)
+    for i in order:
+        groups.setdefault(id(comp[i]), []).append(dict(by_row[i]))
     return list(groups.values())
 
 
@@ -362,14 +347,14 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
     """(pivot columns, rows left) of a sparse elimination over Q (p == 0)
     or GF(p) of nonzero rows, which it consumes.
 
-    First every entry alone in its column is a pivot, needing no
-    elimination, again and again as taking them empties columns.  Then
-    each pivot is the sparsest remaining row, at its column shared with the
-    fewest other rows.  A column -> rows index, updated on every fill-in
-    and cancellation, finds the rows to eliminate and the column counts; a
-    heap of (length, row) finds the sparsest row.  With `units` a pivot
-    entry must be ±1 and the rows that never get one are left, reduced
-    against every pivot.
+    First every entry alone in its column is a pivot, least column first,
+    again and again as taking them empties columns.  Then each pivot is
+    the sparsest row left, at its column shared with the fewest rows.  A
+    column -> rows index, kept up to date, finds the rows to eliminate; a
+    heap of (length, row) the sparsest row.  With `units` a pivot entry
+    must be ±1 and the rows that never get one are left, reduced against
+    every pivot.  Ties go to the least index, so the pivots do not depend
+    on the order in which the rows were filled.
     """
     rows = dict(enumerate(rows))
     col_rows = {}
@@ -377,9 +362,9 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
         for c in r:
             col_rows.setdefault(c, set()).add(i)
     pivots = []
-    lone = [c for c, hits in col_rows.items() if len(hits) == 1]
+    lone = sorted([c for c, hits in col_rows.items() if len(hits) == 1])
     while lone:
-        pc = lone.pop()
+        pc = heapq.heappop(lone)
         if len(col_rows[pc]) != 1:
             continue  # its row was taken at another column
         (i,) = col_rows[pc]
@@ -392,7 +377,7 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
             hits = col_rows[c]
             hits.discard(i)
             if len(hits) == 1:
-                lone.append(c)
+                heapq.heappush(lone, c)
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     while heap:
@@ -493,16 +478,16 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
               cleared=()) -> RankResult:
     """Rank of m, exactly or mod each prime of a modular mode, which fails
     if it divides a denominator of m; `per_prime`, `failed_primes` and
-    `agreed` report what the primes gave.  The rows in `cleared` are
-    never eliminated: the caller vouches that each is an integral
-    combination of the others, so that leaving them out changes no rank,
-    over Q or mod any prime.  The denominators are still read from every
-    row, so the primes fail as they would on the whole of m.  When m has
-    int entries alone, `unit_pivots` are the columns of the ±1 stage's
-    pivots: its multipliers are then ints too, so the block of m at those
-    pivots has determinant ±1 over Z."""
+    `agreed` report what the primes gave.  The rows in `cleared` are never
+    eliminated: the caller vouches that each is an integral combination
+    of the others, so no rank changes, over Q or mod any prime; the
+    primes still fail on their denominators.  When m has int entries
+    alone, `unit_pivots` are the columns of the ±1 stage's pivots: its
+    multipliers are then ints too, so the block of m at those pivots has
+    determinant ±1 over Z."""
     primes = mode.primes if mode.kind == "modular" else ()
-    dens = {v.denominator for v in m.entries.values() if type(v) is not int}
+    dens = {v.denominator for row in m.by_row.values() for v in row.values()
+            if type(v) is not int}
     failed = tuple(p for p in primes if any(d % p == 0 for d in dens))
     # per component, so that one column index is alive at a time
     shared, residues = [], []
@@ -529,7 +514,7 @@ def rank(m: SparseMatrix, mode: RankMode = EXACT) -> int:
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:
     """Exact kernel basis as sparse column vectors {row index: value}."""
-    pivots = rref(_row_dicts(m).values())
+    pivots = rref(m.by_row.values())
     order = sorted(pivots)
     basis = []
     for free in range(m.cols):
@@ -537,8 +522,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
             continue
         vec = {free: 1}
         for pcol in order:
-            v = pivots[pcol].get(free, 0)
-            if v:
+            if v := pivots[pcol].get(free):
                 vec[pcol] = -v
         basis.append(vec)
     return basis
@@ -546,7 +530,7 @@ def kernel_basis(m: SparseMatrix) -> list[dict]:
 
 def column_space_basis(m: SparseMatrix) -> list[dict]:
     """An exact basis of the column space, as sparse column vectors."""
-    pivots = rref(_row_dicts(m.transpose()).values())
+    pivots = rref(m.transpose().by_row.values())
     return [pivots[c] for c in sorted(pivots)]
 
 
@@ -595,7 +579,7 @@ def solver(m: SparseMatrix):
     """b -> solve(m, b) for many b at the cost of one reduction of the
     columns of m (tagged_reduction); a column in the span of earlier ones
     is dropped, so x is zero there, as rref puts it."""
-    cols = _row_dicts(m.transpose())
+    cols = m.transpose().by_row
     tag = m.rows
     _, coordinates = tagged_reduction(
         (cols.get(j, {}) for j in range(m.cols)), tag)

@@ -59,15 +59,20 @@ def homology_dimension(d_in: SparseMatrix, d_out: SparseMatrix,
     return dim_ker - rank(d_in, mode)
 
 
+def entries(m: SparseMatrix) -> dict:
+    """The nonzero entries of m as a dict {(row, col): value}."""
+    return dict(m.items())
+
+
 def reference_mul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """a·b with one lookup by (row, column) pair per product term."""
     if a.cols != b.rows:
         raise StructuralError("shape mismatch in mul")
     by_row = {}
-    for (i, j), v in b.entries.items():
+    for (i, j), v in b.items():
         by_row.setdefault(i, []).append((j, v))
     ent = {}
-    for (i, k), v in a.entries.items():
+    for (i, k), v in a.items():
         for j, w in by_row.get(k, ()):
             s = ent.get((i, j), 0) + v * w
             if s:

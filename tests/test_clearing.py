@@ -4,6 +4,7 @@ call.  Every dim, `agreed` and `exact_fallback` must stay what ranking
 each differential on its own gives."""
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from hhwb import qlinalg
 from hhwb.cli import main
-from hhwb.hochschild import total_homology
+from hhwb.dgcore import Permutation
+from hhwb.hochschild import TwistSpec, build_complex, total_homology
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, rank_info
 
+from conftest import dual_numbers
 from test_hochschild import periodic_resolution_dims
 
 MOD = RankMode.modular()
@@ -195,6 +198,36 @@ def test_a_cleared_row_still_fails_its_prime():
     whole, cleared = rank_info(m, MOD), rank_info(m, MOD, {1})
     assert cleared.failed_primes == whole.failed_primes == (P1,)
     assert cleared.exact_fallback and whole.exact_fallback
+
+
+# -- rank cost is a function of the matrix -----------------------------------
+
+
+def refilled(m: SparseMatrix, seed: int) -> SparseMatrix:
+    """m built again from its entries in a shuffled order, so that its rows,
+    and the columns within each row, are filled in another order."""
+    pairs = list(m.items())
+    random.Random(seed).shuffle(pairs)
+    return SparseMatrix(m.rows, m.cols, pairs)
+
+
+@pytest.mark.parametrize("mode", [EXACT, MOD])
+def test_rank_does_not_depend_on_the_fill_order(mode):
+    # the differentials of D⊗D with the swap, as compute-modular has them
+    swap = TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)]))
+    sc = build_complex(dual_numbers(), swap, 4)
+    for k in range(-4, 0):
+        d = sc.total_differential(k)
+        one, two = refilled(d, 2 * k), refilled(d, 2 * k + 1)
+        assert list(one.by_row) != list(two.by_row)
+        assert any(list(row) != list(two.by_row[i])
+                   for i, row in one.by_row.items())
+        info = rank_info(d, mode)
+        assert info.unit_pivots
+        assert rank_info(one, mode) == rank_info(two, mode) == info
+        above = sc.total_differential(k + 1)
+        cleared = set(rank_info(above, mode).unit_pivots)
+        assert rank_info(one, mode, cleared) == rank_info(two, mode, cleared)
 
 
 # -- clearing at work ---------------------------------------------------------

@@ -45,7 +45,7 @@ def direct_sum(m, r):
 
     def blow(mat):
         ent = {}
-        for (i, j), v in mat.entries.items():
+        for (i, j), v in mat.items():
             for s in range(r):
                 ent[(s * m.dim + i, s * m.dim + j)] = v
         return SparseMatrix(dim, dim, ent)
@@ -184,7 +184,7 @@ def test_staged_contraction_matches_direct(aD):
 
         def big(mat):
             ent = {}
-            for (r, c), v in mat.entries.items():
+            for (r, c), v in mat.items():
                 for i in range(d):
                     ent[(i * m.dim + r, i * m.dim + c)] = v
             return SparseMatrix(d * m.dim, d * m.dim, ent)

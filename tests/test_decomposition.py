@@ -42,6 +42,7 @@ from hhwb.qlinalg import (
 from conftest import dual_numbers
 from oracles import (
     degree_block,
+    entries,
     group_closure,
     kunneth_factor_check,
     lambda_invariant_dims,
@@ -333,7 +334,7 @@ def test_orbit_vectors_span_an_invariant_subcomplex(make, lam):
         dmat = oc.total_differential(k)
         for o, vec in enumerate(src):
             want = {}
-            for (r, col), v in dmat.entries.items():
+            for (r, col), v in dmat.items():
                 if col == o:
                     for j, w in tgt[r].items():
                         want[j] = want.get(j, 0) + v * w
@@ -361,7 +362,7 @@ def test_flipped_sign_breaks_equivariance(D):
     perm = signed_chain_permutation(sc, swap, range(sc.max_level + 1))
     check_equivariant(sc, perm, range(sc.max_level + 1))
     # d2 vanishes on level 1 of the commutative D^{⊗2}, not on level 2
-    cols = sorted({c for _, c in sc.d2[2].entries})
+    cols = sorted({c for _, c in entries(sc.d2[2])})
     assert cols
     for col in cols:
         flipped = [(list(rows), list(signs)) for rows, signs in perm]
@@ -379,7 +380,7 @@ def test_corrupted_target_row_breaks_equivariance(D):
     check_equivariant(sc, perm, range(sc.max_level + 1))
     # sending a level-2 chain whose d2 column is nonzero to one whose
     # column is zero must be caught, at every such chain
-    nonzero = {c for _, c in sc.d2[2].entries}
+    nonzero = {c for _, c in entries(sc.d2[2])}
     zero = [c for c in range(sc.d2[2].cols) if c not in nonzero]
     assert nonzero and zero
     rows, signs = perm[2]
@@ -389,6 +390,49 @@ def test_corrupted_target_row_breaks_equivariance(D):
         corrupted[2][0][col] = zero[0]
         with pytest.raises(StructuralError, match="does not commute"):
             check_equivariant(sc, corrupted, range(sc.max_level + 1))
+
+
+def face_positions(sc, m) -> tuple[set, set]:
+    """The positions of the nonzero entries of sc.d2[m] that only the inner
+    faces a_i∘a_(i+1) give, and those that only the wrap face F(a_m)∘a_0
+    gives."""
+    d2 = sc.d2[m]
+    inner = SparseMatrix(d2.rows, d2.cols, [
+        ((r, c), v) for r, row in sc.skeleton.inner_faces(m).items()
+        for c, v in row.items() if v])
+    at_inner, at_wrap = set(entries(inner)), set(entries(d2.sub(inner)))
+    return at_inner - at_wrap, at_wrap - at_inner
+
+
+@pytest.mark.parametrize("corruption", ["inner face", "wrap face",
+                                        "empty image row"])
+def test_a_corrupted_d2_entry_breaks_equivariance(D, corruption):
+    # λ = (2, 2): the twist swaps the factors inside each block, and S
+    # swaps the blocks
+    lam = Partition((2, 2))
+    sc = lambda_complex(D, lam, 2)
+    swap = permutation_functor(D, 4, centralizer_gens(lam).s_generators[0],
+                               power=sc.category)
+    perm = signed_chain_permutation(sc, swap, range(3))
+    check_equivariant(sc, perm, range(3))
+    rows, cols = perm[1][0], perm[2][0]
+    by_row = sc.d2[2].by_row
+    if corruption == "empty image row":
+        # an entry on a row whose image row has none
+        r = next(r for r in range(sc.d2[2].rows)
+                 if rows[r] != r and rows[r] not in by_row)
+        by_row.setdefault(r, {})[0] = 1
+    else:
+        inner, wrap = face_positions(sc, 2)
+        assert inner and wrap
+        # an entry that the swap moves, so that it meets its image
+        r, c = min((r, c) for r, c in (inner if corruption == "inner face"
+                                       else wrap)
+                   if (rows[r], cols[c]) != (r, c))
+        by_row[r][c] = -by_row[r][c]
+    with pytest.raises(StructuralError,
+                       match="face differential at level 2"):
+        check_equivariant(sc, perm, range(3))
 
 
 def test_non_commuting_generator_is_rejected(D, monkeypatch):
@@ -423,8 +467,8 @@ def test_orbit_complex_is_checked_to_square_to_zero(D, monkeypatch):
         mtx = differential(self, k)
         if k != -2:
             return mtx
-        (c, _), _ = next(iter(differential(self, k - 1).entries.items()))
-        ent = dict(mtx.entries)
+        (c, _), _ = next(iter(differential(self, k - 1).items()))
+        ent = entries(mtx)
         ent[0, c] = ent.get((0, c), 0) + 1
         return SparseMatrix(mtx.rows, mtx.cols, ent)
 

@@ -18,7 +18,7 @@ from hhwb.qlinalg import (
     solve,
 )
 
-from oracles import homology_dimension, reference_mul
+from oracles import entries, homology_dimension, reference_mul
 
 MOD = RankMode.modular()
 
@@ -29,12 +29,12 @@ MOD = RankMode.modular()
 def test_integral_entries_are_stored_as_ints():
     m = SparseMatrix(2, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 2),
                             (1, 0): 3, (1, 1): Fraction(0)})
-    assert m.entries == {(0, 0): 2, (0, 1): Fraction(1, 2), (1, 0): 3}
-    assert [type(m.entries[k]) for k in ((0, 0), (0, 1), (1, 0))] == [
+    assert entries(m) == {(0, 0): 2, (0, 1): Fraction(1, 2), (1, 0): 3}
+    assert [type(entries(m)[k]) for k in ((0, 0), (0, 1), (1, 0))] == [
         int, Fraction, int]
     assert all(type(v) is int
-               for v in SparseMatrix.from_dense([[Fraction(6, 3), 1]])
-               .entries.values())
+               for _, v in SparseMatrix.from_dense([[Fraction(6, 3), 1]])
+               .items())
 
 
 def test_internal_products_keep_the_entry_contract():
@@ -45,13 +45,14 @@ def test_internal_products_keep_the_entry_contract():
     two = SparseMatrix.from_dense([[2, 0], [Fraction(3, 2), Fraction(1, 3)]])
     for m in (half.mul(two), two.mul(half), half.transpose(),
               half.mul(two).transpose()):
-        checked = SparseMatrix(m.rows, m.cols, m.entries)
+        checked = SparseMatrix(m.rows, m.cols, entries(m))
         assert m == checked
-        assert [type(v) for v in m.entries.values()] == \
-            [type(v) for v in checked.entries.values()]
-    assert half.mul(two).entries == {(0, 0): Fraction(3, 2), (0, 1): Fraction(1, 9),
-                                     (1, 0): Fraction(9, 2), (1, 1): 1}
-    assert type(half.mul(two).entries[(1, 1)]) is int
+        assert [type(v) for v in entries(m).values()] == \
+            [type(v) for v in entries(checked).values()]
+    assert entries(half.mul(two)) == {(0, 0): Fraction(3, 2),
+                                      (0, 1): Fraction(1, 9),
+                                      (1, 0): Fraction(9, 2), (1, 1): 1}
+    assert type(entries(half.mul(two))[(1, 1)]) is int
 
 
 # entries whose products cancel, to integers or to zero, in a sum
@@ -63,14 +64,24 @@ PRODUCT_ENTRIES = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2),
 def matrix_pairs(draw):
     rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
 
-    def matrix(r, c):
-        cells = draw(st.dictionaries(
+    def cells(r, c):
+        return draw(st.dictionaries(
             st.tuples(st.integers(0, max(r - 1, 0)),
                       st.integers(0, max(c - 1, 0))),
             st.sampled_from(PRODUCT_ENTRIES), max_size=r * c))
-        return SparseMatrix(r, c, cells)
 
-    return matrix(rows, inner), matrix(inner, cols)
+    a, b = cells(rows, inner), cells(inner, cols)
+    if rows and inner >= 2 and draw(st.booleans()):
+        # rows k and l of b equal and row i of a v·(e_k - e_l): row i of
+        # the product cancels whole
+        k, l = draw(st.permutations(range(inner)))[:2]
+        i = draw(st.integers(0, rows - 1))
+        v = draw(st.sampled_from(PRODUCT_ENTRIES))
+        b = {key: w for key, w in b.items() if key[0] != l}
+        b.update({(l, j): w for (r, j), w in b.items() if r == k})
+        a = {key: w for key, w in a.items() if key[0] != i}
+        a[i, k], a[i, l] = v, -v
+    return SparseMatrix(rows, inner, a), SparseMatrix(inner, cols, b)
 
 
 @given(matrix_pairs())
@@ -79,9 +90,10 @@ def test_mul_matches_the_reference_loop(pair):
     a, b = pair
     product = a.mul(b)
     assert product == reference_mul(a, b)
-    assert [type(v) for v in product.entries.values()] == [
+    assert all(product.by_row.values())  # no row left empty
+    assert [type(v) for v in entries(product).values()] == [
         int if v.denominator == 1 else Fraction
-        for v in map(Fraction, product.entries.values())]
+        for v in map(Fraction, entries(product).values())]
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None])
@@ -96,7 +108,8 @@ def as_fractions(m: SparseMatrix) -> SparseMatrix:
     """m with every entry held as a Fraction, integral ones included, set
     past the constructor, which would normalise them to ints."""
     out = SparseMatrix(m.rows, m.cols)
-    out.entries = {k: Fraction(v) for k, v in m.entries.items()}
+    out.by_row = {i: {j: Fraction(v) for j, v in row.items()}
+                  for i, row in m.by_row.items()}
     return out
 
 
@@ -125,8 +138,8 @@ INT_MATRICES = [
 def test_integer_matrices_stay_exact(dense):
     m = SparseMatrix.from_dense(dense)
     f = as_fractions(m)
-    assert all(type(v) is int for v in m.entries.values())
-    assert all(type(v) is Fraction for v in f.entries.values())
+    assert all(type(v) is int for v in entries(m).values())
+    assert all(type(v) is Fraction for v in entries(f).values())
     expected = sympy.Matrix(dense).rank()
     assert rank_info(m).value == rank_info(f).value == expected
 
@@ -392,12 +405,12 @@ def test_every_field_ranks_the_shared_stage_and_its_residue(dense):
 def small_matrices(draw):
     rows = draw(st.integers(1, 6))
     cols = draw(st.integers(1, 6))
-    entries = draw(st.lists(
+    cells = draw(st.lists(
         st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1),
                   st.fractions(min_value=-5, max_value=5, max_denominator=7)),
         max_size=12))
     ent = {}
-    for i, j, v in entries:
+    for i, j, v in cells:
         ent[(i, j)] = v  # later duplicates win; no duplicate positions remain
     return SparseMatrix(rows, cols, ent)
 
@@ -420,9 +433,9 @@ def test_kernel_dimension_and_annihilation(m):
 @given(small_matrices(), st.permutations(list(range(6))))
 @settings(max_examples=40, deadline=None)
 def test_rank_invariant_under_permutation(m, perm):
-    ent = {(perm[i] if i < 6 else i, j): v for (i, j), v in m.entries.items()}
+    ent = {(perm[i] if i < 6 else i, j): v for (i, j), v in m.items()}
     permuted = SparseMatrix(max(m.rows, 6), m.cols, ent)
-    base = SparseMatrix(max(m.rows, 6), m.cols, dict(m.entries))
+    base = SparseMatrix(max(m.rows, 6), m.cols, entries(m))
     assert rank(base) == rank(permuted)
 
 
@@ -493,13 +506,14 @@ def kron_by_definition(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """a ⊗ b entry by entry over the dense index ranges: (i·r + k, j·c + l)
     holds a[i, j]·b[k, l] for b r×c, through the checking constructor."""
     r, c = b.rows, b.cols
+    at_a, at_b = entries(a), entries(b)
     ent = {}
     for i in range(a.rows):
         for j in range(a.cols):
             for k in range(r):
                 for l in range(c):
-                    ent[(i * r + k, j * c + l)] = (a.entries.get((i, j), 0)
-                                                   * b.entries.get((k, l), 0))
+                    ent[(i * r + k, j * c + l)] = (at_a.get((i, j), 0)
+                                                   * at_b.get((k, l), 0))
     return SparseMatrix(a.rows * r, a.cols * c, ent)
 
 
@@ -508,8 +522,8 @@ def assert_kron_matches_definition(a, b):
     want = kron_by_definition(a, b)
     assert (got.rows, got.cols) == (want.rows, want.cols)
     assert got == want
-    assert {k: type(v) for k, v in got.entries.items()} == \
-        {k: type(v) for k, v in want.entries.items()}
+    assert {k: type(v) for k, v in got.items()} == \
+        {k: type(v) for k, v in want.items()}
 
 
 KRON_CASES = {
@@ -533,9 +547,9 @@ def test_kron_stores_integral_fraction_products_as_ints():
     a = SparseMatrix.from_dense([[Fraction(2, 3), Fraction(1, 2)]])
     b = SparseMatrix.from_dense([[Fraction(3, 2)], [Fraction(4, 1)]])
     p = a.kron(b)
-    assert p.entries == {(0, 0): 1, (1, 0): Fraction(8, 3),
-                         (0, 1): Fraction(3, 4), (1, 1): 2}
-    assert type(p.entries[(0, 0)]) is int and type(p.entries[(1, 1)]) is int
+    assert entries(p) == {(0, 0): 1, (1, 0): Fraction(8, 3),
+                          (0, 1): Fraction(3, 4), (1, 1): 2}
+    assert type(entries(p)[(0, 0)]) is int and type(entries(p)[(1, 1)]) is int
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
