@@ -462,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=["exact", "modular"],
                         default="modular")
         sp.add_argument("--primes", default=None,
-                        help="comma-separated primes for modular mode")
+                        help="comma-separated primes to cross-check ranks")
         sp.add_argument("--degrees", default=None, help="range a..b")
         sp.add_argument("--out", default=None, help="write JSON report here")
         sp.add_argument("--csv", default=None, help="write a CSV table here")

@@ -6,11 +6,11 @@ chains by signed permutations, so the invariants are the homology of the
 signed-orbit complex C^S, which has one basis vector per signed orbit and
 goes through total_homology like any other complex.  This is exact by Maschke's theorem:
 over Q, averaging over S is a chain-level projector onto C^S, so
-H(C)^S = H(C^S); over GF(p) the same holds for p > |S|.  The right side is
-the t-degree-n piece of the super-symmetric algebra on one copy of the
-untwisted homology per t-power.  Both sides are compared degreewise with
-truncation certificates tracked throughout; the right side in degree k reads
-the factor's homology in every degree between 0 and k.
+H(C)^S = H(C^S), and every reported rank is over Q, whatever the mode.
+The right side is the t-degree-n piece of the super-symmetric algebra on
+one copy of the untwisted homology per t-power.  Both sides are compared
+degreewise with truncation certificates tracked throughout; the right side
+in degree k reads the factor's homology in every degree between 0 and k.
 
 verify_decomposition builds the n-th tensor power once and every λ complex
 on it, so the complexes share one skeleton (hochschild): chains, d1 and the
@@ -182,7 +182,7 @@ class OrbitComplex:
     so D has int entries wherever d has (qlinalg.SparseMatrix).
 
     Over Q averaging over G is a chain-level projector onto C^G (Maschke),
-    so H(C^G) = H(C)^G; over GF(p) the same holds for p > |G|.  It has the
+    so H(C^G) = H(C)^G, and every reported rank is over Q.  It has the
     interface total_homology reads (block_dim, total_differential,
     certified, max_level), so C^G is d²-checked, ranked and certified like
     C, whose truncation it shares; it keeps only its orbits, and reads C's
@@ -391,7 +391,7 @@ class DecompositionReport:
     def __init__(self, *, category: str, n: int, degrees: list,
                  per_partition: list, lhs_totals: dict, rhs_totals: dict,
                  verdicts: dict, max_level: int, normalized: bool, mode: str,
-                 agreed: dict, exact_fallback: dict):
+                 agreed: dict):
         self.category = category
         self.n = n
         self.degrees = degrees
@@ -402,8 +402,7 @@ class DecompositionReport:
         self.max_level = max_level
         self.normalized = normalized
         self.mode = mode
-        self.agreed = agreed  # degree -> every rank it used had agreeing primes
-        self.exact_fallback = exact_fallback  # degree -> a rank was redone over Q
+        self.agreed = agreed  # degree -> every prime gave every rank it used
 
     @property
     def all_equal(self) -> bool:
@@ -430,8 +429,6 @@ class DecompositionReport:
             "rhs_totals": {str(k): v for k, v in sorted(self.rhs_totals.items())},
             "verdicts": {str(k): v for k, v in sorted(self.verdicts.items())},
             "agreed": {str(k): v for k, v in sorted(self.agreed.items())},
-            "exact_fallback": {str(k): v
-                               for k, v in sorted(self.exact_fallback.items())},
             "max_level": self.max_level,
             "normalized": self.normalized,
             "mode": self.mode,
@@ -447,11 +444,11 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
 
     A degree that some λ complex does not certify gets the verdict
     Heuristic and the left total None: its invariants are not computed.
-    `agreed` is, per degree, whether the primes agreed on every rank that
-    degree used: the λ complexes, their orbit complexes and the factor
-    complex (always True in exact mode).  `exact_fallback` is, per degree,
-    whether any of those ranks was recomputed over Q because a prime
-    failed or the primes disagreed."""
+    Every rank is taken over Q, so dims and verdicts do not depend on the
+    mode.  `agreed` is, per degree, whether every cross-checking prime
+    gave every rank that degree used: the λ complexes, their orbit
+    complexes and the factor complex (always True in exact mode); a prime
+    that ranks short is reported there and changes no verdict."""
     degrees = sorted(set(degrees), reverse=True)
     if not degrees:
         raise StructuralError("no degrees to compare")
@@ -474,7 +471,7 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     chain_perms = {}
     while todo:
         lam, sc = todo.pop()
-        summary = total_homology(sc, window, mode=mode)
+        summary = total_homology(sc, degrees, mode=mode)
         certified = {k: summary.degrees[k].certificate == "exact"
                      for k in degrees}
         for k in degrees:
@@ -535,6 +532,4 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         normalized=normalized,
         mode=mode.kind,
         agreed={k: all(u.agreed for u in used[k]) for k in degrees},
-        exact_fallback={k: any(u.exact_fallback for u in used[k])
-                        for k in degrees},
     )

@@ -731,11 +731,11 @@ def build_complex(c: DgCategory, twist, max_level: int,
 
 class DegreeResult(namedtuple(
         "DegreeResult",
-        "dim certificate mode primes agreed reason exact_fallback",
-        defaults=((), True, "", False))):
+        "dim certificate mode primes agreed reason",
+        defaults=((), True, ""))):
     """The homology in one degree: certificate "exact" or "heuristic",
-    mode "exact" or "modular", and exact_fallback when a rank it used was
-    recomputed over Q."""
+    mode "exact" or "modular"; the dim is exact in both.  `primes`
+    checked both ranks it used, `agreed` if each gave the rank over Q."""
 
     __slots__ = ()
 
@@ -778,14 +778,14 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
     for k in degrees:
         out_info, in_info = ranks[k], ranks[k - 1]
         dim = (diffs[k].cols - out_info.value) - in_info.value
-        primes = tuple(p for p, _ in out_info.per_prime)
+        primes = tuple(p for p, _ in out_info.per_prime
+                       if p not in in_info.failed_primes)
         agreed = out_info.agreed and in_info.agreed
         cert = "exact" if sc.certified(k) else "heuristic"
         reason = "" if cert == "exact" else (
             f"levels above {sc.max_level} may contribute near degree {k}; "
             f"compare max_level {sc.max_level} and {sc.max_level + 1}")
-        out[k] = DegreeResult(dim, cert, mode.kind, primes, agreed, reason,
-                              out_info.exact_fallback or in_info.exact_fallback)
+        out[k] = DegreeResult(dim, cert, mode.kind, primes, agreed, reason)
     return HomologySummary(out)
 
 

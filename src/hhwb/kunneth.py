@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .decomposition import dims_convolve  # defined there, kept importable here
 from .dgcore import _tensor_id, functor_equal, tensor_functor
 from .hochschild import StandardComplex
 from .qlinalg import SparseMatrix, StructuralError, rank

@@ -8,10 +8,11 @@ connected components and eliminates each in two stages, first taking
 every entry alone in its column, then Markowitz-style pivots.  The first
 stage, shared by every field, pivots only on entries ±1, units over Z and
 mod every prime, so it commutes with reduction mod a prime dividing no
-denominator.  Each field then ranks the rows left, the residue: GF(p) on
-plain ints in modular mode, Q in exact mode or when the primes disagree
-or one divides a denominator (a rank mod p is at most the rank over Q,
-and equal for all but finitely many p).  The first stage's pivot columns
+denominator.  The rows left, the residue, are always ranked over Q, which
+gives the rank in every mode; a modular mode also ranks them mod each prime
+dividing no denominator, on plain ints, as a cross-check (a rank mod p is
+at most the rank r over Q, and less only when p divides every r×r minor,
+so a short prime is reported, never used).  The first stage's pivot columns
 are returned too: on an integral d_(k+1) with d_(k+1)·d_k = 0 they name
 rows of d_k that an integral combination of its other rows gives, which
 hochschild.total_homology leaves out of the rank of d_k (clearing).
@@ -458,33 +459,30 @@ def _rows_mod_p(rows, p: int) -> list:
 class RankResult(namedtuple("RankResult",
                             "value mode per_prime failed_primes unit_pivots",
                             defaults=((), (), ()))):
-    """A rank, the RankMode it was taken in, the (prime, rank) pairs of a
-    modular mode, the primes that failed and, for a matrix of ints, the
-    columns of the pivots of the ±1 stage shared by every field."""
+    """A rank over Q, the RankMode it was taken in, the (prime, rank) pairs
+    of a modular mode's cross-check, the primes that divide a denominator
+    and so check nothing, and, for a matrix of ints, the columns of the
+    pivots of the ±1 stage shared by every field."""
 
     __slots__ = ()
 
     @property
     def agreed(self) -> bool:
-        return len({r for _, r in self.per_prime}) <= 1
-
-    @property
-    def exact_fallback(self) -> bool:
-        """True when a modular rank was recomputed over Q."""
-        return bool(self.failed_primes) or not self.agreed
+        """Every cross-checking prime gave `value`."""
+        return all(r == self.value for _, r in self.per_prime)
 
 
 def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
               cleared=()) -> RankResult:
-    """Rank of m, exactly or mod each prime of a modular mode, which fails
-    if it divides a denominator of m; `per_prime`, `failed_primes` and
-    `agreed` report what the primes gave.  The rows in `cleared` are never
-    eliminated: the caller vouches that each is an integral combination
-    of the others, so no rank changes, over Q or mod any prime; the
-    primes still fail on their denominators.  When m has int entries
-    alone, `unit_pivots` are the columns of the ±1 stage's pivots: its
-    multipliers are then ints too, so the block of m at those pivots has
-    determinant ±1 over Z."""
+    """Rank of m over Q in every mode.  A modular mode also ranks m mod
+    each of its primes that divides no denominator of m; `per_prime`,
+    `failed_primes` and `agreed` report what the primes gave, and never
+    change `value`.  The rows in `cleared` are never eliminated: the
+    caller vouches that each is an integral combination of the others,
+    so no rank changes, over Q or mod any prime; the primes still fail on
+    their denominators.  When m has int entries alone, `unit_pivots` are
+    the columns of the ±1 stage's pivots: its multipliers are then ints
+    too, so the block of m at those pivots has determinant ±1 over Z."""
     primes = mode.primes if mode.kind == "modular" else ()
     dens = {v.denominator for row in m.by_row.values() for v in row.values()
             if type(v) is not int}
@@ -496,16 +494,13 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
         shared += pivots
         if left:
             residues.append(left)
+    # the primes rank reduced copies, before Q consumes the residues
     per_prime = tuple(
         (p, len(shared) + sum(len(_component_rank(_rows_mod_p(s, p), p)[0])
                               for s in residues))
         for p in primes if p not in failed)
-    result = RankResult(max((r for _, r in per_prime), default=0), mode,
-                        per_prime, failed, () if dens else shared)
-    if mode.kind == "exact" or result.exact_fallback:
-        result = result._replace(value=len(shared) + sum(
-            len(_component_rank(s, 0)[0]) for s in residues))
-    return result
+    value = len(shared) + sum(len(_component_rank(s, 0)[0]) for s in residues)
+    return RankResult(value, mode, per_prime, failed, () if dens else shared)
 
 
 def rank(m: SparseMatrix, mode: RankMode = EXACT) -> int:

@@ -1,7 +1,7 @@
 """Clearing: total_homology ranks d_j without the rows that the ±1 pivots
 of d_(j+1) make redundant, when d_(j+1)·d_j = 0 was checked in the same
-call.  Every dim, `agreed` and `exact_fallback` must stay what ranking
-each differential on its own gives."""
+call.  Every dim and `agreed` must stay what ranking each differential on
+its own gives."""
 
 import json
 import random
@@ -47,18 +47,17 @@ class GivenComplex:
 
 
 def rank_by_rank(cx, degrees, mode) -> dict:
-    """(dim, agreed, exact_fallback) per degree from one rank_info call on
-    each whole differential, with no clearing."""
+    """(dim, agreed) per degree from one rank_info call on each whole
+    differential, with no clearing."""
     info = {j: rank_info(cx.total_differential(j), mode)
             for k in degrees for j in (k, k - 1)}
     return {k: (cx.block_dim(k) - info[k].value - info[k - 1].value,
-                info[k].agreed and info[k - 1].agreed,
-                info[k].exact_fallback or info[k - 1].exact_fallback)
+                info[k].agreed and info[k - 1].agreed)
             for k in degrees}
 
 
 def reported(cx, degrees, mode) -> dict:
-    return {k: (r.dim, r.agreed, r.exact_fallback)
+    return {k: (r.dim, r.agreed)
             for k, r in total_homology(cx, degrees, mode).degrees.items()}
 
 
@@ -142,7 +141,7 @@ def test_clearing_keeps_the_ranks_of_split_complexes(case, data):
         out = total_homology(cx, degrees, mode).degrees
         assert {k: r.dim for k, r in out.items()} == {k: free[k]
                                                       for k in degrees}
-        assert all(r.agreed and not r.exact_fallback for r in out.values())
+        assert all(r.agreed for r in out.values())
 
 
 # -- what clearing must not do ----------------------------------------------
@@ -155,15 +154,15 @@ def test_an_unchecked_pair_is_not_cleared():
     cx = GivenComplex({0: 1, 1: 1, 2: 1}, {0: one, 1: one})
     for mode in (EXACT, MOD):
         assert reported(cx, [0, 2], mode) == rank_by_rank(cx, [0, 2], mode)
-        assert reported(cx, [0, 2], mode) == {0: (0, True, False),
-                                              2: (0, True, False)}
+        assert reported(cx, [0, 2], mode) == {0: (0, True), 2: (0, True)}
 
 
 def test_pivots_that_are_not_units_clear_nothing():
     # d1·d0 = 0 with no ±1 entry in d1: each block (a b) of d1 meets the
     # column (b, -a) of d0.  A pivot of a residue stage at a or b would
     # leave d0 a row whose only entry is a modular prime, so the prime
-    # would rank d0 short; the ±1 stage has no pivot, so no row goes
+    # would rank d0 short and `agreed` would read false; the ±1 stage has
+    # no pivot, so no row goes
     pairs = [(-2, P2), (P2, -2), (-2, P1), (P1, -2)]
     d1, d0 = {}, {}
     for x, (a, b) in enumerate(pairs):
@@ -172,9 +171,8 @@ def test_pivots_that_are_not_units_clear_nothing():
     cx = GivenComplex({0: 4, 1: 8, 2: 4},
                       {0: SparseMatrix(8, 4, d0), 1: SparseMatrix(4, 8, d1)})
     assert reported(cx, [0, 1, 2], MOD) == rank_by_rank(cx, [0, 1, 2], MOD)
-    assert reported(cx, [0, 1, 2], MOD) == {0: (0, True, False),
-                                            1: (0, True, False),
-                                            2: (0, True, False)}
+    assert reported(cx, [0, 1, 2], MOD) == {0: (0, True), 1: (0, True),
+                                            2: (0, True)}
 
 
 def test_a_differential_with_a_denominator_clears_nothing():
@@ -186,7 +184,7 @@ def test_a_differential_with_a_denominator_clears_nothing():
     cx = GivenComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
     assert rank_info(d1, MOD).unit_pivots == ()
     assert reported(cx, [0, 1, 2], MOD) == rank_by_rank(cx, [0, 1, 2], MOD)
-    assert reported(cx, [0, 1, 2], MOD)[0] == (0, True, False)
+    assert reported(cx, [0, 1, 2], MOD)[0] == (0, True)
 
 
 def test_a_cleared_row_still_fails_its_prime():
@@ -197,7 +195,8 @@ def test_a_cleared_row_still_fails_its_prime():
     m = SparseMatrix.from_dense([[1, 1], [Fraction(1, P1), 0]])
     whole, cleared = rank_info(m, MOD), rank_info(m, MOD, {1})
     assert cleared.failed_primes == whole.failed_primes == (P1,)
-    assert cleared.exact_fallback and whole.exact_fallback
+    assert [p for p, _ in cleared.per_prime] == [p for p, _ in whole.per_prime] \
+        == [P2]
 
 
 # -- rank cost is a function of the matrix -----------------------------------
@@ -278,6 +277,5 @@ def test_cube_scaled_matches_the_periodic_resolution(capsys, monkeypatch,
     oracle = periodic_resolution_dims(3, 4)
     assert oracle == [3, 2, 2, 2, 2]
     assert [results[str(-n)]["dim"] for n in range(5)] == oracle
-    assert all(r["agreed"] and not r["exact_fallback"]
-               for r in results.values())
+    assert all(r["agreed"] for r in results.values())
     assert residue_entries - {1, -1}

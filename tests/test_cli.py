@@ -493,7 +493,9 @@ def test_main_restores_garbage_collection(capsys, monkeypatch, fail, enabled):
         (gc.enable if was else gc.disable)()
 
 
-# -- exact fallback ---------------------------------------------------------
+# -- the primes cross-check exact ranks ----------------------------------------
+
+P1, P2 = 1048583, 1048589  # the default primes
 
 
 def truncated_cube_file(tmp_path, den):
@@ -511,31 +513,45 @@ def truncated_cube_file(tmp_path, den):
     return str(path)
 
 
-def test_exact_fallback_when_a_prime_divides_a_denominator(tmp_path, capsys):
+def test_a_prime_that_divides_a_denominator_checks_nothing(tmp_path, capsys):
     # the first default prime divides the structure constant 1/1048583, so
-    # every rank that sees it is recomputed over Q
-    cube = truncated_cube_file(tmp_path, 1048583)
+    # it is missing from every degree whose ranks see it
+    cube = truncated_cube_file(tmp_path, P1)
     rep = run_json(capsys, "compute", cube, "--max-level", "4",
                    "--degrees=-3..0")
     res = rep["results"]
     assert {k: v["dim"] for k, v in res.items()} == \
         {"0": 3, "-1": 2, "-2": 2, "-3": 2}
-    assert {k: v["exact_fallback"] for k, v in res.items()} == \
-        {"0": False, "-1": True, "-2": True, "-3": True}
+    assert {k: v["primes"] for k, v in res.items()} == \
+        {"0": [P1, P2], "-1": [P2], "-2": [P2], "-3": [P2]}
     assert all(v["agreed"] for v in res.values())
     rep = run_json(capsys, "decompose", cube, "--n", "2", "--max-level", "3",
                    "--degrees=-1..0")
     res = rep["results"]
     integral = run_json(capsys, "decompose", truncated_cube_file(tmp_path, 1),
                         "--n", "2", "--max-level", "3", "--degrees=-1..0")
-    assert res["exact_fallback"] == {"0": True, "-1": True}
-    assert integral["results"]["exact_fallback"] == {"0": False, "-1": False}
+    assert res["agreed"] == integral["results"]["agreed"] == \
+        {"0": True, "-1": True}
     assert res["lhs_totals"] == integral["results"]["lhs_totals"]
     assert set(res["verdicts"].values()) == {"Equal"}
 
 
+@pytest.mark.parametrize("mode", ["modular", "exact"])
+def test_primes_that_rank_short_change_no_dim(capsys, mode):
+    # d(y) = P1·P2·x vanishes mod both default primes, which agree with
+    # each other on ranks too low; every dim is the rank over Q all the same
+    rep = run_json(capsys, "compute", str(FIXTURES / "cone_unlucky_primes.json"),
+                   "--max-level", "4", "--degrees=-2..0", "--mode", mode)
+    res = rep["results"]
+    assert {k: v["dim"] for k, v in res.items()} == {"0": 1, "-1": 0, "-2": 0}
+    assert {v["certificate"] for v in res.values()} == {"exact"}
+    assert {v["agreed"] for v in res.values()} == {mode == "exact"}
+
+
 @pytest.mark.parametrize("workload", ["compute-modular", "decompose"])
-def test_seeded_workloads_need_no_exact_fallback(tmp_path, capsys, workload):
+def test_seeded_workloads_primes_give_the_exact_rank(tmp_path, capsys,
+                                                      workload):
+    # the bench's check of compute-modular requires `agreed` in every degree
     import sys
     sys.path.insert(0, str(FIXTURES.parent / "bench"))
     try:
@@ -544,9 +560,12 @@ def test_seeded_workloads_need_no_exact_fallback(tmp_path, capsys, workload):
         sys.path.pop(0)
     rep = run_json(capsys, *generate(workload, 1, str(FIXTURES), str(tmp_path)))
     res = rep["results"]
-    flags = (res["exact_fallback"].values() if workload == "decompose"
-             else [v["exact_fallback"] for v in res.values()])
-    assert list(flags) and not any(flags)
+    if workload == "decompose":
+        agreed = res["agreed"].values()
+    else:
+        agreed = [v["agreed"] for v in res.values()]
+        assert all(v["primes"] == [P1, P2] for v in res.values())
+    assert list(agreed) and all(agreed)
 
 
 # -- series -----------------------------------------------------------------

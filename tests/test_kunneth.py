@@ -3,10 +3,10 @@ from math import comb
 
 import pytest
 
+from hhwb.decomposition import dims_convolve
 from hhwb.dgcore import identity_functor, tensor, tensor_functor
 from hhwb.hochschild import build_complex
 from hhwb.kunneth import (
-    dims_convolve,
     kunneth_verify,
     s2_check,
     shuffle_map,

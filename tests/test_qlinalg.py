@@ -278,6 +278,7 @@ P1, P2 = MOD.primes
 
 
 def test_modular_rank_falls_back_when_primes_disagree():
+    # the rank is over Q in every mode; P1 only cross-checks it, short
     info = rank_info(SparseMatrix.from_dense([[P1]]), MOD)
     assert info.per_prime == ((P1, 0), (P2, 1))
     assert info.failed_primes == ()
@@ -299,6 +300,7 @@ def test_modular_rank_is_exact_when_the_surviving_prime_is_wrong():
     info = rank_info(m, MOD)
     assert info.per_prime == ((P2, 1),)
     assert info.failed_primes == (P1,)
+    assert not info.agreed
     assert info.value == 2
 
 
@@ -337,7 +339,7 @@ def test_a_matrix_without_a_unit_entry_is_all_residue():
     m = SparseMatrix.from_dense([[2, 4], [3, 6 + P1]])
     info = rank_info(m, MOD)
     assert info.per_prime == ((P1, 1), (P2, 2))
-    assert info.exact_fallback
+    assert not info.agreed
     assert info.value == rank_info(m).value == 2
 
 
@@ -346,8 +348,16 @@ def test_a_residue_whose_primes_disagree_falls_back():
     m = SparseMatrix.from_dense([[1, 1, 0], [1, 1 + P1, 0], [0, 0, -1]])
     info = rank_info(m, MOD)
     assert info.per_prime == ((P1, 2), (P2, 3))
-    assert not info.agreed and info.exact_fallback
+    assert not info.agreed
     assert info.value == rank_info(m).value == 3
+
+
+def test_primes_that_agree_with_each_other_do_not_set_the_rank():
+    # P1·P2 vanishes mod both primes, so they agree on 0; the rank is 1
+    info = rank_info(SparseMatrix.from_dense([[P1 * P2]]), MOD)
+    assert info.per_prime == ((P1, 0), (P2, 0))
+    assert not info.agreed
+    assert info.value == 1
 
 
 def dense_rank_mod(dense, p):
@@ -396,9 +406,10 @@ def test_every_field_ranks_the_shared_stage_and_its_residue(dense):
                                    for p in MOD.primes if p not in failed)
     expected = sympy.Matrix(dense).rank()
     assert rank_info(m).value == expected
-    # P1 * P2 vanishes mod both primes: agreeing primes may both be short
-    assert info.value == (expected if info.exact_fallback
-                          else info.per_prime[0][1])
+    # P1 * P2 vanishes mod both primes: agreeing primes may both be short,
+    # and the rank is over Q all the same
+    assert info.value == expected
+    assert info.agreed == all(r == expected for _, r in info.per_prime)
 
 
 @st.composite

@@ -59,3 +59,12 @@ def test_each_verb_loads_only_what_it_executes(tmp_path):
     assert report["cached"] == 0
     entries = list((tmp_path / "cache").iterdir())
     assert len(entries) == 1 and entries[0].suffix == ".json"
+
+
+def test_kunneth_does_not_load_decomposition():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import hhwb.kunneth; "
+         "print('hhwb.decomposition' in sys.modules)", SRC],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False"]
