@@ -23,7 +23,7 @@ from .dgcore import (
     validate_functor,
 )
 from .hochschild import TwistSpec, build_complex, total_homology
-from .qlinalg import RankMode, StructuralError
+from .qlinalg import EXACT, MODULAR, RankMode, StructuralError
 
 # hashlib loads OpenSSL, which adds about 3.5 MB and 3 ms to every run for
 # one digest; CPython's own lean module computes the same SHA-256
@@ -219,9 +219,22 @@ def cache_dir(args) -> str | None:
     return args.cache_dir or os.environ.get("HHWB_CACHE_DIR")
 
 
+def source_digest() -> str:
+    """SHA-256 of hhwb's own source files, so that an entry that other code
+    cached is a miss even where the version is the same."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
 def cache_key(input_sha: str, options: dict) -> str:
     blob = json.dumps({"input": input_sha, "options": options,
-                       "version": __version__}, sort_keys=True).encode()
+                       "version": __version__, "source": source_digest()},
+                      sort_keys=True).encode()
     return sha256(blob).hexdigest()
 
 
@@ -314,27 +327,13 @@ def _common_options(args, command: str) -> tuple[dict, RankMode]:
     an InputError here, before any work."""
     if args.max_level < 0:
         raise InputError(f"--max-level {args.max_level} is negative")
-    primes = None
-    if args.primes:
-        try:
-            primes = tuple(int(p) for p in args.primes.split(","))
-        except ValueError as exc:
-            raise InputError(f"bad primes: {exc}")
-    if args.mode == "exact":
-        mode = RankMode.exact()
-    else:
-        try:
-            mode = RankMode.modular(primes) if primes else RankMode.modular()
-        except StructuralError as exc:
-            raise InputError(f"bad primes: {exc}")
     return {
         "command": command,
         "max_level": args.max_level,
         "normalized": args.normalized,
         "mode": args.mode,
-        "primes": sorted(primes) if primes else None,
         "degrees": parse_degrees(args.degrees, args.max_level),
-    }, mode
+    }, EXACT if args.mode == "exact" else MODULAR
 
 
 def _report_verb(args, own_options, run, table) -> int:
@@ -349,8 +348,9 @@ def _report_verb(args, own_options, run, table) -> int:
     options, mode = _common_options(args, args.command)
     options.update(own_options())
     input_sha = sha256(raw).hexdigest()
-    key = cache_key(input_sha, options)
     cdir = cache_dir(args)
+    # the key reads every source file, so only a run that caches makes it
+    key = cache_key(input_sha, options) if cdir else None
     hit = cache_get(cdir, key)
     if hit is not None:
         payload, rep = hit
@@ -461,8 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
         norm.add_argument("--full", dest="normalized", action="store_false")
         sp.add_argument("--mode", choices=["exact", "modular"],
                         default="modular")
-        sp.add_argument("--primes", default=None,
-                        help="comma-separated primes to cross-check ranks")
         sp.add_argument("--degrees", default=None, help="range a..b")
         sp.add_argument("--out", default=None, help="write JSON report here")
         sp.add_argument("--csv", default=None, help="write a CSV table here")

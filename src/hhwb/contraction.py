@@ -227,11 +227,6 @@ class TensorOverResult:
     dim: int
     projection: SparseMatrix  # quotient coordinates of each ambient basis vector
     inclusion: SparseMatrix   # representative ambient vector per quotient basis
-    relation_pivots: dict     # pivot column -> reduced relation row
-
-    @property
-    def ambient_dim(self):
-        return self.projection.cols
 
 
 def _quotient_from_relations(ambient_dim, rel_rows) -> TensorOverResult:
@@ -248,7 +243,7 @@ def _quotient_from_relations(ambient_dim, rel_rows) -> TensorOverResult:
     proj = SparseMatrix(len(free), ambient_dim, ent)
     inc = SparseMatrix(ambient_dim, len(free),
                        {(c, i): Fraction(1) for i, c in enumerate(free)})
-    return TensorOverResult(len(free), proj, inc, pivots)
+    return TensorOverResult(len(free), proj, inc)
 
 
 def _relations(rel: list, left: SparseMatrix, right: SparseMatrix) -> None:

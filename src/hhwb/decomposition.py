@@ -80,13 +80,6 @@ class Partition(namedtuple("Partition", "parts")):
             out[p] = out.get(p, 0) + 1
         return out
 
-    def num_permutations(self) -> int:
-        """Size of the conjugacy class with this cycle type in S_n."""
-        denom = 1
-        for size, mult in self.multiplicities().items():
-            denom *= size ** mult * factorial(mult)
-        return factorial(self.n) // denom
-
     def __str__(self):
         return "(" + ",".join(map(str, self.parts)) + ")"
 
@@ -391,7 +384,7 @@ class DecompositionReport:
     def __init__(self, *, category: str, n: int, degrees: list,
                  per_partition: list, lhs_totals: dict, rhs_totals: dict,
                  verdicts: dict, max_level: int, normalized: bool, mode: str,
-                 agreed: dict):
+                 agreed: dict, primes: dict):
         self.category = category
         self.n = n
         self.degrees = degrees
@@ -403,6 +396,7 @@ class DecompositionReport:
         self.normalized = normalized
         self.mode = mode
         self.agreed = agreed  # degree -> every prime gave every rank it used
+        self.primes = primes  # degree -> the primes that checked them, or None
 
     @property
     def all_equal(self) -> bool:
@@ -429,6 +423,7 @@ class DecompositionReport:
             "rhs_totals": {str(k): v for k, v in sorted(self.rhs_totals.items())},
             "verdicts": {str(k): v for k, v in sorted(self.verdicts.items())},
             "agreed": {str(k): v for k, v in sorted(self.agreed.items())},
+            "primes": {str(k): v for k, v in sorted(self.primes.items())},
             "max_level": self.max_level,
             "normalized": self.normalized,
             "mode": self.mode,
@@ -448,7 +443,10 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     mode.  `agreed` is, per degree, whether every cross-checking prime
     gave every rank that degree used: the λ complexes, their orbit
     complexes and the factor complex (always True in exact mode); a prime
-    that ranks short is reported there and changes no verdict."""
+    that ranks short is reported there and changes no verdict.  `primes`
+    lists, per degree, the primes that checked every one of those ranks
+    (None when there are none, as in exact mode): a prime dividing a
+    denominator is missing from it."""
     degrees = sorted(set(degrees), reverse=True)
     if not degrees:
         raise StructuralError("no degrees to compare")
@@ -532,4 +530,7 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
         normalized=normalized,
         mode=mode.kind,
         agreed={k: all(u.agreed for u in used[k]) for k in degrees},
+        primes={k: [p for p in mode.primes
+                    if all(p in u.primes for u in used[k])] or None
+                for k in degrees},
     )

@@ -22,9 +22,6 @@ class ShuffleMap:
     target: StandardComplex
     blocks: dict  # (k, l) -> SparseMatrix into target level k+l
 
-    def col(self, k, l, i, j) -> int:
-        return i * len(self.b.levels[l]) + j
-
 
 def shuffle_map(a: StandardComplex, b: StandardComplex,
                 target: StandardComplex) -> ShuffleMap:

@@ -9,12 +9,13 @@ every entry alone in its column, then Markowitz-style pivots.  The first
 stage, shared by every field, pivots only on entries ±1, units over Z and
 mod every prime, so it commutes with reduction mod a prime dividing no
 denominator.  The rows left, the residue, are always ranked over Q, which
-gives the rank in every mode; a modular mode also ranks them mod each prime
-dividing no denominator, on plain ints, as a cross-check (a rank mod p is
-at most the rank r over Q, and less only when p divides every r×r minor,
-so a short prime is reported, never used).  The first stage's pivot columns
-are returned too: on an integral d_(k+1) with d_(k+1)·d_k = 0 they name
-rows of d_k that an integral combination of its other rows gives, which
+gives the rank in every mode; MODULAR also ranks them mod each of the two
+fixed PRIMES dividing no denominator, on plain ints, as a cross-check (a
+rank mod p is at most the rank r over Q, and less only when p divides every
+r×r minor, so a short prime is reported, never used).  One elimination
+loop serves Q and GF(p).  The first stage's pivot columns are returned
+too: on an integral d_(k+1) with d_(k+1)·d_k = 0 they name rows of d_k
+that an integral combination of its other rows gives, which
 hochschild.total_homology leaves out of the rank of d_k (clearing).
 Kernels, column spaces and solving reduce rows one at a time against a
 pivot dict over Q.
@@ -26,42 +27,18 @@ import heapq
 from collections import namedtuple
 from fractions import Fraction
 
-# First two primes above 2^20.
-DEFAULT_PRIMES = (1048583, 1048589)
+# First two primes above 2^20: the modular cross-check.
+PRIMES = (1048583, 1048589)
 
 
 class StructuralError(ValueError):
     """Shape, composability or idempotency violations."""
 
 
-class RankMode(namedtuple("RankMode", "kind primes")):
-    """kind is "exact" or "modular"; primes are those of a modular mode."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind="exact", primes=()):
-        if kind not in ("exact", "modular"):
-            raise StructuralError(f"unknown rank mode {kind!r}")
-        if kind == "modular":
-            if not primes:
-                raise StructuralError("modular mode needs a non-empty prime list")
-            if len(set(primes)) != len(primes):
-                raise StructuralError("modular primes must be distinct")
-            for p in primes:
-                if p <= 1 << 20:
-                    raise StructuralError(f"modular prime {p} must exceed 2^20")
-        return super().__new__(cls, kind, primes)
-
-    @staticmethod
-    def exact() -> "RankMode":
-        return RankMode("exact")
-
-    @staticmethod
-    def modular(primes=DEFAULT_PRIMES) -> "RankMode":
-        return RankMode("modular", tuple(primes))
-
-
-EXACT = RankMode.exact()
+# kind is "exact" or "modular"; primes are those that cross-check the ranks
+RankMode = namedtuple("RankMode", "kind primes")
+EXACT = RankMode("exact", ())
+MODULAR = RankMode("modular", PRIMES)
 
 
 def _entry(v):
@@ -411,30 +388,19 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
         items = list(piv.items())
         for j in hits:
             r = rows[j]
+            f = -r.pop(pc) * inv
             if p:
-                f = -r.pop(pc) * inv % p
-                for c, v in items:
-                    old = r.get(c)
-                    if old is None:
-                        r[c] = f * v % p
-                        col_rows[c].add(j)
-                    elif s := (old + f * v) % p:
-                        r[c] = s
-                    else:
-                        del r[c]
-                        col_rows[c].discard(j)
-            else:
-                f = -r.pop(pc) * inv
-                for c, v in items:
-                    old = r.get(c)
-                    if old is None:
-                        r[c] = f * v
-                        col_rows[c].add(j)
-                    elif s := old + f * v:
-                        r[c] = s
-                    else:
-                        del r[c]
-                        col_rows[c].discard(j)
+                f %= p
+            for c, v in items:
+                old = r.get(c)
+                if old is None:  # f·v is nonzero, over Q and mod p
+                    r[c] = f * v % p if p else f * v
+                    col_rows[c].add(j)
+                elif s := (old + f * v) % p if p else old + f * v:
+                    r[c] = s
+                else:
+                    del r[c]
+                    col_rows[c].discard(j)
             if r:
                 heapq.heappush(heap, (len(r), j))
             else:
@@ -459,10 +425,10 @@ def _rows_mod_p(rows, p: int) -> list:
 class RankResult(namedtuple("RankResult",
                             "value mode per_prime failed_primes unit_pivots",
                             defaults=((), (), ()))):
-    """A rank over Q, the RankMode it was taken in, the (prime, rank) pairs
-    of a modular mode's cross-check, the primes that divide a denominator
-    and so check nothing, and, for a matrix of ints, the columns of the
-    pivots of the ±1 stage shared by every field."""
+    """A rank over Q, the RankMode it was taken in (EXACT or MODULAR), the
+    (prime, rank) pairs of MODULAR's cross-check on PRIMES, the primes that
+    divide a denominator and so check nothing, and, for a matrix of ints,
+    the columns of the pivots of the ±1 stage shared by every field."""
 
     __slots__ = ()
 
@@ -474,8 +440,8 @@ class RankResult(namedtuple("RankResult",
 
 def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
               cleared=()) -> RankResult:
-    """Rank of m over Q in every mode.  A modular mode also ranks m mod
-    each of its primes that divides no denominator of m; `per_prime`,
+    """Rank of m over Q in every mode.  MODULAR also ranks m mod each of
+    its primes that divides no denominator of m; `per_prime`,
     `failed_primes` and `agreed` report what the primes gave, and never
     change `value`.  The rows in `cleared` are never eliminated: the
     caller vouches that each is an integral combination of the others,
@@ -483,10 +449,9 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
     their denominators.  When m has int entries alone, `unit_pivots` are
     the columns of the ±1 stage's pivots: its multipliers are then ints
     too, so the block of m at those pivots has determinant ±1 over Z."""
-    primes = mode.primes if mode.kind == "modular" else ()
     dens = {v.denominator for row in m.by_row.values() for v in row.values()
             if type(v) is not int}
-    failed = tuple(p for p in primes if any(d % p == 0 for d in dens))
+    failed = tuple(p for p in mode.primes if any(d % p == 0 for d in dens))
     # per component, so that one column index is alive at a time
     shared, residues = [], []
     for comp in _component_rows(m, cleared):
@@ -498,13 +463,13 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
     per_prime = tuple(
         (p, len(shared) + sum(len(_component_rank(_rows_mod_p(s, p), p)[0])
                               for s in residues))
-        for p in primes if p not in failed)
+        for p in mode.primes if p not in failed)
     value = len(shared) + sum(len(_component_rank(s, 0)[0]) for s in residues)
     return RankResult(value, mode, per_prime, failed, () if dens else shared)
 
 
-def rank(m: SparseMatrix, mode: RankMode = EXACT) -> int:
-    return rank_info(m, mode).value
+def rank(m: SparseMatrix) -> int:
+    return rank_info(m).value
 
 
 def kernel_basis(m: SparseMatrix) -> list[dict]:
@@ -529,18 +494,16 @@ def column_space_basis(m: SparseMatrix) -> list[dict]:
     return [pivots[c] for c in sorted(pivots)]
 
 
-def projector_invariant_dim(p: SparseMatrix, mode: RankMode = EXACT) -> int:
-    """Rank of an idempotent; equals its trace over Q."""
+def projector_invariant_dim(p: SparseMatrix) -> int:
+    """Rank of an idempotent, checked to be one and to equal its trace."""
     if p.rows != p.cols:
         raise StructuralError("projector must be square")
-    if mode.kind == "exact":
-        if p.mul(p) != p:
-            raise StructuralError("matrix is not idempotent")
-    r = rank(p, mode)
-    if mode.kind == "exact":
-        tr = p.trace()
-        if tr != r:
-            raise StructuralError(f"idempotent rank {r} != trace {tr}")
+    if p.mul(p) != p:
+        raise StructuralError("matrix is not idempotent")
+    r = rank(p)
+    tr = p.trace()
+    if tr != r:
+        raise StructuralError(f"idempotent rank {r} != trace {tr}")
     return r
 
 

@@ -46,8 +46,7 @@ def star_transform(phi1: DgFunctor, alpha1: NatTransform,
 # -- qlinalg -----------------------------------------------------------------
 
 
-def homology_dimension(d_in: SparseMatrix, d_out: SparseMatrix,
-                       mode: RankMode = EXACT) -> int:
+def homology_dimension(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
     """dim ker(d_out) - rank(d_in) for a two-step complex d_in, then d_out."""
     if d_in.rows != d_out.cols:
         raise StructuralError(
@@ -55,8 +54,8 @@ def homology_dimension(d_in: SparseMatrix, d_out: SparseMatrix,
             f"d_out starts from dim {d_out.cols}")
     if not d_out.mul(d_in).is_zero():
         raise StructuralError("d_out . d_in != 0: not a complex at this level")
-    dim_ker = d_out.cols - rank(d_out, mode)
-    return dim_ker - rank(d_in, mode)
+    dim_ker = d_out.cols - rank(d_out)
+    return dim_ker - rank(d_in)
 
 
 def entries(m: SparseMatrix) -> dict:

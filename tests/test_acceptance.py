@@ -32,7 +32,7 @@ from hhwb.dgcore import Permutation, identity_functor, tensor, tensor_functor
 from hhwb.hochschild import TwistSpec, build_complex, total_homology
 from hhwb.kunneth import kunneth_verify, s2_check, shuffle_map, \
     verify_shuffle_chain_map
-from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, projector_invariant_dim
+from hhwb.qlinalg import MODULAR, SparseMatrix, projector_invariant_dim
 
 from conftest import dual_numbers, ground_field, quiver_a2
 from oracles import lambda_invariant_dims, twisted_summand_dims
@@ -124,8 +124,7 @@ def test_criterion_04_warmup(capsys):
 def test_criterion_05_three_cycle(capsys):
     t0 = time.monotonic()
     summary = twisted_summand_dims(dual_numbers(), 3, Partition((3,)),
-                                   [0, -1, -2], max_level=3,
-                                   mode=RankMode.modular())
+                                   [0, -1, -2], max_level=3, mode=MODULAR)
     dims = tuple(summary.dims()[-k] for k in range(3))
     assert dims == (2, 1, 1)
     for r in summary.degrees.values():
@@ -217,12 +216,12 @@ def test_criterion_09_decompose_dual(capsys):
     t0 = time.monotonic()
     D = dual_numbers()
     two = verify_decomposition(D, 2, [0, -1, -2, -3], max_level=4,
-                               mode=RankMode.modular())
+                               mode=MODULAR)
     assert two.all_equal
     assert two.lhs_totals == {0: 5, -1: 3, -2: 3, -3: 4}
     assert two.lhs_totals == two.rhs_totals
     three = verify_decomposition(D, 3, [0, -1, -2], max_level=3,
-                                 mode=RankMode.modular())
+                                 mode=MODULAR)
     assert three.all_equal
     assert three.lhs_totals == {0: 10, -1: 8, -2: 9}
     assert three.lhs_totals == three.rhs_totals

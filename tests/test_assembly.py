@@ -27,7 +27,7 @@ from hhwb.hochschild import (
     signed_chain_permutation,
     total_homology,
 )
-from hhwb.qlinalg import EXACT, RankMode
+from hhwb.qlinalg import EXACT, MODULAR
 
 from conftest import (
     dual_numbers,
@@ -235,7 +235,7 @@ def test_rescaled_presentation_gives_the_same_homology(make, scaled, twist,
             assert all(type(v) is int
                        or (type(v) is Fraction and v.denominator > 1)
                        for v in entries(mtx).values())
-        for mode in (EXACT, RankMode.modular()):
+        for mode in (EXACT, MODULAR):
             dims[(scale, mode.kind)] = total_homology(sc, degrees, mode).dims()
         if integral is None:
             integral = sc

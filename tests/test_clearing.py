@@ -15,13 +15,12 @@ from hhwb import qlinalg
 from hhwb.cli import main
 from hhwb.dgcore import Permutation
 from hhwb.hochschild import TwistSpec, build_complex, total_homology
-from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, rank_info
+from hhwb.qlinalg import EXACT, MODULAR, SparseMatrix, rank_info
 
 from conftest import dual_numbers
 from test_hochschild import periodic_resolution_dims
 
-MOD = RankMode.modular()
-P1, P2 = MOD.primes
+P1, P2 = MODULAR.primes
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -137,7 +136,7 @@ def test_clearing_keeps_the_ranks_of_split_complexes(case, data):
     cx, free = case
     degrees = data.draw(st.lists(st.sampled_from(sorted(free)), min_size=1,
                                  unique=True))
-    for mode in (EXACT, MOD):
+    for mode in (EXACT, MODULAR):
         out = total_homology(cx, degrees, mode).degrees
         assert {k: r.dim for k, r in out.items()} == {k: free[k]
                                                       for k in degrees}
@@ -152,7 +151,7 @@ def test_an_unchecked_pair_is_not_cleared():
     # the ±1 pivot of d1 says nothing about the rows of d0
     one = SparseMatrix.from_dense([[1]])
     cx = GivenComplex({0: 1, 1: 1, 2: 1}, {0: one, 1: one})
-    for mode in (EXACT, MOD):
+    for mode in (EXACT, MODULAR):
         assert reported(cx, [0, 2], mode) == rank_by_rank(cx, [0, 2], mode)
         assert reported(cx, [0, 2], mode) == {0: (0, True), 2: (0, True)}
 
@@ -170,8 +169,9 @@ def test_pivots_that_are_not_units_clear_nothing():
         d0[2 * x, x], d0[2 * x + 1, x] = b, -a
     cx = GivenComplex({0: 4, 1: 8, 2: 4},
                       {0: SparseMatrix(8, 4, d0), 1: SparseMatrix(4, 8, d1)})
-    assert reported(cx, [0, 1, 2], MOD) == rank_by_rank(cx, [0, 1, 2], MOD)
-    assert reported(cx, [0, 1, 2], MOD) == {0: (0, True), 1: (0, True),
+    assert reported(cx, [0, 1, 2], MODULAR) == \
+        rank_by_rank(cx, [0, 1, 2], MODULAR)
+    assert reported(cx, [0, 1, 2], MODULAR) == {0: (0, True), 1: (0, True),
                                             2: (0, True)}
 
 
@@ -182,9 +182,10 @@ def test_a_differential_with_a_denominator_clears_nothing():
     d1 = SparseMatrix.from_dense([[1, Fraction(-1, P1)]])
     d0 = SparseMatrix.from_dense([[1], [P1]])
     cx = GivenComplex({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1})
-    assert rank_info(d1, MOD).unit_pivots == ()
-    assert reported(cx, [0, 1, 2], MOD) == rank_by_rank(cx, [0, 1, 2], MOD)
-    assert reported(cx, [0, 1, 2], MOD)[0] == (0, True)
+    assert rank_info(d1, MODULAR).unit_pivots == ()
+    assert reported(cx, [0, 1, 2], MODULAR) == \
+        rank_by_rank(cx, [0, 1, 2], MODULAR)
+    assert reported(cx, [0, 1, 2], MODULAR)[0] == (0, True)
 
 
 def test_a_cleared_row_still_fails_its_prime():
@@ -193,7 +194,7 @@ def test_a_cleared_row_still_fails_its_prime():
     # hold P1 as well, so the case is put to rank_info directly: the
     # primes fail as on the whole matrix
     m = SparseMatrix.from_dense([[1, 1], [Fraction(1, P1), 0]])
-    whole, cleared = rank_info(m, MOD), rank_info(m, MOD, {1})
+    whole, cleared = rank_info(m, MODULAR), rank_info(m, MODULAR, {1})
     assert cleared.failed_primes == whole.failed_primes == (P1,)
     assert [p for p, _ in cleared.per_prime] == [p for p, _ in whole.per_prime] \
         == [P2]
@@ -210,7 +211,7 @@ def refilled(m: SparseMatrix, seed: int) -> SparseMatrix:
     return SparseMatrix(m.rows, m.cols, pairs)
 
 
-@pytest.mark.parametrize("mode", [EXACT, MOD])
+@pytest.mark.parametrize("mode", [EXACT, MODULAR])
 def test_rank_does_not_depend_on_the_fill_order(mode):
     # the differentials of D⊗D with the swap, as compute-modular has them
     swap = TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)]))

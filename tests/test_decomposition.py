@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import factorial
 
 import pytest
 import sympy
@@ -33,7 +32,7 @@ from hhwb.hochschild import (
 )
 from hhwb.qlinalg import (
     EXACT,
-    RankMode,
+    MODULAR,
     SparseMatrix,
     StructuralError,
     projector_invariant_dim,
@@ -138,11 +137,6 @@ def test_partition_rejects_bad_parts():
         Partition((2, 1))
     with pytest.raises(StructuralError):
         Partition((0, 1))
-
-
-def test_conjugacy_class_sizes_sum_to_factorial():
-    for n in range(1, 7):
-        assert sum(l.num_permutations() for l in partitions(n)) == factorial(n)
 
 
 def test_sigma_of_examples():
@@ -349,7 +343,7 @@ def test_decomposition_odd_negative_dual():
     two = verify_decomposition(Z, 2, [0, -1, -2, -3], max_level=4)
     assert two.all_equal
     three = verify_decomposition(Z, 3, [0, -1, -2], max_level=3,
-                                 mode=RankMode.modular())
+                                 mode=MODULAR)
     assert three.all_equal
     assert three.lhs_totals == three.rhs_totals == {0: 3, -1: 4, -2: 5}
 
@@ -545,7 +539,7 @@ def test_decomposition_report_roundtrip(K):
 
 def test_decomposition_reports_prime_agreement(D):
     rep = verify_decomposition(D, 2, [0, -1, -2, -3], max_level=4,
-                               mode=RankMode.modular())
+                               mode=MODULAR)
     assert rep.agreed == {0: True, -1: True, -2: True, -3: True}
     assert rep.to_dict()["agreed"] == {"0": True, "-1": True, "-2": True,
                                        "-3": True}
@@ -572,7 +566,7 @@ def test_decomposition_reports_orbit_rank_disagreement(D, monkeypatch):
                         recording)
     monkeypatch.setattr(hochschild, "rank_info", disagreeing)
     rep = verify_decomposition(D, 2, [0, -1], max_level=3,
-                               mode=RankMode.modular())
+                               mode=MODULAR)
     assert rep.agreed == {0: False, -1: False}
     assert rep.all_equal
 
@@ -624,7 +618,7 @@ def test_lambda_complexes_read_only_the_requested_degrees(D, monkeypatch):
 @pytest.mark.slow
 def test_decomposition_dual_numbers_cube_modular(D):
     rep = verify_decomposition(D, 3, [0, -1, -2], max_level=3,
-                               mode=RankMode.modular())
+                               mode=MODULAR)
     assert rep.verdicts == {0: "Equal", -1: "Equal", -2: "Equal"}
     assert rep.lhs_totals == {0: 10, -1: 8, -2: 9}
     assert rep.mode == "modular"

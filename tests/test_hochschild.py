@@ -30,7 +30,7 @@ from hhwb.hochschild import (
 )
 from hhwb.qlinalg import (
     EXACT,
-    RankMode,
+    MODULAR,
     SparseMatrix,
     StructuralError,
     projector_invariant_dim,
@@ -195,7 +195,7 @@ def test_hh_quiver_matches_bar_oracle(A2):
 def test_hh_modular_mode_agrees(D):
     exact, _ = hh_dims(D, identity_functor(D), 4, range(-3, 1))
     modular, _ = hh_dims(D, identity_functor(D), 4, range(-3, 1),
-                         mode=RankMode.modular())
+                         mode=MODULAR)
     assert exact == modular
 
 
@@ -209,11 +209,10 @@ def test_each_total_differential_is_ranked_once(D, monkeypatch):
 
     monkeypatch.setattr(hochschild, "rank_info", counting)
     sc = build_complex(D, identity_functor(D), 4, normalized=True)
-    mod = RankMode.modular()
-    first = total_homology(sc, range(-3, 1), mod).dims()
+    first = total_homology(sc, range(-3, 1), MODULAR).dims()
     assert len(ranked) == 5  # total_differential(k) for k = -4..0
     # the ranks live in the call: a repeat call ranks again, to the same dims
-    assert total_homology(sc, range(-3, 1), mod).dims() == first
+    assert total_homology(sc, range(-3, 1), MODULAR).dims() == first
     assert len(ranked) == 10
     assert total_homology(sc, range(-3, 1), EXACT).dims() == first
     assert len(ranked) == 15

@@ -5,8 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from hhwb.qlinalg import (
-    EXACT,
-    RankMode,
+    MODULAR,
     SparseMatrix,
     StructuralError,
     column_space_basis,
@@ -20,7 +19,6 @@ from hhwb.qlinalg import (
 
 from oracles import entries, homology_dimension, reference_mul
 
-MOD = RankMode.modular()
 
 
 # -- the entry contract: ints where integral, else Fractions, never floats --
@@ -182,7 +180,7 @@ def test_rank_dependent_rows():
 
 def test_rank_modular_agrees():
     m = SparseMatrix.from_dense([[1, 2], [2, 4]])
-    assert rank(m, MOD) == 1
+    assert rank_info(m, MODULAR).value == 1
 
 
 def test_kernel_identity_empty():
@@ -268,18 +266,18 @@ def test_column_space_basis():
 
 def test_modular_provenance():
     m = SparseMatrix.identity(3)
-    info = rank_info(m, MOD)
+    info = rank_info(m, MODULAR)
     assert info.value == 3
     assert info.agreed
     assert len(info.per_prime) == 2
 
 
-P1, P2 = MOD.primes
+P1, P2 = MODULAR.primes
 
 
 def test_modular_rank_falls_back_when_primes_disagree():
     # the rank is over Q in every mode; P1 only cross-checks it, short
-    info = rank_info(SparseMatrix.from_dense([[P1]]), MOD)
+    info = rank_info(SparseMatrix.from_dense([[P1]]), MODULAR)
     assert info.per_prime == ((P1, 0), (P2, 1))
     assert info.failed_primes == ()
     assert not info.agreed
@@ -287,7 +285,7 @@ def test_modular_rank_falls_back_when_primes_disagree():
 
 
 def test_modular_rank_falls_back_when_a_prime_divides_a_denominator():
-    info = rank_info(SparseMatrix.from_dense([[Fraction(1, P1)]]), MOD)
+    info = rank_info(SparseMatrix.from_dense([[Fraction(1, P1)]]), MODULAR)
     assert info.per_prime == ((P2, 1),)
     assert info.failed_primes == (P1,)
     assert info.agreed
@@ -297,7 +295,7 @@ def test_modular_rank_falls_back_when_a_prime_divides_a_denominator():
 def test_modular_rank_is_exact_when_the_surviving_prime_is_wrong():
     # P1 divides a denominator and the entry P2 vanishes mod P2
     m = SparseMatrix.from_dense([[Fraction(1, P1), 0], [0, P2]])
-    info = rank_info(m, MOD)
+    info = rank_info(m, MODULAR)
     assert info.per_prime == ((P2, 1),)
     assert info.failed_primes == (P1,)
     assert not info.agreed
@@ -308,14 +306,15 @@ def test_a_component_that_vanishes_mod_p_adds_nothing():
     # components are found once on the support; the block [[P1, P1]]
     # empties mod P1 and must count 0 there, not 1
     m = SparseMatrix.from_dense([[P1, P1, 0], [0, 0, 1]])
-    info = rank_info(m, MOD)
+    info = rank_info(m, MODULAR)
     assert info.per_prime == ((P1, 1), (P2, 2))
     assert not info.agreed
     assert info.value == 2
 
 
 def test_modular_rank_is_exact_when_every_prime_fails():
-    info = rank_info(SparseMatrix.from_dense([[Fraction(1, P1 * P2)]]), MOD)
+    info = rank_info(SparseMatrix.from_dense([[Fraction(1, P1 * P2)]]),
+                     MODULAR)
     assert info.per_prime == ()
     assert info.failed_primes == (P1, P2)
     assert info.value == 1
@@ -328,7 +327,7 @@ def test_a_unit_pivot_that_clears_a_denominator_still_fails_its_prime():
     # the pivot 1 eliminates the row holding 1/P1, so the residue is empty,
     # but P1 divides a denominator of the input
     info = rank_info(SparseMatrix.from_dense([[1, 0], [Fraction(1, P1), 0]]),
-                     MOD)
+                     MODULAR)
     assert info.failed_primes == (P1,)
     assert info.per_prime == ((P2, 1),)
     assert info.value == 1
@@ -337,7 +336,7 @@ def test_a_unit_pivot_that_clears_a_denominator_still_fails_its_prime():
 def test_a_matrix_without_a_unit_entry_is_all_residue():
     # det = 2 * P1: rank 2 over Q and mod P2, rank 1 mod P1
     m = SparseMatrix.from_dense([[2, 4], [3, 6 + P1]])
-    info = rank_info(m, MOD)
+    info = rank_info(m, MODULAR)
     assert info.per_prime == ((P1, 1), (P2, 2))
     assert not info.agreed
     assert info.value == rank_info(m).value == 2
@@ -346,7 +345,7 @@ def test_a_matrix_without_a_unit_entry_is_all_residue():
 def test_a_residue_whose_primes_disagree_falls_back():
     # one unit pivot leaves the residue [[P1]]
     m = SparseMatrix.from_dense([[1, 1, 0], [1, 1 + P1, 0], [0, 0, -1]])
-    info = rank_info(m, MOD)
+    info = rank_info(m, MODULAR)
     assert info.per_prime == ((P1, 2), (P2, 3))
     assert not info.agreed
     assert info.value == rank_info(m).value == 3
@@ -354,7 +353,7 @@ def test_a_residue_whose_primes_disagree_falls_back():
 
 def test_primes_that_agree_with_each_other_do_not_set_the_rank():
     # P1·P2 vanishes mod both primes, so they agree on 0; the rank is 1
-    info = rank_info(SparseMatrix.from_dense([[P1 * P2]]), MOD)
+    info = rank_info(SparseMatrix.from_dense([[P1 * P2]]), MODULAR)
     assert info.per_prime == ((P1, 0), (P2, 0))
     assert not info.agreed
     assert info.value == 1
@@ -399,11 +398,11 @@ def residue_matrices(draw):
 def test_every_field_ranks_the_shared_stage_and_its_residue(dense):
     m = SparseMatrix.from_dense(dense)
     dens = [v.denominator for row in dense for v in row]
-    failed = tuple(p for p in MOD.primes if any(d % p == 0 for d in dens))
-    info = rank_info(m, MOD)
+    failed = tuple(p for p in MODULAR.primes if any(d % p == 0 for d in dens))
+    info = rank_info(m, MODULAR)
     assert info.failed_primes == failed
     assert info.per_prime == tuple((p, dense_rank_mod(dense, p))
-                                   for p in MOD.primes if p not in failed)
+                                   for p in MODULAR.primes if p not in failed)
     expected = sympy.Matrix(dense).rank()
     assert rank_info(m).value == expected
     # P1 * P2 vanishes mod both primes: agreeing primes may both be short,
@@ -429,7 +428,7 @@ def small_matrices(draw):
 @given(small_matrices())
 @settings(max_examples=60, deadline=None)
 def test_exact_and_modular_ranks_agree(m):
-    assert rank(m, EXACT) == rank(m, MOD)
+    assert rank(m) == rank_info(m, MODULAR).value
 
 
 @given(small_matrices())
@@ -490,8 +489,8 @@ def sympy_rank(rows, cols, entries):
 def test_rank_is_the_sum_of_block_ranks(case):
     m, blocks = case
     expected = sum(sympy_rank(*b) for b in blocks)
-    assert rank(m, EXACT) == expected
-    assert rank(m, MOD) == expected
+    assert rank(m) == expected
+    assert rank_info(m, MODULAR).value == expected
 
 
 @given(block_diagonal(), st.lists(st.integers(-3, 3), min_size=32,

@@ -23,7 +23,7 @@ from hhwb.hochschild import (
     signed_chain_permutation,
     total_homology,
 )
-from hhwb.qlinalg import RankMode
+from hhwb.qlinalg import MODULAR
 
 from conftest import dual_numbers, quiver_a2
 from oracles import brute_force_levels
@@ -134,7 +134,7 @@ def test_homology_reads_chains_only_as_grid_positions(capsys, monkeypatch):
         monkeypatch.setattr(hochschild._Level, name, spy)
     sc = build_complex(dual_numbers(), TwistSpec.perm(2, Permutation(
         (1, 0))), 4)
-    dims = total_homology(sc, range(-3, 1), RankMode.modular()).dims()
+    dims = total_homology(sc, range(-3, 1), MODULAR).dims()
     assert dims == {0: 2, -1: 1, -2: 1, -3: 1}
     res = run_json(capsys, "decompose", DUAL, "--n", "3", "--max-level",
                    "3", "--degrees=-2..0")["results"]

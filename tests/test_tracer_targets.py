@@ -9,7 +9,7 @@ import importlib
 from pathlib import Path
 
 from hhwb.hochschild import TwistSpec, build_complex
-from hhwb.qlinalg import RankMode, rank_info
+from hhwb.qlinalg import MODULAR, rank_info
 
 from conftest import dual_numbers
 
@@ -53,7 +53,7 @@ def test_the_count_hooks_read_what_hhwb_returns():
     tracer = ns["Tracer"]()
     sc = build_complex(dual_numbers(), TwistSpec.identity(), 3)
     d = sc.total_differential(-2)
-    hooks["qlinalg.rank_info"](tracer, (d,), rank_info(d, RankMode.modular()))
+    hooks["qlinalg.rank_info"](tracer, (d,), rank_info(d, MODULAR))
     hooks["hochschild.build_complex"](tracer, (), sc)
     counts = tracer.counts
     assert counts["qlinalg.rank_info.nnz"] == d.nnz() > 0
