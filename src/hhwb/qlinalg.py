@@ -13,10 +13,12 @@ gives the rank in every mode; MODULAR also ranks them mod each of the two
 fixed PRIMES dividing no denominator, on plain ints, as a cross-check (a
 rank mod p is at most the rank r over Q, and less only when p divides every
 r×r minor, so a short prime is reported, never used).  One elimination
-loop serves Q and GF(p).  The first stage's pivot columns are returned
-too: on an integral d_(k+1) with d_(k+1)·d_k = 0 they name rows of d_k
-that an integral combination of its other rows gives, which
-hochschild.total_homology leaves out of the rank of d_k (clearing).
+loop serves Q and GF(p).  Rank reads the matrix's own rows and never
+writes to them: elimination copies a row the first time it changes it.
+The first stage's pivot columns are returned too: on an integral d_(k+1)
+with d_(k+1)·d_k = 0 they name rows of d_k that an integral combination
+of its other rows gives, which hochschild.total_homology leaves out of
+the rank of d_k (clearing).
 Kernels, column spaces and solving reduce rows one at a time against a
 pivot dict over Q.
 """
@@ -173,10 +175,13 @@ class SparseMatrix:
         right = other.by_row
         out = {}
         for i, row in self.by_row.items():
-            acc = {}  # row i of the product
+            acc = {}  # row i of the product, without the sums that cancel
             for k, v in row.items():
                 for j, w in right.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + v * w
+                    if s := acc.get(j, 0) + v * w:
+                        acc[j] = s
+                    else:
+                        del acc[j]
             if acc:
                 out[i] = acc
         return SparseMatrix.trusted(self.rows, other.cols, normalise_rows(out))
@@ -294,36 +299,53 @@ def rref(rows) -> dict:
     return pivots
 
 
-def _component_rows(m: SparseMatrix, skip=()) -> list:
-    """Copies of the rows of m but those in `skip`, in index order, grouped
-    by connected component of the graph joining each row to its columns.
-    Rank is the sum of the components' ranks."""
-    comp = {}   # row -> the list of rows of its component, shared
-    owner = {}  # column -> the first row seen with an entry there
+def _component_rows(m: SparseMatrix, skip=()) -> tuple[list, set]:
+    """(components, denominators): m's own rows but those in `skip`, in
+    index order, grouped by connected component of the graph joining each
+    row to its columns, least row first (rank is the sum of the components'
+    ranks); and the denominators of m's entries that are not ints, taken
+    in the same pass, from skipped rows too."""
     by_row = m.by_row
-    order = [i for i in sorted(by_row) if i not in skip]
-    for i in order:
+    comp = [None] * m.rows  # row -> the list of rows of its component, shared
+    owner = [-1] * m.cols   # column -> the first row seen with an entry there
+    dens = set()
+    order = []
+    for i in sorted(by_row):
+        row = by_row[i]
+        if i in skip:
+            dens.update(v.denominator for v in row.values()
+                        if type(v) is not int)
+            continue
+        order.append(i)
         ci = comp[i] = [i]
-        for j in by_row[i]:
-            o = owner.setdefault(j, i)
-            if o != i:
-                co = comp[o]
-                if co is not ci:  # merge the smaller component into the larger
-                    if len(co) < len(ci):
-                        co, ci = ci, co
-                    co += ci
-                    for x in ci:
-                        comp[x] = co
-                    ci = co
-    groups = {}
+        for j, v in row.items():
+            if type(v) is not int:
+                dens.add(v.denominator)
+            o = owner[j]
+            if o < 0:
+                owner[j] = i
+            elif (co := comp[o]) is not ci:
+                # merge the smaller component into the larger
+                if len(co) < len(ci):
+                    co, ci = ci, co
+                co += ci
+                for x in ci:
+                    comp[x] = co
+                ci = co
+    groups = []
     for i in order:
-        groups.setdefault(id(comp[i]), []).append(dict(by_row[i]))
-    return list(groups.values())
+        c = comp[i]
+        if c:  # i is the least row of a component not handed out yet
+            c.sort()
+            groups.append([by_row[x] for x in c])
+            c.clear()  # every row of the component shares this list
+    return groups, dens
 
 
 def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
     """(pivot columns, rows left) of a sparse elimination over Q (p == 0)
-    or GF(p) of nonzero rows, which it consumes.
+    or GF(p) of a list of nonzero rows, which it reads and never writes:
+    a row is copied the first time elimination changes it.
 
     First every entry alone in its column is a pivot, least column first,
     again and again as taking them empties columns.  Then each pivot is
@@ -334,15 +356,30 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
     every pivot.  Ties go to the least index, so the pivots do not depend
     on the order in which the rows were filled.
     """
-    rows = dict(enumerate(rows))
+    given = rows
+    rows = dict(enumerate(given))
     col_rows = {}
     for i, r in rows.items():
         for c in r:
-            col_rows.setdefault(c, set()).add(i)
+            hits = col_rows.get(c)
+            if hits is None:
+                col_rows[c] = {i}
+            else:
+                hits.add(i)
     pivots = []
+    # lone columns, least first: those lone from the start read in order
+    # from their sorted list, those that become lone from a heap
     lone = sorted([c for c, hits in col_rows.items() if len(hits) == 1])
-    while lone:
-        pc = heapq.heappop(lone)
+    later = []
+    at, end = 0, len(lone)
+    while True:
+        if later and (at == end or later[0] < lone[at]):
+            pc = heapq.heappop(later)
+        elif at < end:
+            pc = lone[at]
+            at += 1
+        else:
+            break
         if len(col_rows[pc]) != 1:
             continue  # its row was taken at another column
         (i,) = col_rows[pc]
@@ -355,7 +392,7 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
             hits = col_rows[c]
             hits.discard(i)
             if len(hits) == 1:
-                heapq.heappush(lone, c)
+                heapq.heappush(later, c)
     heap = [(len(r), i) for i, r in rows.items()]
     heapq.heapify(heap)
     while heap:
@@ -379,15 +416,17 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
         hits = col_rows.pop(pc)
         if not hits:
             continue
-        pv = piv.pop(pc)
+        pv = piv[pc]
         if p:
             inv = pow(pv, -1, p)
         else:
             # a unit pivot keeps integral rows in ints
             inv = pv if pv in (1, -1) else 1 / Fraction(pv)
-        items = list(piv.items())
+        items = [(c, v) for c, v in piv.items() if c != pc]
         for j in hits:
             r = rows[j]
+            if r is given[j]:  # its first change: copy it
+                r = rows[j] = dict(r)
             f = -r.pop(pc) * inv
             if p:
                 f %= p
@@ -449,17 +488,15 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
     their denominators.  When m has int entries alone, `unit_pivots` are
     the columns of the ±1 stage's pivots: its multipliers are then ints
     too, so the block of m at those pivots has determinant ±1 over Z."""
-    dens = {v.denominator for row in m.by_row.values() for v in row.values()
-            if type(v) is not int}
+    comps, dens = _component_rows(m, cleared)
     failed = tuple(p for p in mode.primes if any(d % p == 0 for d in dens))
     # per component, so that one column index is alive at a time
     shared, residues = [], []
-    for comp in _component_rows(m, cleared):
+    for comp in comps:
         pivots, left = _component_rank(comp, 0, units=True)
         shared += pivots
         if left:
             residues.append(left)
-    # the primes rank reduced copies, before Q consumes the residues
     per_prime = tuple(
         (p, len(shared) + sum(len(_component_rank(_rows_mod_p(s, p), p)[0])
                               for s in residues))

@@ -241,9 +241,9 @@ def test_the_top_differential_of_compute_modular_is_cleared(tmp_path,
     built = {}
 
     def counting(m, skip=()):
-        comps = component_rows(m, skip)
+        comps, dens = component_rows(m, skip)
         built[m.rows] = sum(len(c) for c in comps)
-        return comps
+        return comps, dens
 
     monkeypatch.setattr(qlinalg, "_component_rows", counting)
     code = main(["compute", str(FIXTURES / "dual_numbers.json"),

@@ -1,10 +1,13 @@
+import copy
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from hhwb import qlinalg
 from hhwb.qlinalg import (
+    EXACT,
     MODULAR,
     SparseMatrix,
     StructuralError,
@@ -92,6 +95,33 @@ def test_mul_matches_the_reference_loop(pair):
     assert [type(v) for v in entries(product).values()] == [
         int if v.denominator == 1 else Fraction
         for v in map(Fraction, entries(product).values())]
+
+
+@pytest.mark.parametrize("a, b, product", [
+    # ints: row 0 cancels whole, row 1 keeps both sums
+    ([[1, 1], [2, 0]], [[1, 1], [-1, -1]], {1: {0: 2, 1: 2}}),
+    # 1/2 - 1/2 = 0 and 1/3 + 2/3 = 1, an int
+    ([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]],
+     [[1, 1], [-1, 1]], {0: {1: 1}, 1: {0: Fraction(-1, 3), 1: 1}}),
+    # a row of Fractions that cancels whole
+    ([[Fraction(1, 2), Fraction(-1, 2)]], [[1, 1], [1, 1]], {}),
+])
+def test_mul_stores_no_cancelled_sum(monkeypatch, a, b, product):
+    # the rows handed to normalise_rows already hold no zero and no empty
+    # row: a sum is deleted the moment it cancels
+    built = []
+    normalise = qlinalg.normalise_rows
+
+    def spy(rows):
+        built.append({i: dict(r) for i, r in rows.items()})
+        return normalise(rows)
+
+    monkeypatch.setattr(qlinalg, "normalise_rows", spy)
+    out = SparseMatrix.from_dense(a).mul(SparseMatrix.from_dense(b))
+    assert all(r and 0 not in r.values() for r in built[-1].values())
+    assert out.by_row == product
+    assert [type(v) for r in out.by_row.values() for v in r.values()] == [
+        type(v) for r in product.values() for v in r.values()]
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None])
@@ -397,9 +427,11 @@ def residue_matrices(draw):
 @settings(max_examples=200, deadline=None)
 def test_every_field_ranks_the_shared_stage_and_its_residue(dense):
     m = SparseMatrix.from_dense(dense)
+    before = copy.deepcopy(m.by_row)
     dens = [v.denominator for row in dense for v in row]
     failed = tuple(p for p in MODULAR.primes if any(d % p == 0 for d in dens))
     info = rank_info(m, MODULAR)
+    assert m.by_row == before  # rank never writes to a row
     assert info.failed_primes == failed
     assert info.per_prime == tuple((p, dense_rank_mod(dense, p))
                                    for p in MODULAR.primes if p not in failed)
@@ -507,6 +539,83 @@ def test_kernel_and_solve_on_block_diagonal(case, coords):
     x = solve(m, b)
     assert x is not None
     assert m.apply(x) == b
+
+
+# -- rank reads its matrix in place -----------------------------------------
+
+
+def test_the_split_hands_out_the_matrix_rows():
+    m = SparseMatrix(5, 8, {(0, 0): 1, (1, 3): 2, (2, 1): 1,
+                            (2, 0): Fraction(1, 3), (3, 4): 1, (4, 3): 1,
+                            (4, 5): Fraction(1, 5)})
+    rows = m.by_row
+    comps, dens = qlinalg._component_rows(m)
+    # components by least row, rows in index order; columns 2, 6 and 7
+    # are untouched
+    assert [[id(r) for r in c] for c in comps] == [
+        [id(rows[0]), id(rows[2])], [id(rows[1]), id(rows[4])], [id(rows[3])]]
+    assert dens == {3, 5}
+    # a skipped row is left out, but its denominators still count
+    comps, dens = qlinalg._component_rows(m, {2, 4})
+    assert [[id(r) for r in c] for c in comps] == [
+        [id(rows[0])], [id(rows[1])], [id(rows[3])]]
+    assert dens == {3, 5}
+
+
+def test_the_split_merges_components_met_late():
+    # rows 0-2 each start a component; row 3 joins all three
+    m = SparseMatrix(4, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (3, 2): 1,
+                            (3, 0): 1, (3, 1): 1})
+    comps, dens = qlinalg._component_rows(m)
+    assert [[id(r) for r in c] for c in comps] == [
+        [id(m.by_row[i]) for i in range(4)]]
+    assert dens == set()
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0), (3, 5)])
+def test_the_split_of_an_empty_matrix_is_empty(shape):
+    assert qlinalg._component_rows(SparseMatrix(*shape)) == ([], set())
+    assert rank_info(SparseMatrix(*shape), MODULAR).value == 0
+
+
+# each needs the Markowitz stage, which rewrites rows: no entry is alone in
+# its column, and some pivots are not ±1
+IN_PLACE = [
+    (SparseMatrix.from_dense([[1, 1, 0, 2], [1, 2, 3, 0], [0, 2, 4, 1],
+                              [2, 0, 6, 1]]), ()),
+    (SparseMatrix.from_dense([[2, 4, 1], [3, 6 + P1, 1], [1, 1, 1]]), ()),
+    (SparseMatrix.from_dense([[Fraction(1, 2), 1, 1],
+                              [Fraction(2, 3), 3, 1],
+                              [5, Fraction(7, 3), 1]]), ()),
+    # row 0 is row 1 plus row 2, so it may be cleared
+    (SparseMatrix.from_dense([[3, 2, 5, 2], [1, 2, 3, 0], [2, 0, 2, 2],
+                              [2, 2, 1, 3]]), {0}),
+]
+
+
+@pytest.mark.parametrize("mode", [EXACT, MODULAR], ids=["exact", "modular"])
+@pytest.mark.parametrize("case", range(len(IN_PLACE)))
+def test_rank_leaves_its_matrix_unchanged(monkeypatch, mode, case):
+    m, cleared = IN_PLACE[case]
+    before = copy.deepcopy(m.by_row)
+    own = {id(r) for i, r in m.by_row.items() if i not in cleared}
+    copied = []
+    component_rank = qlinalg._component_rank
+
+    def spy(rows, p, units=False):
+        if units:  # the first stage gets the matrix's own rows
+            assert {id(r) for r in rows} <= own
+        pivots, left = component_rank(rows, p, units)
+        copied.extend(r for r in left if not any(r is g for g in rows))
+        return pivots, left
+
+    monkeypatch.setattr(qlinalg, "_component_rank", spy)
+    info = rank_info(m, mode, cleared)
+    assert m.by_row == before
+    assert copied  # elimination did change rows: they were copies
+    dense = [[Fraction(before.get(i, {}).get(j, 0)) for j in range(m.cols)]
+             for i in range(m.rows)]
+    assert info.value == sympy.Matrix(dense).rank()
 
 
 # -- the Kronecker product ------------------------------------------------
