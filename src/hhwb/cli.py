@@ -49,13 +49,22 @@ class InputError(Exception):
 # -- input parsing ----------------------------------------------------------
 
 
+def _put(table: dict, key, value, what: str) -> None:
+    """table[key] = value, where the input may define `key` only once."""
+    if key in table:
+        raise InputError(f"{what} {key!r} given twice")
+    table[key] = value
+
+
 def _lincomb(entries, where: str) -> dict:
     if not isinstance(entries, list):
         raise InputError(f"{where}: linear combination must be a list")
     out = {}
     for e in entries:
         try:
-            out[e["basis"]] = Fraction(_int(e["num"]), _int(e.get("den", 1)))
+            _put(out, e["basis"],
+                 Fraction(_int(e["num"]), _int(e.get("den", 1))),
+                 f"{where}: basis")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: bad term {e!r} ({exc})")
     return {b: c for b, c in out.items() if c}
@@ -101,8 +110,9 @@ def category_from_dict(data: dict) -> DgCategory:
     basis = {}
     for h in homs:
         try:
-            basis[_str(h["name"])] = BasisInfo(_str(h["src"]), _str(h["tgt"]),
-                                               _int(h.get("degree", 0)))
+            _put(basis, _str(h["name"]), BasisInfo(
+                _str(h["src"]), _str(h["tgt"]), _int(h.get("degree", 0))),
+                 "hom")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad hom entry {h!r} ({exc})")
     compose = {}
@@ -111,15 +121,15 @@ def category_from_dict(data: dict) -> DgCategory:
             key = (_str(entry["g"]), _str(entry["f"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad compose entry {entry!r} ({exc})")
-        compose[key] = _lincomb(entry.get("result", []),
-                                f"compose {key[0]}∘{key[1]}")
+        _put(compose, key, _lincomb(entry.get("result", []),
+                                    f"compose {key[0]}∘{key[1]}"), "compose")
     diff = {}
     for entry in _section(data, "diff", list, False):
         try:
             b = _str(entry["basis"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad diff entry {entry!r} ({exc})")
-        diff[b] = _lincomb(entry.get("result", []), f"diff {b}")
+        _put(diff, b, _lincomb(entry.get("result", []), f"diff {b}"), "diff")
     try:
         return DgCategory(objects=objects, basis=basis, units=units,
                           compose=compose, diff=diff,
@@ -140,6 +150,14 @@ def functor_from_dict(c: DgCategory, data: dict) -> DgFunctor:
     return DgFunctor(c, c, obj_map, hom_map, name=data.get("name", "functor"))
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict, each key given once."""
+    out = {}
+    for key, value in pairs:
+        _put(out, key, value, "JSON object key")
+    return out
+
+
 def load_input(path: str):
     try:
         with open(path, "rb") as fh:
@@ -147,7 +165,7 @@ def load_input(path: str):
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}")
     if not isinstance(data, dict):

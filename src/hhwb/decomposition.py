@@ -13,12 +13,13 @@ degreewise with truncation certificates tracked throughout; the right side
 in degree k reads the factor's homology in every degree between 0 and k.
 
 verify_decomposition builds the n-th tensor power once and every λ complex
-on it, so the complexes share one skeleton (hochschild): chains, d1 and the
-inner faces of d2 are built once per n, and only on the levels the
-requested degrees read; it also builds each generator's chain permutation
-once and drops it after the last λ that uses it.  Each complex adds
-its own wrap face, and every check (equivariance, d² = 0, the rotation
-identity, prime agreement) still runs on each complex and each C^S.
+on it in one hochschild.build_complexes call, so the complexes share one
+skeleton: chains, d1 and the inner faces of d2 are built once per n, and
+only on the levels the requested degrees read; it also builds each
+generator's chain permutation once and drops it after the last λ that
+uses it.  Each complex adds its own wrap face, and every check
+(equivariance, d² = 0, the rotation identity, prime agreement) still runs
+on each complex and each C^S.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .hochschild import (
     StandardComplex,
     TwistSpec,
     build_complex,
+    build_complexes,
     check_equivariant,
     signed_chain_permutation,
     total_homology,
@@ -150,17 +152,6 @@ def centralizer_gens(lam: Partition) -> CentralizerPresentation:
 
 
 # -- the two sides of the comparison ---------------------------------------
-
-
-def _lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,
-                    normalized: bool, power: DgCategory) -> StandardComplex:
-    """The complex of c^{⊗n} twisted by σ_λ, on `power`, the n-th tensor
-    power of c.  Live complexes on one power share its skeleton
-    (hochschild._Skeleton) wherever their twists agree on objects, which
-    every one-object c gives."""
-    return build_complex(power, permutation_functor(c, n, sigma_of(lam),
-                                                    power=power),
-                         max_level, normalized=normalized)
 
 
 class OrbitComplex:
@@ -455,14 +446,14 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
     lhs_totals = {k: 0 for k in degrees}
     lhs_cert = {k: True for k in degrees}
     used = {k: [] for k in degrees}  # the DegreeResults that degree k used
-    # one tensor power, so that the λ complexes share their skeleton; all
-    # built (lazily, so cheaply) before any is used, so that the skeleton
-    # knows it is shared (hochschild._Skeleton.inner_faces), and each
-    # dropped once used
+    lams = partitions(n)
     power = tensor_power(c, n)
-    todo = [(lam, _lambda_complex(c, n, lam, max_level, normalized, power))
-            for lam in reversed(partitions(n))]
-    pres = {lam: centralizer_gens(lam) for lam in partitions(n)}
+    # built in one call, so that the λ complexes share a skeleton; each is
+    # dropped once used
+    todo = list(zip(lams, build_complexes(
+        power, [permutation_functor(c, n, sigma_of(lam), power=power)
+                for lam in lams], max_level, normalized)))[::-1]
+    pres = {lam: centralizer_gens(lam) for lam in lams}
     # each generator's chain permutation is kept until the last λ using it
     last_user = {g.images: lam for lam, p in pres.items()
                  for g in p.s_generators + p.c_generators}

@@ -28,13 +28,14 @@ any other block copies the rows of each level's d1 and d2 it meets.
 Only the wrap-around face F(am)∘a0 of d2 depends on the twist beyond its
 object map.  Everything else (the basis tables, the chain catalog and its
 degree blocks, d1 and the inner faces a_i∘a_{i+1}) lives in a skeleton
-that the live complexes on the same category, with the same object map,
-max level and normalization, share; a weak registry finds it, so it goes
-away with the last complex built on it.  Levels are enumerated and
-assembled on first access: a level-m chain has total degree in
-[(m+1)·dmin - m, (m+1)·dmax - m], so the homology in degree k reads only
-the levels whose window meets [k-1, k+1], and max_level caps the work
-instead of setting it.
+that build_complexes shares among the complexes it builds in one call
+whose twists have one object map; nothing else holds it, so it goes away
+with the last of them.
+
+Levels are enumerated and assembled on first access: a level-m chain has
+total degree in [(m+1)·dmin - m, (m+1)·dmax - m], so the homology in
+degree k reads only the levels whose window meets [k-1, k+1], and
+max_level caps the work instead of setting it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-import weakref
 from collections import namedtuple
 
 from .dgcore import (
@@ -214,17 +214,17 @@ class _Level:
 class _Skeleton:
     """The part of the standard complex that does not depend on the twist
     beyond its object map: the basis tables, the chain catalog and its
-    degree blocks, d1 and the inner faces of d2.  Live complexes on one
-    category with one object map, max level and normalization share one
-    skeleton (see _skeleton); each level is enumerated and assembled on
-    first access."""
+    degree blocks, d1 and the inner faces of d2.  `shared` says whether
+    build_complexes builds more than one complex on it; each level is
+    enumerated and assembled on first access."""
 
     def __init__(self, category: DgCategory, obj_map: dict, max_level: int,
-                 normalized: bool):
+                 normalized: bool, shared: bool):
         self.category = category
         self.obj_map = obj_map
         self.max_level = max_level
         self.normalized = normalized
+        self.shared = shared
         self.basis_ids: tuple[str, ...] = tuple(sorted(category.basis))
         self.basis_index = {b: i for i, b in enumerate(self.basis_ids)}
         infos = [category.basis[b] for b in self.basis_ids]
@@ -242,10 +242,9 @@ class _Skeleton:
         self._by_degree: list = [None] * top
         self._blocks: dict[int, list] = {}  # see _runs
         self._positions: dict[int, dict[int, dict[int, int]]] = {}
-        self._inner: dict[int, dict] = {}  # kept once a second complex shares
+        self._inner: dict[int, dict] = {}  # kept when shared
         self._homs: dict = {}
         self._steps: dict = {}
-        self.complexes = 0  # how many complexes were built on this skeleton
 
     @property
     def levels(self) -> _Lazy:
@@ -353,11 +352,9 @@ class _Skeleton:
     def inner_faces(self, m) -> dict:
         """The faces a_i∘a_{i+1} of d2 on level m >= 1, with sign (-1)^i,
         as fresh row dicts the caller may extend; a face of a grid over
-        (c0, ..., cm) lands in the grid without c(i+1).  The skeleton keeps
-        a copy only once a second complex is built on it, so that a lone
-        complex holds its faces once, inside its d2.  Faces built before
-        the second complex are built again: complexes meant to share should
-        all be built before any reads its d2, as verify_decomposition does."""
+        (c0, ..., cm) lands in the grid without c(i+1).  A shared skeleton
+        keeps a copy, so that its complexes build the faces once; a lone
+        complex holds them once, inside its d2."""
         kept = self._inner.get(m)
         if kept is not None:
             return {i: dict(row) for i, row in kept.items()}
@@ -384,7 +381,7 @@ class _Skeleton:
                             _emit(acc, tg.offset + q * s, rows,
                                   g.offset + pa * g.strides[i] + pb * s, cols,
                                   -c if i % 2 else c)
-        if self.complexes > 1:
+        if self.shared:
             self._inner[m] = acc
             return self.inner_faces(m)  # a copy
         return acc
@@ -451,56 +448,33 @@ class _Skeleton:
         return None
 
 
-# (id(category), object images, max level, normalized) -> skeleton; a
-# skeleton holds its category, so the id is not reused while the entry lives
-_skeletons: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _skeleton(category: DgCategory, twist: DgFunctor, max_level: int,
-              normalized: bool) -> _Skeleton:
-    """The skeleton of `category` for twists with `twist`'s object map.
-    It is shared while some complex built on it is alive and freed with
-    the last one (by reference counting; nothing refers back to it), so a
-    caller that wants complexes to share keeps them alive together."""
-    images = tuple(twist.apply_obj(o) for o in category.objects)
-    key = (id(category), images, max_level, normalized)
-    sk = _skeletons.get(key)
-    if sk is None:
-        sk = _skeletons[key] = _Skeleton(
-            category, dict(zip(category.objects, images)), max_level, normalized)
-    sk.complexes += 1
-    return sk
-
-
 class StandardComplex:
     """The truncated standard complex; `levels[m]` reads as the list of
     level-m chains, tuples of basis ints, without storing them, and
     `row_of[m]` is the {chain: row} dict built from it, for the chain
     maps.
 
-    Everything but the wrap face of d2 lives in a skeleton shared with the
-    other live complexes on the same category and object map.  `levels`,
-    `row_of`, `d1` and `d2` build a level on first access, so a computation
-    only pays for the levels its degrees read.  Other modules read a
-    degree block through block_dim, total_differential and the block
-    coordinates (block_permutation, block_levels, block_vector) alone."""
+    Everything but the wrap face of d2 lives in `skeleton`, shared with
+    the complexes built in the same build_complexes call whose twists have
+    the same object map.  `levels`, `row_of`, `d1` and `d2` build a level
+    on first access, so a computation only pays for the levels its degrees
+    read.  Other modules read a degree block through block_dim,
+    total_differential and the block coordinates (block_permutation,
+    block_levels, block_vector) alone."""
 
-    def __init__(self, category: DgCategory, twist: DgFunctor, max_level: int,
-                 normalized: bool):
-        if max_level < 0:
-            raise StructuralError("max_level must be >= 0")
-        self.category = category
+    def __init__(self, skeleton: _Skeleton, twist: DgFunctor):
+        self.skeleton = sk = skeleton
+        self.category = sk.category
         self.twist = twist
-        self.max_level = max_level
-        self.normalized = normalized
-        self.skeleton = sk = _skeleton(category, twist, max_level, normalized)
+        self.max_level = sk.max_level
+        self.normalized = sk.normalized
         self.basis_ids = sk.basis_ids
         self.basis_index = sk.basis_index
         self._deg = sk.deg
         self.compose = sk.compose
         self._twist = [_lin(self.basis_index, twist.apply_basis(b))
                        for b in self.basis_ids]
-        self._d2: list = [None] * (max_level + 1)
+        self._d2: list = [None] * (sk.max_level + 1)
         self._diff_cache: dict[int, SparseMatrix] = {}
         self._homology_cache: dict[int, tuple] = {}
 
@@ -717,16 +691,32 @@ class StandardComplex:
                 for i, v in vec.items() if v}
 
 
+def build_complexes(c: DgCategory, twists: list, max_level: int,
+                    normalized: bool) -> list[StandardComplex]:
+    """One complex on c per endofunctor in `twists`, in order.  Those
+    whose twists agree on objects share one skeleton: their chain
+    catalog, d1 and the inner faces of d2 are built once."""
+    if max_level < 0:
+        raise StructuralError("max_level must be >= 0")
+    images = []
+    for twist in twists:
+        if any(f is not c and f.basis.keys() != c.basis.keys()
+               for f in (twist.source, twist.target)):
+            raise StructuralError("twist is not an endofunctor of the category")
+        images.append(tuple(twist.apply_obj(o) for o in c.objects))
+    skeletons = {key: _Skeleton(c, dict(zip(c.objects, key)), max_level,
+                                normalized, shared=images.count(key) > 1)
+                 for key in images}
+    return [StandardComplex(skeletons[key], twist)
+            for key, twist in zip(images, twists)]
+
+
 def build_complex(c: DgCategory, twist, max_level: int,
                   normalized: bool = True) -> StandardComplex:
     """twist: a DgFunctor endofunctor of c, or a TwistSpec."""
     if isinstance(twist, TwistSpec):
         c, twist = resolve_twist(c, twist)
-    if twist.source is not c or twist.target is not c:
-        if (twist.source.basis.keys() != c.basis.keys()
-                or twist.target.basis.keys() != c.basis.keys()):
-            raise StructuralError("twist is not an endofunctor of the category")
-    return StandardComplex(c, twist, max_level, normalized)
+    return build_complexes(c, [twist], max_level, normalized)[0]
 
 
 class DegreeResult(namedtuple(

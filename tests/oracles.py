@@ -12,16 +12,22 @@ import itertools
 
 from hhwb import decomposition
 from hhwb.chainmaps import ChainMapData
-from hhwb.decomposition import Partition, _lambda_complex, _reach, _window
+from hhwb.decomposition import Partition, _reach, _window, sigma_of
 from hhwb.dgcore import (
     DgCategory,
     DgFunctor,
     NatTransform,
     Permutation,
     compose_functors,
+    permutation_functor,
     tensor_power,
 )
-from hhwb.hochschild import HomologySummary, StandardComplex, total_homology
+from hhwb.hochschild import (
+    HomologySummary,
+    StandardComplex,
+    build_complex,
+    total_homology,
+)
 from hhwb.qlinalg import EXACT, RankMode, SparseMatrix, StructuralError, rank
 
 # -- dgcore ------------------------------------------------------------------
@@ -116,13 +122,22 @@ def group_closure(generators, n: int) -> list:
     return sorted(seen.values(), key=lambda p: p.images)
 
 
+def lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,
+                   normalized: bool, power: DgCategory) -> StandardComplex:
+    """The complex of c^{⊗n} twisted by σ_λ, on `power`, the n-th tensor
+    power of c, on a skeleton of its own."""
+    return build_complex(power, permutation_functor(c, n, sigma_of(lam),
+                                                    power=power),
+                         max_level, normalized=normalized)
+
+
 def twisted_summand_dims(c: DgCategory, n: int, lam: Partition, degrees,
                          max_level: int, normalized: bool = True,
                          mode: RankMode = EXACT) -> HomologySummary:
     """Homology of the n-th tensor power twisted by σ_λ, before invariants."""
     if lam.n != n:
         raise StructuralError(f"{lam} is not a partition of {n}")
-    sc = _lambda_complex(c, n, lam, max_level, normalized, tensor_power(c, n))
+    sc = lambda_complex(c, n, lam, max_level, normalized, tensor_power(c, n))
     return total_homology(sc, degrees, mode=mode)
 
 
@@ -134,8 +149,8 @@ def lambda_invariant_dims(c: DgCategory, lam: Partition, degrees,
     presentation and an empty chain-permutation cache.  centralizer_gens
     and invariant_dims are looked up on the module, so that a test can
     replace them there."""
-    sc = _lambda_complex(c, lam.n, lam, max_level, normalized,
-                         tensor_power(c, lam.n))
+    sc = lambda_complex(c, lam.n, lam, max_level, normalized,
+                        tensor_power(c, lam.n))
     summary = total_homology(sc, degrees, mode=mode)
     dims, _ = decomposition.invariant_dims(
         c, sc, summary, decomposition.centralizer_gens(lam), degrees, mode,

@@ -38,6 +38,7 @@ from conftest import (
 )
 from oracles import (
     entries,
+    lambda_complex,
     reference_chain_permutation,
     reference_d1,
     reference_d2,
@@ -285,14 +286,14 @@ def test_unchecked_differentials_keep_the_entry_contract():
     """total_differential and the orbit differential skip the constructor's
     checks; on a presentation with non-integral constants their entries
     must still be ints or non-integral Fractions, nonzero and in range."""
-    from hhwb.decomposition import OrbitComplex, _lambda_complex, Partition
+    from hhwb.decomposition import OrbitComplex, Partition
     from hhwb.dgcore import permutation_functor, tensor_power
     from hhwb.hochschild import signed_chain_permutation
     from hhwb.qlinalg import SparseMatrix
 
     c = truncated_cube(2)
     power = tensor_power(c, 2)
-    sc = _lambda_complex(c, 2, Partition((1, 1)), 3, True, power)
+    sc = lambda_complex(c, 2, Partition((1, 1)), 3, True, power)
     swap = permutation_functor(c, 2, Permutation.from_cycles(2, [(1, 2)]),
                                power=power)
     oc = OrbitComplex(sc, [signed_chain_permutation(sc, swap, range(4))])

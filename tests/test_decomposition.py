@@ -593,21 +593,21 @@ def test_positive_degree_reads_the_factor_certificates(D, monkeypatch):
 def test_lambda_complexes_read_only_the_requested_degrees(D, monkeypatch):
     # degree -2 alone: the factor reads its window -2..0 for the right
     # side, but each λ complex needs only d(-2) and d(-3)
-    lambda_complex = decomposition._lambda_complex
+    build_complexes = decomposition.build_complexes
     differential = StandardComplex.total_differential
     lambdas, read = [], set()
 
-    def recording_complex(*args):
-        sc = lambda_complex(*args)
-        lambdas.append(sc)
-        return sc
+    def recording_complexes(*args):
+        built = build_complexes(*args)
+        lambdas.extend(built)
+        return built
 
     def recording(self, k):
         if any(self is sc for sc in lambdas):
             read.add(k)
         return differential(self, k)
 
-    monkeypatch.setattr(decomposition, "_lambda_complex", recording_complex)
+    monkeypatch.setattr(decomposition, "build_complexes", recording_complexes)
     monkeypatch.setattr(StandardComplex, "total_differential", recording)
     rep = verify_decomposition(D, 2, [-2], max_level=4)
     assert rep.verdicts == {-2: "Equal"}

@@ -100,9 +100,18 @@ CATEGORIES = {
 
 
 def write(tmp_path, data) -> str:
+    """`data` as a JSON file; a str is written as it is."""
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
+
+
+def edited(data, old: str, new: str) -> str:
+    """`data` as JSON text with `old` replaced by `new`, which can repeat
+    a key, as no dict can."""
+    text = json.dumps(data)
+    assert old in text
+    return text.replace(old, new)
 
 
 @pytest.mark.parametrize("data,message", CATEGORIES.values(),
@@ -203,6 +212,29 @@ MALFORMED = {
                                            obj_map=[["*", "*"]])]), False),
     "hom_map a list": (dual(functors=[dict(GOOD_FUNCTOR[1],
                                            hom_map=[["1", []]])]), False),
+    # a definition given twice is refused, never overwritten by the last
+    "hom defined twice": (
+        dual(homs=[hom("1"), hom("x"), hom("x", degree=1)]), True),
+    "compose pair given twice": (
+        dual(compose=compose_entry(result=term("x")) + compose_entry()),
+        True),
+    "diff given twice": (
+        square_zero(diff=[{"basis": "u", "result": term("v")},
+                          {"basis": "u", "result": []}]), True),
+    "basis twice in a combination": (
+        dual(compose=compose_entry(result=term("x") + term("x", -1))), True),
+    "basis twice in a functor combination": (
+        dual(functors=[dict(GOOD_FUNCTOR[1],
+                            hom_map={"1": term("1"),
+                                     "x": term("x") + term("x")})]), False),
+    "top-level key twice": (
+        edited(dual(), '"name": "D"', '"name": "D", "name": "E"'), True),
+    "unit key twice": (
+        edited(dual(), '"units": {"*": "1"}', '"units": {"*": "1", "*": "x"}'),
+        True),
+    "functor map key twice": (
+        edited(dual(functors=[GOOD_FUNCTOR[1]]), '"obj_map": {"*": "*"}',
+               '"obj_map": {"*": "*", "*": "*"}'), True),
 }
 
 

@@ -1,9 +1,10 @@
 """Only hhwb.hochschild knows how a total-degree block lies over the
 levels: the other modules read and write block vectors through
-StandardComplex.block_permutation, block_levels and block_vector.  And no
+StandardComplex.block_permutation, block_levels and block_vector.  No
 function in hhwb takes a parameter whose name starts with an underscore:
 such a private knob is a second path through the function that only some
-callers take."""
+callers take.  And no module or class in hhwb holds a mutable container:
+state kept between calls would make one answer depend on another."""
 
 import ast
 from pathlib import Path
@@ -61,3 +62,77 @@ def test_the_guard_sees_private_parameters():
     assert private_parameters(source) == [
         (1, "f", "_b"), (1, "f", "_c"), (1, "f", "_args"), (1, "f", "_kw"),
         (3, "lambda", "_x")]
+
+
+# calls that make a mutable container, by name or attribute name
+CONTAINERS = {"dict", "list", "set", "bytearray", "defaultdict",
+              "OrderedDict", "Counter", "deque", "WeakValueDictionary",
+              "WeakKeyDictionary", "WeakSet"}
+
+
+def makes_container(node: ast.AST) -> bool:
+    """Whether evaluating the expression `node` makes a mutable container:
+    a list, dict or set literal or comprehension, or a call of one of
+    CONTAINERS or of anything in weakref; a lambda's body is not run."""
+    if isinstance(node, ast.Lambda):
+        return False
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
+                         ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in CONTAINERS:
+            return True
+        if isinstance(f, ast.Attribute) and (
+                f.attr in CONTAINERS
+                or isinstance(f.value, ast.Name) and f.value.id == "weakref"):
+            return True
+    return any(map(makes_container, ast.iter_child_nodes(node)))
+
+
+def lasting_containers(source: str) -> list:
+    """(line, target) of each assignment outside a function in `source`,
+    at module level or in a class body, whose value makes a mutable
+    container."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if (isinstance(child, (ast.Assign, ast.AnnAssign))
+                    and child.value is not None
+                    and makes_container(child.value)):
+                target = (child.targets[0] if isinstance(child, ast.Assign)
+                          else child.target)
+                out.append((child.lineno, ast.unparse(target)))
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(out)
+
+
+def test_no_module_keeps_a_mutable_container():
+    found = {path.name: lasting_containers(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_guard_sees_mutable_containers():
+    source = ("import weakref\n"
+              "A = []\n"
+              "B: dict = {}\n"
+              "C = {k: 1 for k in 'ab'}\n"
+              "D = defaultdict(list)\n"
+              "E = weakref.WeakValueDictionary()\n"
+              "F = (1, [2])\n"
+              "if True:\n    G = set()\n"
+              "class H:\n    cache = dict()\n    n: int\n"
+              "LinComb = dict\n"
+              "I = (1, 2)\n"
+              "J = namedtuple('J', 'a b')\n"
+              "f = lambda: []\n"
+              "def g():\n    local = []\n")
+    assert lasting_containers(source) == [
+        (2, "A"), (3, "B"), (4, "C"), (5, "D"), (6, "E"), (7, "F"),
+        (9, "G"), (11, "cache")]

@@ -1,9 +1,11 @@
-"""The λ complexes of one tensor power share a skeleton: the chain
-catalog, d1, the inner faces of d2 and the chain permutations are built
-once, and every level is built only when a degree reads it."""
+"""The λ complexes of one tensor power, built in one build_complexes
+call, share a skeleton: the chain catalog, d1, the inner faces of d2 and
+the chain permutations are built once, and every level is built only when
+a degree reads it."""
 
 import gc
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -11,15 +13,21 @@ from hhwb import hochschild
 from hhwb.cli import main
 from hhwb.decomposition import (
     _checked_chain_permutation,
-    _lambda_complex,
     centralizer_gens,
     partitions,
     sigma_of,
+    verify_decomposition,
 )
-from hhwb.dgcore import Permutation, permutation_functor, tensor_power
+from hhwb.dgcore import (
+    Permutation,
+    permutation_functor,
+    tensor_power,
+    validate_category,
+)
 from hhwb.hochschild import (
     TwistSpec,
     build_complex,
+    build_complexes,
     signed_chain_permutation,
     total_homology,
 )
@@ -32,9 +40,13 @@ from test_cli import DUAL, QUIVER, run_json
 
 
 def shared_complexes(c, n, max_level, normalized):
+    """(λ, complex) for each λ ⊢ n, built together as verify_decomposition
+    builds them."""
     power = tensor_power(c, n)
-    return [(lam, _lambda_complex(c, n, lam, max_level, normalized, power))
-            for lam in partitions(n)]
+    lams = partitions(n)
+    return list(zip(lams, build_complexes(
+        power, [permutation_functor(c, n, sigma_of(lam), power=power)
+                for lam in lams], max_level, normalized)))
 
 
 @pytest.mark.slow
@@ -73,9 +85,12 @@ def test_multi_object_complexes_share_only_per_object_map():
     assert lam1.parts == (1, 1) and lam2.parts == (2,)
     assert ident.skeleton is not swap.skeleton
     assert ident.levels[0] != swap.levels[0]
-    # a second complex with the same object map finds the same skeleton
-    again = _lambda_complex(c, 2, lam1, 3, True, ident.category)
-    assert again.skeleton is ident.skeleton
+    assert not (ident.skeleton.shared or swap.skeleton.shared)
+    # in one call, the twists with the identity object map share
+    twists = [ident.twist, swap.twist, ident.twist]
+    first, other, third = build_complexes(ident.category, twists, 3, True)
+    assert first.skeleton is third.skeleton is not other.skeleton
+    assert first.skeleton.shared and not other.skeleton.shared
 
 
 def test_chain_permutation_cache_matches_a_fresh_permutation():
@@ -112,6 +127,17 @@ def test_only_the_levels_the_degrees_read_are_built(capsys, monkeypatch):
     # degrees -1..0 read total degrees -2..1, which D has at levels 0..2;
     # one skeleton for the λ complexes and one for the factor
     assert sorted(enumerated) == [0, 0, 1, 1, 2, 2]
+
+
+def test_a_complex_is_built_on_its_category_as_it_is_now():
+    c = dual_numbers()
+    first = build_complex(c, TwistSpec.identity(), 3)
+    assert total_homology(first, [0, -1, -2]).dims() == {0: 2, -1: 1, -2: 1}
+    c.compose[("x", "x")] = {"x": Fraction(1)}  # k[x]/(x² - x) ≅ k × k
+    assert validate_category(c) == []
+    second = build_complex(c, TwistSpec.identity(), 3)
+    assert second.skeleton is not first.skeleton
+    assert total_homology(second, [0, -1, -2]).dims() == {0: 2, -1: 0, -2: 0}
 
 
 def test_levels_are_built_on_first_access():
@@ -163,31 +189,27 @@ def test_a_lone_complex_holds_its_faces_once():
     assert list(built[0][1].skeleton._inner) == [3]  # built once, then copied
 
 
-def test_complexes_built_one_after_another_share_once_two_are_alive(
-        monkeypatch):
-    faces = []
+def test_a_group_builds_each_levels_inner_faces_once(monkeypatch):
+    built = []  # (shared, level) of each build of a level's inner faces
     inner_faces = hochschild._Skeleton.inner_faces
 
     def spy(self, m):
         if m not in self._inner:
-            faces.append(m)
+            built.append((self.shared, m))
         return inner_faces(self, m)
 
     monkeypatch.setattr(hochschild._Skeleton, "inner_faces", spy)
     c = dual_numbers()
-    power = tensor_power(c, 3)
-    alive = []
-    for lam in partitions(3):
-        sc = _lambda_complex(c, 3, lam, 3, True, power)
-        sc.d2[3]
-        alive.append(sc)
-        alone = build_complex(c, TwistSpec.perm(3, sigma_of(lam)), 3)
-        assert sc.d2[3] == alone.d2[3]
-    assert all(sc.skeleton is alive[0].skeleton for sc in alive)
-    # the first complex builds its faces alone, the second builds them
-    # again and the skeleton keeps them, the third reads them; each
+    group = shared_complexes(c, 3, 3, True)
+    for lam, sc in group:
+        for m in (2, 3):
+            alone = build_complex(c, TwistSpec.perm(3, sigma_of(lam)), 3)
+            assert sc.d2[m] == alone.d2[m]
+    assert all(sc.skeleton is group[0][1].skeleton for _, sc in group)
+    # the group builds each level's faces once and keeps them; each
     # standalone complex builds its own
-    assert faces == [3, 3, 3, 3, 3]
+    assert [m for shared, m in built if shared] == [2, 3]
+    assert sorted(m for shared, m in built if not shared) == [2] * 3 + [3] * 3
 
 
 def test_a_complex_frees_its_power_without_the_cycle_collector():
@@ -205,12 +227,28 @@ def test_a_complex_frees_its_power_without_the_cycle_collector():
             gc.enable()
 
 
-def test_the_category_keeps_no_skeleton_after_a_verification():
-    from hhwb.decomposition import verify_decomposition
+def test_the_lambda_skeleton_is_freed_once_a_verification_returns(
+        monkeypatch):
+    from hhwb import decomposition
 
-    c = dual_numbers()
-    verify_decomposition(c, 3, [0, -1], 3)
-    assert not [key for key in hochschild._skeletons if key[0] == id(c)]
+    skeletons = []
+
+    def spy(*args):
+        built = build_complexes(*args)
+        assert all(sc.skeleton is built[0].skeleton for sc in built)
+        skeletons.append(weakref.ref(built[0].skeleton))
+        return built
+
+    monkeypatch.setattr(decomposition, "build_complexes", spy)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = verify_decomposition(dual_numbers(), 3, [0, -1], 3)
+        assert rep.all_equal and len(skeletons) == 1
+        assert skeletons[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
