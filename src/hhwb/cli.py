@@ -19,10 +19,13 @@ from .dgcore import (
     DgCategory,
     DgFunctor,
     Permutation,
+    identity_functor,
+    permutation_functor,
+    tensor_power,
     validate_category,
     validate_functor,
 )
-from .hochschild import TwistSpec, build_complex, total_homology
+from .hochschild import build_complex, total_homology
 from .qlinalg import EXACT, MODULAR, RankMode, StructuralError
 
 # hashlib loads OpenSSL, which adds about 3.5 MB and 3 ms to every run for
@@ -173,9 +176,11 @@ def load_input(path: str):
     return raw, data
 
 
-def parse_twist(s: str | None) -> TwistSpec:
+def parse_twist(s: str | None) -> Permutation | None:
+    """The permutation of the tensor factors that --twist names, or None
+    for the identity twist of the category itself."""
     if s is None or s == "identity":
-        return TwistSpec.identity()
+        return None
     m = re.fullmatch(r"perm:(\d+):(.*)", s)
     if not m:
         raise InputError(f"bad twist {s!r}; expected perm:<n>:<cycles>")
@@ -202,7 +207,7 @@ def parse_twist(s: str | None) -> TwistSpec:
             cycle.append(i)
         if cycle:
             cycles.append(tuple(cycle))
-    return TwistSpec.perm(n, Permutation.from_cycles(n, cycles))
+    return Permutation.from_cycles(n, cycles)
 
 
 def parse_degrees(s: str | None, max_level: int) -> list:
@@ -226,7 +231,7 @@ def parse_dims(s: str) -> dict:
         m = re.fullmatch(r"\s*(-?\d+)\s*:\s*(\d+)\s*", part)
         if not m:
             raise InputError(f"bad dims entry {part!r}; expected deg:dim")
-        out[int(m.group(1))] = int(m.group(2))
+        _put(out, int(m.group(1)), int(m.group(2)), "dims degree")
     return out
 
 
@@ -395,8 +400,14 @@ def cmd_compute(args) -> int:
         return {"twist": args.twist or "identity"}
 
     def run(cat, options, mode):
-        sc = build_complex(cat, parse_twist(options["twist"]),
-                           options["max_level"], options["normalized"])
+        perm = parse_twist(options["twist"])
+        if perm is None:
+            twist = identity_functor(cat)
+        else:
+            power = tensor_power(cat, perm.n)
+            cat, twist = power, permutation_functor(cat, perm.n, perm, power)
+        sc = build_complex(cat, twist, options["max_level"],
+                           options["normalized"])
         summary = total_homology(sc, options["degrees"], mode=mode)
         return {str(k): dict(r._asdict(), primes=list(r.primes) or None)
                 for k, r in summary.degrees.items()}

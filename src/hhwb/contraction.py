@@ -84,8 +84,8 @@ def validate_bimodule(m: FiniteBimodule) -> list:
         diags.append("right unit action is not the identity")
     for i in range(b.dim):
         for j in range(b.dim):
-            prod_left = SparseMatrix.zeros(m.dim, m.dim)
-            prod_right = SparseMatrix.zeros(m.dim, m.dim)
+            prod_left = SparseMatrix(m.dim, m.dim)
+            prod_right = SparseMatrix(m.dim, m.dim)
             for r, v in b.mult(i, j).items():
                 prod_left = prod_left.add(m.left[r].scale(v))
                 prod_right = prod_right.add(m.right[r].scale(v))
@@ -166,7 +166,7 @@ def _env_mult(a: FiniteAlgebra, sides, x, y):
     basis element acts on y by the Kronecker product of its factors'
     multiplications: in A^e, (f⊗g')(h⊗k') = fh ⊗ (kg)'."""
     dim = a.dim ** len(sides)
-    act = SparseMatrix.zeros(dim, dim)
+    act = SparseMatrix(dim, dim)
     for p, c in x.items():
         factors = []
         for mult in reversed(sides):  # the last factor varies fastest

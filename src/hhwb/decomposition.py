@@ -28,11 +28,16 @@ from array import array
 from collections import namedtuple
 from math import comb, factorial
 
-from .dgcore import DgCategory, Permutation, permutation_functor, tensor_power
+from .dgcore import (
+    DgCategory,
+    Permutation,
+    identity_functor,
+    permutation_functor,
+    tensor_power,
+)
 from .hochschild import (
     HomologySummary,
     StandardComplex,
-    TwistSpec,
     build_complex,
     build_complexes,
     check_equivariant,
@@ -484,7 +489,8 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
                 lhs_cert[k] = False
         for key in [key for key in chain_perms if last_user[key[1]] == lam]:
             del chain_perms[key]
-    factor = build_complex(c, TwistSpec.identity(), max_level,
+        del sc  # so that no λ complex is alive while the factor's is built
+    factor = build_complex(c, identity_functor(c), max_level,
                            normalized=normalized)
     factor_summary = total_homology(factor, window, mode=mode)
     h = factor_summary.dims()

@@ -338,22 +338,6 @@ class Permutation(namedtuple("Permutation", "images")):
                 images[a - 1] = b - 1
         return Permutation(tuple(images))
 
-    def cycle_string(self) -> str:
-        seen = set()
-        out = []
-        for i in range(self.n):
-            if i in seen or self.images[i] == i:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen.add(j)
-                j = self.images[j]
-            out.append("(" + " ".join(str(k + 1) for k in cyc) + ")")
-        return "".join(out) or "()"
-
 
 class DgFunctor:
     def __init__(self, source: DgCategory, target: DgCategory, obj_map, hom_map,

@@ -45,14 +45,7 @@ import itertools
 import operator
 from collections import namedtuple
 
-from .dgcore import (
-    DgCategory,
-    DgFunctor,
-    Permutation,
-    identity_functor,
-    permutation_functor,
-    tensor_power,
-)
+from .dgcore import DgCategory, DgFunctor
 from .qlinalg import (
     EXACT,
     RankMode,
@@ -64,34 +57,6 @@ from .qlinalg import (
     rank_info,
     tagged_reduction,
 )
-
-
-class TwistSpec(namedtuple("TwistSpec", "kind n permutation",
-                           defaults=("identity", 0, ()))):
-    """How the coefficient bimodule is twisted: kind "identity", or kind
-    "permutation", a signed permutation of the n tensor factors."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def identity():
-        return TwistSpec("identity")
-
-    @staticmethod
-    def perm(n: int, p: Permutation):
-        return TwistSpec("permutation", n=n, permutation=p.images)
-
-
-def resolve_twist(c: DgCategory, spec: TwistSpec) -> tuple[DgCategory, DgFunctor]:
-    """Returns (category, endofunctor); for permutation twists the category
-    is replaced by the n-th tensor power."""
-    if spec.kind == "identity":
-        return c, identity_functor(c)
-    if spec.kind == "permutation":
-        power = tensor_power(c, spec.n)
-        return power, permutation_functor(c, spec.n, Permutation(spec.permutation),
-                                          power=power)
-    raise StructuralError(f"unknown twist kind {spec.kind!r}")
 
 
 def _lin(index: dict, x: dict) -> tuple:
@@ -185,7 +150,6 @@ class _Level:
     (a0, a1, ..., am) of basis ints, and stores none of them."""
 
     __slots__ = ("grids", "at", "size", "_starts")
-    __hash__ = None
 
     def __init__(self, grids: list):
         self.grids = grids
@@ -206,9 +170,6 @@ class _Level:
         i -= g.offset
         return tuple(r.ints[i // s % len(r.ints)]
                      for r, s in zip(g.ranges, g.strides))
-
-    def __eq__(self, other):
-        return isinstance(other, (_Level, list)) and list(self) == list(other)
 
 
 class _Skeleton:
@@ -475,7 +436,6 @@ class StandardComplex:
         self._twist = [_lin(self.basis_index, twist.apply_basis(b))
                        for b in self.basis_ids]
         self._d2: list = [None] * (sk.max_level + 1)
-        self._diff_cache: dict[int, SparseMatrix] = {}
         self._homology_cache: dict[int, tuple] = {}
 
     @property
@@ -569,33 +529,27 @@ class StandardComplex:
         when blocks k and k+1 are the whole levels m and m-1 (level m has
         no chains of degree k+1, so d1[m] adds nothing), else read off the
         d1 and d2 of each level that block k meets."""
-        mtx = self._diff_cache.get(k)
-        if mtx is not None:
-            return mtx
         sk = self.skeleton
         m = sk.whole(k)
         if m and sk.whole(k + 1) == m - 1:
-            mtx = self.d2[m]
-        else:
-            rows_at = sk.positions(k + 1)
-            out = {}
-            for m, cols in sk.positions(k).items():
-                # d2 lands one level below d1: the two never share an entry
-                for d, rows in ((self.d1, rows_at.get(m)),
-                                (self.d2, rows_at.get(m - 1))):
-                    if rows is None:
-                        continue
-                    for r, row in d[m].by_row.items():
-                        i = rows.get(r)
-                        if i is not None:
-                            row = {j: v for c, v in row.items()
-                                   if (j := cols.get(c)) is not None}
-                            if row:
-                                out.setdefault(i, {}).update(row)
-            mtx = SparseMatrix.trusted(self.block_dim(k + 1), self.block_dim(k),
-                                       out)
-        self._diff_cache[k] = mtx
-        return mtx
+            return self.d2[m]
+        rows_at = sk.positions(k + 1)
+        out = {}
+        for m, cols in sk.positions(k).items():
+            # d2 lands one level below d1: the two never share an entry
+            for d, rows in ((self.d1, rows_at.get(m)),
+                            (self.d2, rows_at.get(m - 1))):
+                if rows is None:
+                    continue
+                for r, row in d[m].by_row.items():
+                    i = rows.get(r)
+                    if i is not None:
+                        row = {j: v for c, v in row.items()
+                               if (j := cols.get(c)) is not None}
+                        if row:
+                            out.setdefault(i, {}).update(row)
+        return SparseMatrix.trusted(self.block_dim(k + 1), self.block_dim(k),
+                                    out)
 
     # -- truncation certificates ----------------------------------------
 
@@ -711,11 +665,10 @@ def build_complexes(c: DgCategory, twists: list, max_level: int,
             for key, twist in zip(images, twists)]
 
 
-def build_complex(c: DgCategory, twist, max_level: int,
+def build_complex(c: DgCategory, twist: DgFunctor, max_level: int,
                   normalized: bool = True) -> StandardComplex:
-    """twist: a DgFunctor endofunctor of c, or a TwistSpec."""
-    if isinstance(twist, TwistSpec):
-        c, twist = resolve_twist(c, twist)
+    """The complex of c twisted by the endofunctor `twist`, on a skeleton
+    of its own."""
     return build_complexes(c, [twist], max_level, normalized)[0]
 
 

@@ -122,10 +122,6 @@ class SparseMatrix:
     def identity(cls, n):
         return cls.trusted(n, n, {i: {i: 1} for i in range(n)})
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
-
     def items(self):
         """((row, col), value) for each nonzero entry, row by row."""
         return (((i, j), v) for i, row in self.by_row.items()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhwb.dgcore import BasisInfo, DgCategory
+from hhwb.dgcore import BasisInfo, DgCategory, permutation_functor, tensor_power
 
 
 def ground_field():
@@ -69,6 +69,13 @@ def quiver_a2():
         diff={},
         name="A2",
     )
+
+
+def permuted(c, n, perm):
+    """(the n-th tensor power of c, the functor permuting its factors by
+    perm): the category and twist of the complex that `--twist` names."""
+    power = tensor_power(c, n)
+    return power, permutation_functor(c, n, perm, power)
 
 
 @pytest.fixture

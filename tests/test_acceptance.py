@@ -29,12 +29,12 @@ from hhwb.decomposition import (
     verify_decomposition,
 )
 from hhwb.dgcore import Permutation, identity_functor, tensor, tensor_functor
-from hhwb.hochschild import TwistSpec, build_complex, total_homology
+from hhwb.hochschild import build_complex, total_homology
 from hhwb.kunneth import kunneth_verify, s2_check, shuffle_map, \
     verify_shuffle_chain_map
 from hhwb.qlinalg import MODULAR, SparseMatrix, projector_invariant_dim
 
-from conftest import dual_numbers, ground_field, quiver_a2
+from conftest import dual_numbers, ground_field, permuted, quiver_a2
 from oracles import lambda_invariant_dims, twisted_summand_dims
 from test_cli import DUAL, GROUND, QUIVER
 from test_hochschild import bar_complex_dims_T2, periodic_resolution_dims_D
@@ -102,7 +102,7 @@ def test_criterion_04_warmup(capsys):
     t0 = time.monotonic()
     swap = Permutation.from_cycles(2, [(1, 2)])
     d = dual_numbers()
-    sc = build_complex(d, TwistSpec.perm(2, swap), 4)
+    sc = build_complex(*permuted(d, 2, swap), 4)
     dims = tuple(total_homology(sc, [0, -1, -2, -3]).dims()[-k]
                  for k in range(4))
     assert dims == (2, 1, 1, 1)
@@ -173,11 +173,11 @@ def test_criterion_07_homotopy(capsys):
     negx = type(identity_functor(D))(
         D, D, {"*": "*"},
         {"1": {"1": Fraction(1)}, "x": {"x": Fraction(-1)}}, name="negx")
-    swap = TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)]))
+    swap = permuted(D, 2, Permutation.from_cycles(2, [(1, 2)]))
     complexes = [
         build_complex(D, identity_functor(D), 3, normalized=False),
         build_complex(D, negx, 3, normalized=False),
-        build_complex(D, swap, 3),
+        build_complex(*swap, 3),
     ]
     for sc in complexes:
         H = homotopy_H(sc)

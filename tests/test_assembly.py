@@ -22,7 +22,6 @@ from hhwb.dgcore import (
     validate_category,
 )
 from hhwb.hochschild import (
-    TwistSpec,
     build_complex,
     signed_chain_permutation,
     total_homology,
@@ -33,6 +32,7 @@ from conftest import (
     dual_numbers,
     ground_field,
     odd_dual,
+    permuted,
     quiver_a2,
     square_zero_with_diff,
 )
@@ -168,8 +168,11 @@ def digest(sc, mtx, row_level, col_level) -> str:
 def test_differentials_match_frozen_digests(case, normalized):
     make, cycle, max_level = CASES[case]
     c = make()
-    twist = (TwistSpec.perm(len(cycle[0]), Permutation.from_cycles(
-        len(cycle[0]), list(cycle))) if cycle else identity_functor(c))
+    if cycle:
+        n = len(cycle[0])
+        c, twist = permuted(c, n, Permutation.from_cycles(n, list(cycle)))
+    else:
+        twist = identity_functor(c)
     sc = build_complex(c, twist, max_level, normalized=normalized)
     frozen = FROZEN[f"{case} {'normalized' if normalized else 'full'}"]
     assert [digest(sc, sc.d1[m], m, m)
@@ -210,7 +213,7 @@ def two_cycle(scale):
     )
 
 
-SWAP = TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)]))
+SWAP = Permutation.from_cycles(2, [(1, 2)])
 
 
 def entries_by_ids(sc, mtx, row_level, col_level) -> dict:
@@ -231,7 +234,9 @@ def test_rescaled_presentation_gives_the_same_homology(make, scaled, twist,
     for scale in (1, 2, 3):
         c = make(scale)
         assert validate_category(c) == []
-        sc = build_complex(c, twist or identity_functor(c), max_level)
+        cat, functor = (permuted(c, twist.n, twist) if twist
+                        else (c, identity_functor(c)))
+        sc = build_complex(cat, functor, max_level)
         for mtx in sc.d1 + sc.d2:
             assert all(type(v) is int
                        or (type(v) is Fraction and v.denominator > 1)
@@ -348,8 +353,8 @@ def test_grid_assembly_matches_the_tuple_reference(case, normalized):
         sc = build_complex(c, identity_functor(c), max_level, normalized)
     else:
         n, cycles = twist
-        sc = build_complex(c, TwistSpec.perm(n, _perm(n, *cycles)),
-                           max_level, normalized)
+        sc = build_complex(*permuted(c, n, _perm(n, *cycles)), max_level,
+                           normalized)
     phis = [permutation_functor(c, n, _perm(n, cycle), power=sc.category)
             for n, cycle in perms] or [identity_functor(c)]
     chain_perms = [signed_chain_permutation(sc, phi, range(max_level + 1))

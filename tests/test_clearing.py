@@ -14,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hhwb import qlinalg
 from hhwb.cli import main
 from hhwb.dgcore import Permutation
-from hhwb.hochschild import TwistSpec, build_complex, total_homology
+from hhwb.hochschild import build_complex, total_homology
 from hhwb.qlinalg import EXACT, MODULAR, SparseMatrix, rank_info
 
-from conftest import dual_numbers
+from conftest import dual_numbers, permuted
 from test_hochschild import periodic_resolution_dims
 
 P1, P2 = MODULAR.primes
@@ -214,8 +214,8 @@ def refilled(m: SparseMatrix, seed: int) -> SparseMatrix:
 @pytest.mark.parametrize("mode", [EXACT, MODULAR])
 def test_rank_does_not_depend_on_the_fill_order(mode):
     # the differentials of D⊗D with the swap, as compute-modular has them
-    swap = TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)]))
-    sc = build_complex(dual_numbers(), swap, 4)
+    swap = Permutation.from_cycles(2, [(1, 2)])
+    sc = build_complex(*permuted(dual_numbers(), 2, swap), 4)
     for k in range(-4, 0):
         d = sc.total_differential(k)
         one, two = refilled(d, 2 * k), refilled(d, 2 * k + 1)

@@ -8,7 +8,8 @@ import pytest
 
 from hhwb import cli, decomposition
 from hhwb.cli import EXIT_INTERNAL, main
-from hhwb.hochschild import TwistSpec, build_complex, total_homology
+from hhwb.dgcore import identity_functor
+from hhwb.hochschild import build_complex, total_homology
 from hhwb.qlinalg import EXACT, StructuralError
 
 from conftest import square_zero_with_diff
@@ -135,8 +136,9 @@ def test_compute_bad_degree_range(capsys):
     ["decompose", DUAL, "--n", "0"],
     ["decompose", DUAL, "--n", "-1"],
     ["series", "--dims", "0:1", "--n", "-1"],
+    ["series", "--dims", "0:2,0:1", "--n", "2"],
 ], ids=["twist-no-factor", "max-level-negative", "decompose-n-zero",
-        "decompose-n-negative", "series-n-negative"])
+        "decompose-n-negative", "series-n-negative", "series-dims-repeated"])
 def test_bad_option_exits_2_without_a_traceback(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2, err
@@ -289,7 +291,8 @@ def test_compute_reads_json_diff_entries(tmp_path, capsys):
         path.write_text(json.dumps(dict(data, diff=diff)))
         rep = run_json(capsys, "compute", str(path), *argv)
         dims[name] = {int(k): v["dim"] for k, v in rep["results"].items()}
-    sc = build_complex(square_zero_with_diff(), TwistSpec.identity(), 4)
+    c = square_zero_with_diff()
+    sc = build_complex(c, identity_functor(c), 4)
     assert dims["T"] == total_homology(sc, range(-3, 2), EXACT).dims()
     assert dims["T"] != dims["T0"]  # so the diff entry was read
 

@@ -17,11 +17,17 @@ from hhwb.contraction import (
     validate_bimodule,
     warmup_factorization,
 )
-from hhwb.dgcore import TENSOR_SEP, Permutation
-from hhwb.hochschild import TwistSpec, build_complex, total_homology
+from hhwb.dgcore import TENSOR_SEP, Permutation, identity_functor
+from hhwb.hochschild import build_complex, total_homology
 from hhwb.qlinalg import SparseMatrix, StructuralError
 
-from conftest import dual_numbers, ground_field, odd_dual, square_zero_with_diff
+from conftest import (
+    dual_numbers,
+    ground_field,
+    odd_dual,
+    permuted,
+    square_zero_with_diff,
+)
 
 
 @pytest.fixture
@@ -35,7 +41,7 @@ def aD():
 
 
 def zero_bimodule(b):
-    mats = [SparseMatrix.zeros(0, 0) for _ in range(b.dim)]
+    mats = [SparseMatrix(0, 0) for _ in range(b.dim)]
     return FiniteBimodule(b, 0, list(mats), list(mats))
 
 
@@ -212,10 +218,10 @@ def test_twisted_contraction_matches_twisted_homology(aD):
     # The degree-0 twisted homology of the square with the factor swap is the
     # twisted contraction against the diagonal bimodule.
     swap = Permutation.from_cycles(2, [(1, 2)])
-    sc = build_complex(aD.category, TwistSpec.perm(2, swap), 3)
+    sc = build_complex(*permuted(aD.category, 2, swap), 3)
     hh0 = total_homology(sc, [0]).degrees[0].dim
     sq = algebra_square(aD)
     assert hh0 == tensor_over(twisted_module(aD), diagonal_bimodule(sq)).dim
     # and it agrees with the untwisted degree-0 homology of one factor
-    one = build_complex(aD.category, TwistSpec.identity(), 3)
+    one = build_complex(aD.category, identity_functor(aD.category), 3)
     assert hh0 == total_homology(one, [0]).degrees[0].dim

@@ -25,7 +25,6 @@ from hhwb.dgcore import (
 )
 from hhwb.hochschild import (
     StandardComplex,
-    TwistSpec,
     build_complex,
     check_equivariant,
     signed_chain_permutation,
@@ -38,7 +37,7 @@ from hhwb.qlinalg import (
     projector_invariant_dim,
 )
 
-from conftest import dual_numbers
+from conftest import dual_numbers, permuted
 from oracles import (
     degree_block,
     entries,
@@ -63,7 +62,7 @@ def odd_negative_dual():
 
 
 def lambda_complex(c, lam, max_level):
-    return build_complex(c, TwistSpec.perm(lam.n, sigma_of(lam)), max_level)
+    return build_complex(*permuted(c, lam.n, sigma_of(lam)), max_level)
 
 
 def projector_invariants_oracle(c, lam, degrees, max_level):
@@ -80,7 +79,7 @@ def projector_invariants_oracle(c, lam, degrees, max_level):
     out = {}
     for k in degrees:
         dim = actions[0][k].rows
-        acc = SparseMatrix.zeros(dim, dim)
+        acc = SparseMatrix(dim, dim)
         for act in actions:
             acc = acc.add(act[k])
         out[k] = projector_invariant_dim(acc.scale(Fraction(1, len(group))))

@@ -22,7 +22,6 @@ from hhwb.dgcore import (
     tensor_power,
 )
 from hhwb.hochschild import (
-    TwistSpec,
     build_complex,
     check_equivariant,
     signed_chain_permutation,
@@ -36,8 +35,15 @@ from hhwb.qlinalg import (
     projector_invariant_dim,
 )
 
-from conftest import dual_numbers, odd_dual, quiver_a2, square_zero_with_diff
+from conftest import (
+    dual_numbers,
+    odd_dual,
+    permuted,
+    quiver_a2,
+    square_zero_with_diff,
+)
 from oracles import entries, identity_chain_map, star_transform
+from test_cli import DUAL, run_json
 
 
 def hh_dims(c, twist, max_level, degrees, normalized=True, mode=EXACT):
@@ -245,10 +251,14 @@ def test_dims_independent_of_basis_order():
     assert dims == reference
 
 
-def test_twistspec_permutation_swap(D):
-    dims, sc = hh_dims(D, TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)])),
-                       4, range(-3, 1))
+def test_swap_twist_option_matches_the_swap_functor(D, capsys):
+    dims, _ = hh_dims(*permuted(D, 2, Permutation.from_cycles(2, [(1, 2)])),
+                      4, range(-3, 1))
     assert [dims[-n] for n in range(4)] == [2, 1, 1, 1]
+    results = run_json(capsys, "compute", DUAL, "--mode", "exact",
+                       "--max-level", "4", "--degrees=-3..0",
+                       "--twist", "perm:2:(1 2)")["results"]
+    assert {int(k): v["dim"] for k, v in results.items()} == dims
 
 
 # -- induced chain maps -----------------------------------------------------
@@ -331,7 +341,7 @@ def test_homotopy_negx_twist(D):
 
 
 def test_homotopy_on_swap_twist(D):
-    sc = build_complex(D, TwistSpec.perm(2, Permutation.from_cycles(2, [(1, 2)])),
+    sc = build_complex(*permuted(D, 2, Permutation.from_cycles(2, [(1, 2)])),
                        3, normalized=True)
     check_homotopy_identities(sc)
 

@@ -196,7 +196,7 @@ def test_integer_matrices_stay_exact(dense):
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseMatrix.zeros(3, 3)) == 0
+    assert rank(SparseMatrix(3, 3)) == 0
 
 
 def test_rank_identity():
@@ -218,7 +218,7 @@ def test_kernel_identity_empty():
 
 
 def test_kernel_zero_map():
-    basis = kernel_basis(SparseMatrix.zeros(1, 2))
+    basis = kernel_basis(SparseMatrix(1, 2))
     assert len(basis) == 2
 
 
@@ -239,18 +239,18 @@ def test_kernel_annihilated_and_count():
 
 
 def test_homology_trivial_complex():
-    d_in = SparseMatrix.zeros(2, 0)
-    d_out = SparseMatrix.zeros(0, 2)
+    d_in = SparseMatrix(2, 0)
+    d_out = SparseMatrix(0, 2)
     assert homology_dimension(d_in, d_out) == 2
 
 
 def test_homology_exact_complex():
-    assert homology_dimension(SparseMatrix.identity(2), SparseMatrix.zeros(0, 2)) == 0
+    assert homology_dimension(SparseMatrix.identity(2), SparseMatrix(0, 2)) == 0
 
 
 def test_homology_multiplication_by_two():
     d_in = SparseMatrix.from_dense([[2]])
-    assert homology_dimension(d_in, SparseMatrix.zeros(0, 1)) == 0
+    assert homology_dimension(d_in, SparseMatrix(0, 1)) == 0
 
 
 def test_homology_rejects_non_complex():
@@ -269,7 +269,7 @@ def test_projector_averaged_swap():
 
 
 def test_projector_zero():
-    assert projector_invariant_dim(SparseMatrix.zeros(3, 3)) == 0
+    assert projector_invariant_dim(SparseMatrix(3, 3)) == 0
 
 
 def test_projector_rejects_non_idempotent():

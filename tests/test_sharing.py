@@ -20,12 +20,12 @@ from hhwb.decomposition import (
 )
 from hhwb.dgcore import (
     Permutation,
+    identity_functor,
     permutation_functor,
     tensor_power,
     validate_category,
 )
 from hhwb.hochschild import (
-    TwistSpec,
     build_complex,
     build_complexes,
     signed_chain_permutation,
@@ -33,7 +33,7 @@ from hhwb.hochschild import (
 )
 from hhwb.qlinalg import MODULAR
 
-from conftest import dual_numbers, quiver_a2
+from conftest import dual_numbers, permuted, quiver_a2
 from oracles import brute_force_levels
 from test_assembly import two_cycle
 from test_cli import DUAL, QUIVER, run_json
@@ -57,11 +57,11 @@ def shared_complexes(c, n, max_level, normalized):
 def test_shared_complexes_equal_standalone_ones(make, n, normalized):
     c = make()
     for lam, sc in shared_complexes(c, n, 3, normalized):
-        alone = build_complex(c, TwistSpec.perm(n, sigma_of(lam)), 3,
+        alone = build_complex(*permuted(c, n, sigma_of(lam)), 3,
                               normalized=normalized)
         assert alone.skeleton is not sc.skeleton
         for m in range(4):
-            assert sc.levels[m] == alone.levels[m], (lam, m)
+            assert list(sc.levels[m]) == list(alone.levels[m]), (lam, m)
             assert sc.d1[m] == alone.d1[m], (lam, m)
             assert sc.d2[m] == alone.d2[m], (lam, m)
 
@@ -84,7 +84,7 @@ def test_multi_object_complexes_share_only_per_object_map():
     (lam1, ident), (lam2, swap) = shared_complexes(c, 2, 3, True)
     assert lam1.parts == (1, 1) and lam2.parts == (2,)
     assert ident.skeleton is not swap.skeleton
-    assert ident.levels[0] != swap.levels[0]
+    assert list(ident.levels[0]) != list(swap.levels[0])
     assert not (ident.skeleton.shared or swap.skeleton.shared)
     # in one call, the twists with the identity object map share
     twists = [ident.twist, swap.twist, ident.twist]
@@ -131,17 +131,18 @@ def test_only_the_levels_the_degrees_read_are_built(capsys, monkeypatch):
 
 def test_a_complex_is_built_on_its_category_as_it_is_now():
     c = dual_numbers()
-    first = build_complex(c, TwistSpec.identity(), 3)
+    first = build_complex(c, identity_functor(c), 3)
     assert total_homology(first, [0, -1, -2]).dims() == {0: 2, -1: 1, -2: 1}
     c.compose[("x", "x")] = {"x": Fraction(1)}  # k[x]/(x² - x) ≅ k × k
     assert validate_category(c) == []
-    second = build_complex(c, TwistSpec.identity(), 3)
+    second = build_complex(c, identity_functor(c), 3)
     assert second.skeleton is not first.skeleton
     assert total_homology(second, [0, -1, -2]).dims() == {0: 2, -1: 0, -2: 0}
 
 
 def test_levels_are_built_on_first_access():
-    sc = build_complex(dual_numbers(), TwistSpec.identity(), 5)
+    c = dual_numbers()
+    sc = build_complex(c, identity_functor(c), 5)
     assert sc.levels.built() == []
     sc.total_differential(-2)  # degrees -2 -> -1: levels 2 and 1
     assert sc.levels.built() == [1, 2]
@@ -158,8 +159,7 @@ def test_homology_reads_chains_only_as_grid_positions(capsys, monkeypatch):
             return _read(self, *args)
 
         monkeypatch.setattr(hochschild._Level, name, spy)
-    sc = build_complex(dual_numbers(), TwistSpec.perm(2, Permutation(
-        (1, 0))), 4)
+    sc = build_complex(*permuted(dual_numbers(), 2, Permutation((1, 0))), 4)
     dims = total_homology(sc, range(-3, 1), MODULAR).dims()
     assert dims == {0: 2, -1: 1, -2: 1, -3: 1}
     res = run_json(capsys, "decompose", DUAL, "--n", "3", "--max-level",
@@ -180,7 +180,7 @@ def test_homology_reads_chains_only_as_grid_positions(capsys, monkeypatch):
 
 def test_a_lone_complex_holds_its_faces_once():
     c = dual_numbers()
-    lone = build_complex(c, TwistSpec.identity(), 3)
+    lone = build_complex(c, identity_functor(c), 3)
     lone.d2[3]
     assert lone.skeleton._inner == {}  # d2 is the only copy
     built = shared_complexes(c, 3, 3, True)
@@ -203,7 +203,7 @@ def test_a_group_builds_each_levels_inner_faces_once(monkeypatch):
     group = shared_complexes(c, 3, 3, True)
     for lam, sc in group:
         for m in (2, 3):
-            alone = build_complex(c, TwistSpec.perm(3, sigma_of(lam)), 3)
+            alone = build_complex(*permuted(c, 3, sigma_of(lam)), 3)
             assert sc.d2[m] == alone.d2[m]
     assert all(sc.skeleton is group[0][1].skeleton for _, sc in group)
     # the group builds each level's faces once and keeps them; each
@@ -216,7 +216,7 @@ def test_a_complex_frees_its_power_without_the_cycle_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        sc = build_complex(dual_numbers(), TwistSpec.perm(3, sigma_of(
+        sc = build_complex(*permuted(dual_numbers(), 3, sigma_of(
             partitions(3)[1])), 3)
         sc.total_differential(-2)
         power, skeleton = weakref.ref(sc.category), weakref.ref(sc.skeleton)
@@ -251,6 +251,33 @@ def test_the_lambda_skeleton_is_freed_once_a_verification_returns(
             gc.enable()
 
 
+def test_no_lambda_complex_is_alive_while_the_factor_is_built(monkeypatch):
+    from hhwb import decomposition
+
+    complexes, alive = [], []
+
+    def spy_many(*args):
+        built = build_complexes(*args)
+        complexes.extend(weakref.ref(sc) for sc in built)
+        return built
+
+    def spy_one(*args, **kwargs):  # the factor complex
+        alive.extend(ref() is not None for ref in complexes)
+        return build_complex(*args, **kwargs)
+
+    monkeypatch.setattr(decomposition, "build_complexes", spy_many)
+    monkeypatch.setattr(decomposition, "build_complex", spy_one)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rep = verify_decomposition(dual_numbers(), 3, [0, -1, -2], 3)
+        assert rep.all_equal
+        assert alive == [False] * len(partitions(3))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
     from hhwb import decomposition
 
@@ -275,7 +302,7 @@ def test_verify_decomposition_builds_each_chain_permutation_once(monkeypatch):
 def test_enumeration_matches_every_object_tuple(make, n, normalized):
     for lam, sc in shared_complexes(make(), n, 4, normalized):
         expected = brute_force_levels(sc.skeleton, 4)
-        assert [sc.levels[m] for m in range(5)] == expected, lam
+        assert [list(sc.levels[m]) for m in range(5)] == expected, lam
         assert expected[0], lam
 
 

@@ -8,7 +8,8 @@ and executed, never imported, so nothing is written under bench/."""
 import importlib
 from pathlib import Path
 
-from hhwb.hochschild import TwistSpec, build_complex
+from hhwb.dgcore import identity_functor
+from hhwb.hochschild import build_complex
 from hhwb.qlinalg import MODULAR, rank_info
 
 from conftest import dual_numbers
@@ -51,7 +52,8 @@ def test_the_count_hooks_read_what_hhwb_returns():
     ns = tracer_namespace()
     hooks = {span: hook for span, _, _, hook in ns["TARGETS"] if hook}
     tracer = ns["Tracer"]()
-    sc = build_complex(dual_numbers(), TwistSpec.identity(), 3)
+    c = dual_numbers()
+    sc = build_complex(c, identity_functor(c), 3)
     d = sc.total_differential(-2)
     hooks["qlinalg.rank_info"](tracer, (d,), rank_info(d, MODULAR))
     hooks["hochschild.build_complex"](tracer, (), sc)
