@@ -14,12 +14,8 @@ from __future__ import annotations
 
 import itertools
 
-from .dgcore import (
-    DgFunctor,
-    NatTransform,
-    compose_functors,
-    validate_nat_transform,
-)
+from .dgcore import DgFunctor
+from .functors import NatTransform, compose_functors, validate_nat_transform
 from .hochschild import StandardComplex, _lin
 from .qlinalg import SparseMatrix, StructuralError
 

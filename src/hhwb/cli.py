@@ -23,7 +23,6 @@ from .dgcore import (
     permutation_functor,
     tensor_power,
     validate_category,
-    validate_functor,
 )
 from .hochschild import build_complex, total_homology
 from .qlinalg import EXACT, MODULAR, RankMode, StructuralError
@@ -74,7 +73,8 @@ def _lincomb(entries, where: str) -> dict:
 
 
 def _str(x) -> str:
-    """x, which the input must give as a string: an object or basis name."""
+    """x, which the input must give as a string: the name of an object, a
+    basis morphism, a category or a functor."""
     if not isinstance(x, str):
         raise TypeError(f"{x!r} is not a string")
     return x
@@ -110,6 +110,10 @@ def category_from_dict(data: dict) -> DgCategory:
         units = {o: _str(u) for o, u in units.items()}
     except TypeError as exc:
         raise InputError(f"bad objects or units ({exc})")
+    try:
+        name = _str(data.get("name", "category"))
+    except TypeError as exc:
+        raise InputError(f"bad category name ({exc})")
     basis = {}
     for h in homs:
         try:
@@ -135,8 +139,7 @@ def category_from_dict(data: dict) -> DgCategory:
         _put(diff, b, _lincomb(entry.get("result", []), f"diff {b}"), "diff")
     try:
         return DgCategory(objects=objects, basis=basis, units=units,
-                          compose=compose, diff=diff,
-                          name=data.get("name", "category"))
+                          compose=compose, diff=diff, name=name)
     except (ValueError, KeyError) as exc:
         raise InputError(f"category construction failed: {exc}")
 
@@ -148,9 +151,10 @@ def functor_from_dict(c: DgCategory, data: dict) -> DgFunctor:
             raise TypeError("obj_map and hom_map must be JSON objects")
         hom_map = {b: _lincomb(v, f"functor hom {b}")
                    for b, v in hom_map.items()}
+        name = _str(data.get("name", "functor"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad functor entry ({exc})")
-    return DgFunctor(c, c, obj_map, hom_map, name=data.get("name", "functor"))
+    return DgFunctor(c, c, obj_map, hom_map, name=name)
 
 
 def _json_object(pairs: list) -> dict:
@@ -330,6 +334,9 @@ def base_report(input_sha: str, options: dict, started: float) -> dict:
 
 
 def cmd_validate(args) -> int:
+    # imported here, not at the top, so that compute does not load it
+    from .functors import validate_functor
+
     raw, data = load_input(args.path)
     cat = category_from_dict(data)
     diags = validate_category(cat)

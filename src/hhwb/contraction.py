@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .dgcore import DgCategory, _tensor_id, opposite, tensor
-from .qlinalg import SparseMatrix, StructuralError, add_pivot, reduce_row, rref
+from .bases import add_pivot, reduce_row, rref
+from .dgcore import DgCategory, _tensor_id, tensor
+from .qlinalg import SparseMatrix, StructuralError
 
 
 class FiniteAlgebra:

@@ -2,11 +2,13 @@
 
 The left side sums, over partitions λ of n, the S-invariants of the twisted
 homology of the n-th tensor power with the block-cyclic twist σ_λ.  S acts on
-chains by signed permutations, so the invariants are the homology of the
-signed-orbit complex C^S, which has one basis vector per signed orbit and
-goes through total_homology like any other complex.  This is exact by Maschke's theorem:
-over Q, averaging over S is a chain-level projector onto C^S, so
-H(C)^S = H(C^S), and every reported rank is over Q, whatever the mode.
+chains by signed permutations (signed_chain_permutation, each checked to
+commute with d1 and d2 by check_equivariant), so the invariants are the
+homology of the signed-orbit complex C^S, which has one basis vector per
+signed orbit and goes through total_homology like any other complex.  This
+is exact by Maschke's theorem: over Q, averaging over S is a chain-level
+projector onto C^S, so H(C)^S = H(C^S), and every reported rank is over Q,
+whatever the mode.
 The right side is the t-degree-n piece of the super-symmetric algebra on
 one copy of the untwisted homology per t-power.  Both sides are compared
 degreewise with truncation certificates tracked throughout; the right side
@@ -30,6 +32,7 @@ from math import comb, factorial
 
 from .dgcore import (
     DgCategory,
+    DgFunctor,
     Permutation,
     identity_functor,
     permutation_functor,
@@ -38,10 +41,9 @@ from .dgcore import (
 from .hochschild import (
     HomologySummary,
     StandardComplex,
+    _spread,
     build_complex,
     build_complexes,
-    check_equivariant,
-    signed_chain_permutation,
     total_homology,
 )
 from .qlinalg import (
@@ -240,6 +242,94 @@ class OrbitComplex:
                     acc[col] = acc.get(col, 0) + (v if sign[c] == 1 else -v)
         return SparseMatrix.trusted(len(reps_out), self.block_dim(k),
                                     normalise_rows(out))
+
+
+def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
+                             levels) -> list:
+    """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
+    automorphism phi that sends every basis morphism to ±1 times another.
+
+    One pair (rows, signs) per level m, flat arrays (C int, signed char)
+    as long as the level: chain i goes to signs[i] = ±1 times chain
+    rows[i].  Only the levels in `levels` are built; the others are None.
+    This is the chain map of phi whose coefficient transform is the unit
+    at F(phi(c0)); it is a chain map only when phi commutes with the
+    twist F, which check_equivariant verifies.
+    """
+    target, sign = [], []  # basis int -> its image's basis int and sign
+    for bid in sc.basis_ids:
+        img = phi.apply_basis(bid)
+        if len(img) != 1 or next(iter(img.values())) not in (1, -1):
+            raise StructuralError(
+                f"{phi.name or 'functor'} does not send {bid} to ±1 "
+                f"times a basis morphism")
+        ((t, v),) = img.items()
+        target.append(sc.basis_index[t])
+        sign.append(int(v))
+
+    signed = -1 in sign
+    wanted = set(levels)
+    sk = sc.skeleton
+    perm = []
+    for m in range(sc.max_level + 1):
+        if m not in wanted:
+            perm.append(None)
+            continue
+        level = sk.levels[m]
+        rows, odd = array("i"), []
+        for g in level.grids:
+            # phi maps a grid's chains into one grid, the image of its
+            # first chain's; a chain's row there is the offset plus, slot
+            # by slot, its image's position times the stride
+            tg = level.at.get(sk.objects([target[r.ints[0]] for r in g.ranges]))
+            pos = tg and [[tr.pos.get(target[b]) for b in r.ints]
+                          for r, tr in zip(g.ranges, tg.ranges)]
+            if not pos or any(None in p for p in pos):
+                raise StructuralError(
+                    f"{phi.name or 'functor'} sends a level-{m} chain out of "
+                    f"the complex")
+            rows.extend(_spread([tg.offset], [[x * s for x in p]
+                                              for p, s in zip(pos, tg.strides)]))
+            if signed:  # the number of slots sent to minus their image
+                odd += _spread([0], [[sign[b] < 0 for b in r.ints]
+                                     for r in g.ranges])
+        if len(set(rows)) != len(rows):
+            raise StructuralError(
+                f"{phi.name or 'functor'} is not injective on level {m}")
+        signs = (array("b", [-1 if x % 2 else 1 for x in odd]) if signed
+                 else array("b", [1]) * len(rows))
+        perm.append((rows, signs))
+    return perm
+
+
+def check_equivariant(sc: StandardComplex, perm: list, levels) -> None:
+    """Raise StructuralError unless the signed chain permutation `perm`
+    commutes with d1 and d2: d[g r, g c] = s(r) s(c) d[r, c] for every
+    nonzero entry of d1[m] and d2[m], for each m in `levels`.  `perm` is
+    a bijection on each level (as signed_chain_permutation ensures), so
+    this maps the nonzero entries of each block injectively into
+    themselves, making g d = d g exact."""
+
+    def respects(mtx, row_perm, col_perm) -> bool:
+        by_row = mtx.by_row
+        rows, row_signs = row_perm
+        cols, col_signs = col_perm
+        for r, row in by_row.items():
+            image, s = by_row.get(rows[r], {}), row_signs[r]
+            for c, v in row.items():
+                if image.get(cols[c]) != (v if s == col_signs[c] else -v):
+                    return False
+        return True
+
+    for m in levels:
+        if not respects(sc.d1[m], perm[m], perm[m]):
+            raise StructuralError(
+                f"chain permutation does not commute with the internal "
+                f"differential at level {m}")
+        if m >= 1 and not respects(sc.d2[m], perm[m - 1], perm[m]):
+            raise StructuralError(
+                f"chain permutation does not commute with the face "
+                f"differential at level {m}")
 
 
 def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,

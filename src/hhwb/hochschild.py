@@ -51,11 +51,8 @@ from .qlinalg import (
     RankMode,
     SparseMatrix,
     StructuralError,
-    column_space_basis,
-    kernel_basis,
     normalise_rows,
     rank_info,
-    tagged_reduction,
 )
 
 
@@ -574,7 +571,10 @@ class StandardComplex:
         """(representatives, boundary_basis) at total degree k; vectors are
         sparse dicts over the positions of block k.  Exact arithmetic.
         The boundary basis is extended greedily by cycles, in one
-        qlinalg.tagged_reduction that also serves homology_coordinates."""
+        bases.tagged_reduction that also serves homology_coordinates."""
+        # imported here: compute and decompose never read a basis
+        from .bases import column_space_basis, kernel_basis, tagged_reduction
+
         if k not in self._homology_cache:
             cycles = kernel_basis(self.total_differential(k))
             boundaries = column_space_basis(self.total_differential(k - 1))
@@ -730,96 +730,6 @@ def total_homology(sc: StandardComplex, degrees, mode: RankMode = EXACT
             f"compare max_level {sc.max_level} and {sc.max_level + 1}")
         out[k] = DegreeResult(dim, cert, mode.kind, primes, agreed, reason)
     return HomologySummary(out)
-
-
-def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,
-                             levels) -> list:
-    """The action a0[a1|...|am] -> phi(a0)[phi(a1)|...|phi(am)] of an
-    automorphism phi that sends every basis morphism to ±1 times another.
-
-    One pair (rows, signs) per level m, flat arrays (C int, signed char)
-    as long as the level: chain i goes to signs[i] = ±1 times chain
-    rows[i].  Only the levels in `levels` are built; the others are None.
-    This is the chain map of phi whose coefficient transform is the unit
-    at F(phi(c0)); it is a chain map only when phi commutes with the
-    twist F, which check_equivariant verifies.
-    """
-    from array import array  # only here: compute never loads it
-
-    target, sign = [], []  # basis int -> its image's basis int and sign
-    for bid in sc.basis_ids:
-        img = phi.apply_basis(bid)
-        if len(img) != 1 or next(iter(img.values())) not in (1, -1):
-            raise StructuralError(
-                f"{phi.name or 'functor'} does not send {bid} to ±1 "
-                f"times a basis morphism")
-        ((t, v),) = img.items()
-        target.append(sc.basis_index[t])
-        sign.append(int(v))
-
-    signed = -1 in sign
-    wanted = set(levels)
-    sk = sc.skeleton
-    perm = []
-    for m in range(sc.max_level + 1):
-        if m not in wanted:
-            perm.append(None)
-            continue
-        level = sk.levels[m]
-        rows, odd = array("i"), []
-        for g in level.grids:
-            # phi maps a grid's chains into one grid, the image of its
-            # first chain's; a chain's row there is the offset plus, slot
-            # by slot, its image's position times the stride
-            tg = level.at.get(sk.objects([target[r.ints[0]] for r in g.ranges]))
-            pos = tg and [[tr.pos.get(target[b]) for b in r.ints]
-                          for r, tr in zip(g.ranges, tg.ranges)]
-            if not pos or any(None in p for p in pos):
-                raise StructuralError(
-                    f"{phi.name or 'functor'} sends a level-{m} chain out of "
-                    f"the complex")
-            rows.extend(_spread([tg.offset], [[x * s for x in p]
-                                              for p, s in zip(pos, tg.strides)]))
-            if signed:  # the number of slots sent to minus their image
-                odd += _spread([0], [[sign[b] < 0 for b in r.ints]
-                                     for r in g.ranges])
-        if len(set(rows)) != len(rows):
-            raise StructuralError(
-                f"{phi.name or 'functor'} is not injective on level {m}")
-        signs = (array("b", [-1 if x % 2 else 1 for x in odd]) if signed
-                 else array("b", [1]) * len(rows))
-        perm.append((rows, signs))
-    return perm
-
-
-def check_equivariant(sc: StandardComplex, perm: list, levels) -> None:
-    """Raise StructuralError unless the signed chain permutation `perm`
-    commutes with d1 and d2: d[g r, g c] = s(r) s(c) d[r, c] for every
-    nonzero entry of d1[m] and d2[m], for each m in `levels`.  `perm` is
-    a bijection on each level (as signed_chain_permutation ensures), so
-    this maps the nonzero entries of each block injectively into
-    themselves, making g d = d g exact."""
-
-    def respects(mtx, row_perm, col_perm) -> bool:
-        by_row = mtx.by_row
-        rows, row_signs = row_perm
-        cols, col_signs = col_perm
-        for r, row in by_row.items():
-            image, s = by_row.get(rows[r], {}), row_signs[r]
-            for c, v in row.items():
-                if image.get(cols[c]) != (v if s == col_signs[c] else -v):
-                    return False
-        return True
-
-    for m in levels:
-        if not respects(sc.d1[m], perm[m], perm[m]):
-            raise StructuralError(
-                f"chain permutation does not commute with the internal "
-                f"differential at level {m}")
-        if m >= 1 and not respects(sc.d2[m], perm[m - 1], perm[m]):
-            raise StructuralError(
-                f"chain permutation does not commute with the face "
-                f"differential at level {m}")
 
 
 # The chain maps live in .chainmaps, which no verb imports; they are read

@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dgcore import _tensor_id, functor_equal, tensor_functor
+from .dgcore import _tensor_id
+from .functors import functor_equal, tensor_functor
 from .hochschild import StandardComplex
 from .qlinalg import SparseMatrix, StructuralError, rank
 
@@ -209,7 +210,8 @@ def s2_check(a: StandardComplex, target: StandardComplex) -> list[str]:
     """Sh ∘ (Koszul swap of complex factors) = (swap functor, id)_* ∘ Sh,
     as exact matrix identities on all constructed blocks."""
     from .chainmaps import induced_chain_map
-    from .dgcore import Permutation, identity_nat, permutation_functor
+    from .dgcore import Permutation, permutation_functor
+    from .functors import identity_nat
 
     sh = shuffle_map(a, a, target)
     tgt = sh.target

@@ -16,12 +16,11 @@ from hhwb.decomposition import Partition, _reach, _window, sigma_of
 from hhwb.dgcore import (
     DgCategory,
     DgFunctor,
-    NatTransform,
     Permutation,
-    compose_functors,
     permutation_functor,
     tensor_power,
 )
+from hhwb.functors import NatTransform, compose_functors
 from hhwb.hochschild import (
     HomologySummary,
     StandardComplex,

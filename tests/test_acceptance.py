@@ -28,11 +28,12 @@ from hhwb.decomposition import (
     sigma_of,
     verify_decomposition,
 )
-from hhwb.dgcore import Permutation, identity_functor, tensor, tensor_functor
+from hhwb.dgcore import Permutation, identity_functor, tensor
+from hhwb.functors import tensor_functor
 from hhwb.hochschild import build_complex, total_homology
 from hhwb.kunneth import kunneth_verify, s2_check, shuffle_map, \
     verify_shuffle_chain_map
-from hhwb.qlinalg import MODULAR, SparseMatrix, projector_invariant_dim
+from hhwb.qlinalg import MODULAR, SparseMatrix
 
 from conftest import dual_numbers, ground_field, permuted, quiver_a2
 from oracles import lambda_invariant_dims, twisted_summand_dims

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from hhwb.decomposition import signed_chain_permutation
 from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
@@ -23,7 +24,6 @@ from hhwb.dgcore import (
 )
 from hhwb.hochschild import (
     build_complex,
-    signed_chain_permutation,
     total_homology,
 )
 from hhwb.qlinalg import EXACT, MODULAR
@@ -293,7 +293,7 @@ def test_unchecked_differentials_keep_the_entry_contract():
     must still be ints or non-integral Fractions, nonzero and in range."""
     from hhwb.decomposition import OrbitComplex, Partition
     from hhwb.dgcore import permutation_functor, tensor_power
-    from hhwb.hochschild import signed_chain_permutation
+    from hhwb.decomposition import signed_chain_permutation
     from hhwb.qlinalg import SparseMatrix
 
     c = truncated_cube(2)

@@ -4,15 +4,18 @@ import pytest
 import sympy
 
 from hhwb import decomposition, hochschild
+from hhwb.bases import projector_invariant_dim
 from hhwb.chainmaps import homology_action, induced_chain_map
 from hhwb.decomposition import (
     CentralizerPresentation,
     OrbitComplex,
     Partition,
     centralizer_gens,
+    check_equivariant,
     partitions,
     rhs_dims,
     sigma_of,
+    signed_chain_permutation,
     super_sym_power_dims,
     verify_decomposition,
 )
@@ -20,21 +23,18 @@ from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
     Permutation,
-    identity_nat,
     permutation_functor,
 )
+from hhwb.functors import identity_nat
 from hhwb.hochschild import (
     StandardComplex,
     build_complex,
-    check_equivariant,
-    signed_chain_permutation,
 )
 from hhwb.qlinalg import (
     EXACT,
     MODULAR,
     SparseMatrix,
     StructuralError,
-    projector_invariant_dim,
 )
 
 from conftest import dual_numbers, permuted

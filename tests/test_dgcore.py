@@ -6,17 +6,19 @@ import pytest
 from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
-    NatTransform,
     Permutation,
-    compose_functors,
-    functor_equal,
     identity_functor,
-    identity_nat,
-    opposite,
     permutation_functor,
     tensor,
     tensor_power,
     validate_category,
+)
+from hhwb.functors import (
+    NatTransform,
+    compose_functors,
+    functor_equal,
+    identity_nat,
+    opposite,
     validate_functor,
     validate_nat_transform,
 )

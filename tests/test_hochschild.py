@@ -5,26 +5,25 @@ import pytest
 import sympy
 
 from hhwb import hochschild
+from hhwb.bases import projector_invariant_dim
 from hhwb.chainmaps import (
     homology_action,
     homotopy_H,
     induced_chain_map,
     twist_endo_map,
 )
+from hhwb.decomposition import check_equivariant, signed_chain_permutation
 from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
-    NatTransform,
     Permutation,
     identity_functor,
-    identity_nat,
     permutation_functor,
     tensor_power,
 )
+from hhwb.functors import NatTransform, identity_nat
 from hhwb.hochschild import (
     build_complex,
-    check_equivariant,
-    signed_chain_permutation,
     total_homology,
 )
 from hhwb.qlinalg import (
@@ -32,7 +31,6 @@ from hhwb.qlinalg import (
     MODULAR,
     SparseMatrix,
     StructuralError,
-    projector_invariant_dim,
 )
 
 from conftest import (
@@ -298,7 +296,7 @@ def test_induced_maps_respect_composition(D):
     cm = induced_chain_map(swap, identity_nat(swap), sc, sc)
     composite_alpha = star_transform(swap, identity_nat(swap),
                                      swap, identity_nat(swap))
-    from hhwb.dgcore import compose_functors
+    from hhwb.functors import compose_functors
     both = induced_chain_map(compose_functors(swap, swap), composite_alpha,
                              sc, sc)
     for m in range(4):

@@ -160,6 +160,14 @@ FUNCTORS = {
         square_zero, {"obj_map": {"*": "*"},
                       "hom_map": {"1": term("1"), "u": term("u")}},
         "differential not preserved on u"),
+    # a map may name only the category's own objects and basis morphisms
+    "unknown object": (
+        dual, dict(GOOD_FUNCTOR[1], obj_map={"*": "*", "ghost": "*"}),
+        "object map names unknown object ghost"),
+    "unknown basis": (
+        dual, dict(GOOD_FUNCTOR[1],
+                   hom_map={"1": term("1"), "x": term("x", -1), "zzz": []}),
+        "hom map names unknown basis zzz"),
 }
 
 
@@ -191,6 +199,7 @@ MALFORMED = {
     "units a list": (dual(units=["1"]), True),
     "unit a list": (dual(units={"*": ["1"]}), True),
     "object a list": (dual(objects=[["*"]]), True),
+    "category name a list": (dual(name=["x"]), True),
     "compose name a list": (dual(compose=compose_entry(g=["x"])), True),
     "diff name a list": (dual(diff=[{"basis": ["x"], "result": []}]), True),
     # JSON numbers are read only when they are integers, never truncated
@@ -212,6 +221,8 @@ MALFORMED = {
                                            obj_map=[["*", "*"]])]), False),
     "hom_map a list": (dual(functors=[dict(GOOD_FUNCTOR[1],
                                            hom_map=[["1", []]])]), False),
+    "functor name a list": (dual(functors=[dict(GOOD_FUNCTOR[1],
+                                                name=["x"])]), False),
     # a definition given twice is refused, never overwritten by the last
     "hom defined twice": (
         dual(homs=[hom("1"), hom("x"), hom("x", degree=1)]), True),

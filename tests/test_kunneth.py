@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 from hhwb.decomposition import dims_convolve
-from hhwb.dgcore import identity_functor, tensor, tensor_functor
+from hhwb.dgcore import identity_functor, tensor
+from hhwb.functors import tensor_functor
 from hhwb.hochschild import build_complex
 from hhwb.kunneth import (
     kunneth_verify,

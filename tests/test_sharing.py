@@ -16,6 +16,7 @@ from hhwb.decomposition import (
     centralizer_gens,
     partitions,
     sigma_of,
+    signed_chain_permutation,
     verify_decomposition,
 )
 from hhwb.dgcore import (
@@ -28,7 +29,6 @@ from hhwb.dgcore import (
 from hhwb.hochschild import (
     build_complex,
     build_complexes,
-    signed_chain_permutation,
     total_homology,
 )
 from hhwb.qlinalg import MODULAR

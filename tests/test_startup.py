@@ -15,11 +15,13 @@ SRC = str(ROOT / "src")
 DUAL = str(ROOT / "fixtures" / "dual_numbers.json")
 
 # No verb executes these, except hhwb.decomposition, which only decompose
-# and series do.  hhwb.chainmaps loads when a chain map is first named.
-# hashlib would load OpenSSL for the input's SHA-256.
+# and series do, and hhwb.functors, which only validate does, on a file
+# with functors.  hhwb.chainmaps loads when a chain map is first named,
+# hhwb.bases when an exact basis is first needed.  hashlib would load
+# OpenSSL for the input's SHA-256.
 NOT_AT_IMPORT = ["dataclasses", "inspect", "tempfile", "hhwb.decomposition",
                  "hhwb.kunneth", "hhwb.contraction", "hhwb.chainmaps",
-                 "hashlib", "_hashlib"]
+                 "hhwb.functors", "hhwb.bases", "hashlib", "_hashlib"]
 
 SCRIPT = """
 import json, sys
@@ -40,11 +42,21 @@ report["added"] = sorted(set(sys.modules) - before)
 report["cached"] = cli.main(["compute", dual, *common, "--out",
                              out + "/cached.json", "--cache-dir",
                              out + "/cache"])
+before = set(sys.modules)
+report["validate"] = cli.main(["validate", out + "/functors.json"])
+report["validated"] = sorted(set(sys.modules) - before)
+report["bases"] = "hhwb.bases" in sys.modules
 print(json.dumps(report))
 """
 
 
 def test_each_verb_loads_only_what_it_executes(tmp_path):
+    # the dual numbers with their functor x -> -x
+    data = json.loads(Path(DUAL).read_text())
+    data["functors"] = [{"name": "minus", "obj_map": {"*": "*"},
+                         "hom_map": {"1": [{"basis": "1", "num": 1}],
+                                     "x": [{"basis": "x", "num": -1}]}}]
+    (tmp_path / "functors.json").write_text(json.dumps(data))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", SCRIPT, SRC, str(tmp_path), DUAL,
          *NOT_AT_IMPORT],
@@ -52,13 +64,20 @@ def test_each_verb_loads_only_what_it_executes(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["at_import"] == []
     assert (report["compute"], report["decompose"]) == (0, 0)
-    # decompose's chain permutations hold their rows in an array
+    # decompose's chain permutations hold their rows in an array; neither
+    # verb reads a functor's algebra or an exact basis
     assert report["added"] == ["array", "hhwb.decomposition"]
+    assert not {"hhwb.functors", "hhwb.bases"} & set(report["added"])
     assert not {"hashlib", "_hashlib"} & set(report["added"])
     # the cache still writes its entry, importing tempfile when it does
     assert report["cached"] == 0
     entries = list((tmp_path / "cache").iterdir())
     assert len(entries) == 1 and entries[0].suffix == ".json"
+    # validate checks the file's functors with hhwb.functors, and no verb
+    # here has needed an exact basis
+    assert report["validate"] == 0
+    assert "hhwb.functors" in report["validated"]
+    assert report["bases"] is False
 
 
 def test_kunneth_does_not_load_decomposition():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from hhwb.bases import rref, solve, solver
 from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
@@ -15,7 +16,7 @@ from hhwb.dgcore import (
     validate_category,
 )
 from hhwb.hochschild import build_complex, total_homology
-from hhwb.qlinalg import SparseMatrix, StructuralError, rref, solve, solver
+from hhwb.qlinalg import SparseMatrix, StructuralError
 
 from conftest import (
     dual_numbers,
