@@ -11,7 +11,6 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .dgcore import (
@@ -19,6 +18,7 @@ from .dgcore import (
     DgCategory,
     DgFunctor,
     Permutation,
+    coeff,
     identity_functor,
     permutation_functor,
     tensor_power,
@@ -65,7 +65,7 @@ def _lincomb(entries, where: str) -> dict:
     for e in entries:
         try:
             _put(out, e["basis"],
-                 Fraction(_int(e["num"]), _int(e.get("den", 1))),
+                 coeff(_int(e["num"]), _int(e.get("den", 1))),
                  f"{where}: basis")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: bad term {e!r} ({exc})")

@@ -13,11 +13,21 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 
 TENSOR_SEP = "⊗"
 
-LinComb = dict  # basis id -> Fraction
+LinComb = dict  # basis id -> coefficient, an int or a Fraction
+
+
+def coeff(num, den=1):
+    """num/den as a coefficient: an int where it is integral, else a
+    Fraction.  fractions is imported only for a value that is not an
+    int, so an integral presentation never loads it."""
+    if type(num) is int and den == 1:
+        return num
+    from fractions import Fraction
+    c = Fraction(num) / den
+    return c.numerator if c.denominator == 1 else c
 
 
 def lin_add(a: LinComb, b: LinComb) -> LinComb:
@@ -32,7 +42,7 @@ def lin_add(a: LinComb, b: LinComb) -> LinComb:
 
 
 def lin_scale(a: LinComb, c) -> LinComb:
-    c = Fraction(c)
+    c = coeff(c)
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
@@ -55,10 +65,10 @@ class DgCategory:
         self.objects = tuple(objects)
         self.basis = dict(basis)  # id -> BasisInfo
         self.units = dict(units)  # object -> basis id
-        self.compose = {k: {b: Fraction(c) for b, c in v.items() if c}
+        self.compose = {k: {b: coeff(c) for b, c in v.items() if c}
                         for k, v in compose.items()}
         self.compose = {k: v for k, v in self.compose.items() if v}
-        self.diff = {k: {b: Fraction(c) for b, c in v.items() if c}
+        self.diff = {k: {b: coeff(c) for b, c in v.items() if c}
                      for k, v in diff.items()}
         self.diff = {k: v for k, v in self.diff.items() if v}
         self.name = name
@@ -95,9 +105,9 @@ class DgCategory:
         if key in self.compose:
             return dict(self.compose[key])
         if self.is_unit(g) and self.basis[g].src == self.basis[f].tgt:
-            return {f: Fraction(1)}
+            return {f: 1}
         if self.is_unit(f) and self.basis[f].tgt == self.basis[g].src:
-            return {g: Fraction(1)}
+            return {g: 1}
         return {}
 
     def compose_lin(self, g: LinComb, f: LinComb) -> LinComb:
@@ -169,7 +179,7 @@ def validate_category(c: DgCategory) -> list[str]:
         if fi.tgt != gi.src:
             diags.append(f"compose ({g},{f}): pair is not composable")
             continue
-        for b, coeff in result.items():
+        for b in result:
             bi = c.basis.get(b)
             if bi is None or (bi.src, bi.tgt) != (fi.src, gi.tgt):
                 diags.append(f"compose ({g},{f}): term {b} in wrong hom space")
@@ -182,7 +192,7 @@ def validate_category(c: DgCategory) -> list[str]:
             diags.append(f"diff {bid}: unknown basis element")
             continue
         info = c.basis[bid]
-        for b, coeff in result.items():
+        for b in result:
             bi = c.basis.get(b)
             if bi is None or (bi.src, bi.tgt) != (info.src, info.tgt):
                 diags.append(f"diff {bid}: term {b} in wrong hom space")
@@ -196,15 +206,15 @@ def validate_category(c: DgCategory) -> list[str]:
             diags.append(f"d∘d != 0 on {bid}")
     # unit laws
     for bid, info in c.basis.items():
-        if c.compose_basis(c.unit(info.tgt), bid) != {bid: Fraction(1)}:
+        if c.compose_basis(c.unit(info.tgt), bid) != {bid: 1}:
             diags.append(f"left unit law fails on {bid}")
-        if c.compose_basis(bid, c.unit(info.src)) != {bid: Fraction(1)}:
+        if c.compose_basis(bid, c.unit(info.src)) != {bid: 1}:
             diags.append(f"right unit law fails on {bid}")
     # Leibniz rule
     for g, f in c.composable_pairs():
         lhs = c.diff_lin(c.compose_basis(g, f))
-        rhs = lin_add(c.compose_lin(c.diff_basis(g), {f: Fraction(1)}),
-                      lin_scale(c.compose_lin({g: Fraction(1)}, c.diff_basis(f)),
+        rhs = lin_add(c.compose_lin(c.diff_basis(g), {f: 1}),
+                      lin_scale(c.compose_lin({g: 1}, c.diff_basis(f)),
                                 (-1) ** c.deg(g)))
         if lhs != rhs:
             diags.append(f"Leibniz rule fails on ({g},{f})")
@@ -216,8 +226,8 @@ def validate_category(c: DgCategory) -> list[str]:
             for f, fi in c.basis.items():
                 if fi.tgt != gi.src:
                     continue
-                lhs = c.compose_lin(c.compose_basis(h, g), {f: Fraction(1)})
-                rhs = c.compose_lin({h: Fraction(1)}, c.compose_basis(g, f))
+                lhs = c.compose_lin(c.compose_basis(h, g), {f: 1})
+                rhs = c.compose_lin({h: 1}, c.compose_basis(g, f))
                 if lhs != rhs:
                     diags.append(f"associativity fails on ({h},{g},{f})")
     return diags
@@ -334,7 +344,7 @@ class DgFunctor:
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
-        self.hom_map = {k: {b: Fraction(c) for b, c in v.items() if c}
+        self.hom_map = {k: {b: coeff(c) for b, c in v.items() if c}
                         for k, v in hom_map.items()}
         self.name = name
 
@@ -361,7 +371,7 @@ class DgFunctor:
 
 def identity_functor(c: DgCategory) -> DgFunctor:
     return DgFunctor(c, c, {o: o for o in c.objects},
-                     {b: {b: Fraction(1)} for b in c.basis}, name="id")
+                     {b: {b: 1} for b in c.basis}, name="id")
 
 
 def permutation_functor(c: DgCategory, n: int, h, power: DgCategory
@@ -391,6 +401,6 @@ def permutation_functor(c: DgCategory, n: int, h, power: DgCategory
                 if h(i) > h(j) and (degs[i] * degs[j]) % 2:
                     sign = -sign
         new_id = TENSOR_SEP.join(parts[hinv(j)] for j in range(n))
-        hom_map[bid] = {new_id: Fraction(sign)}
+        hom_map[bid] = {new_id: sign}
     return DgFunctor(power, power, obj_map, hom_map,
                      name=f"perm{h.images}")

@@ -57,8 +57,9 @@ from .qlinalg import (
 
 
 def _lin(index: dict, x: dict) -> tuple:
-    """A linear combination {basis id: Fraction} as ((basis int, c), ...),
-    where c is an int when it is integral and a Fraction otherwise."""
+    """A linear combination {basis id: coefficient} as ((basis int, c),
+    ...), where c is an int when it is integral and a Fraction otherwise:
+    a product of Fractions that is integral becomes its numerator."""
     return tuple((index[b], c.numerator if c.denominator == 1 else c)
                  for b, c in x.items())
 

@@ -3,18 +3,19 @@
 A matrix is stored by row, {row: {col: value}}, so products, rank and
 the callers' checks read its rows as they are.  An entry is an `int` where
 it is integral and a `fractions.Fraction` where it is not; never a float,
-and every division has a Fraction operand.  Rank splits the rows into
-connected components and eliminates each in two stages, first taking
-every entry alone in its column, then Markowitz-style pivots.  The first
-stage, shared by every field, pivots only on entries ±1, units over Z and
-mod every prime, so it commutes with reduction mod a prime dividing no
-denominator.  The rows left, the residue, are always ranked over Q, which
-gives the rank in every mode; MODULAR also ranks them mod each of the two
-fixed PRIMES dividing no denominator, on plain ints, as a cross-check (a
-rank mod p is at most the rank r over Q, and less only when p divides every
-r×r minor, so a short prime is reported, never used).  One elimination
-loop serves Q and GF(p).  Rank reads the matrix's own rows and never
-writes to them: elimination copies a row the first time it changes it.
+and nothing divides.  Rank splits the rows into connected components and
+eliminates each in two stages, first taking every entry alone in its
+column, then Markowitz-style pivots.  The first stage, shared by every
+field, pivots only on entries ±1, units over Z and mod every prime, so it
+commutes with reduction mod a prime dividing no denominator.  Each row
+left, the residue, is scaled once by the lcm of its denominators, and the
+residue is then always ranked over Q, fraction-free on ints, which gives
+the rank in every mode; MODULAR also ranks it mod each of the two fixed
+PRIMES dividing no denominator as a cross-check (a rank mod p is at most
+the rank r over Q, and less only when p divides every r×r minor, so a
+short prime is reported, never used).  One elimination loop serves Q and
+GF(p).  Rank reads the matrix's own rows and never writes to them:
+elimination copies a row the first time it changes it.
 The first stage's pivot columns are returned too: on an integral d_(k+1)
 with d_(k+1)·d_k = 0 they name rows of d_k that an integral combination
 of its other rows gives, which hochschild.total_homology leaves out of
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from fractions import Fraction
+from math import gcd, lcm
 
 # First two primes above 2^20: the modular cross-check.
 PRIMES = (1048583, 1048589)
@@ -45,10 +46,11 @@ MODULAR = RankMode("modular", PRIMES)
 
 def _entry(v):
     """v as a matrix entry: an int when it is integral, else a Fraction."""
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else v
     if isinstance(v, int):
         return int(v)
+    from fractions import Fraction  # loaded already if v is one
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
     raise StructuralError(f"matrix entry {v!r} is neither an int nor a Fraction")
 
 
@@ -224,7 +226,8 @@ class SparseMatrix:
 # -- the elimination kernel -------------------------------------------------
 #
 # Rows are sparse dicts {column: value} with no zero values: ints or
-# Fractions, or, for rank mod a prime p, plain ints in [0, p).
+# Fractions in the ±1 stage, ints in the Q stage, and, for rank mod a
+# prime p, plain ints in [0, p).
 
 
 def _component_rows(m: SparseMatrix, skip=()) -> tuple[list, set]:
@@ -281,8 +284,12 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
     column -> rows index, kept up to date, finds the rows to eliminate; a
     heap of (length, row) the sparsest row.  With `units` a pivot entry
     must be ±1 and the rows that never get one are left, reduced against
-    every pivot.  Ties go to the least index, so the pivots do not depend
-    on the order in which the rows were filled.
+    every pivot; the rows may hold Fractions.  Without `units`, over Q,
+    the rows must be ints: a pivot pv other than ±1 makes a row r into
+    pv·r − r[pc]·piv, and every row changed is divided by the gcd of its
+    entries, so nothing divides and no row carries a common factor from
+    one pivot to the next.  Ties go to the least index, so the pivots do
+    not depend on the order in which the rows were filled.
     """
     given = rows
     rows = dict(enumerate(given))
@@ -345,11 +352,10 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
         if not hits:
             continue
         pv = piv[pc]
-        if p:
-            inv = pow(pv, -1, p)
-        else:
-            # a unit pivot keeps integral rows in ints
-            inv = pv if pv in (1, -1) else 1 / Fraction(pv)
+        # over Q a unit pivot is its own inverse, and any other pivot
+        # scales the rows it eliminates from instead of dividing them
+        scale = not p and pv != 1 and pv != -1
+        inv = pow(pv, -1, p) if p else 1 if scale else pv
         items = [(c, v) for c, v in piv.items() if c != pc]
         for j in hits:
             r = rows[j]
@@ -358,6 +364,9 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
             f = -r.pop(pc) * inv
             if p:
                 f %= p
+            elif scale:
+                for c in r:
+                    r[c] *= pv
             for c, v in items:
                 old = r.get(c)
                 if old is None:  # f·v is nonzero, over Q and mod p
@@ -368,21 +377,36 @@ def _component_rank(rows, p: int, units: bool = False) -> tuple[list, list]:
                 else:
                     del r[c]
                     col_rows[c].discard(j)
-            if r:
-                heapq.heappush(heap, (len(r), j))
-            else:
+            if not r:
                 del rows[j]
+                continue
+            if not (p or units) and (g := gcd(*r.values())) != 1:
+                for c in r:
+                    r[c] //= g
+            heapq.heappush(heap, (len(r), j))
     return pivots, list(rows.values())
 
 
+def _integral(row: dict) -> dict:
+    """row, times the lcm of its entries' denominators if it holds any: a
+    row of ints, of the same rank over Q and mod every prime dividing no
+    denominator."""
+    dens = [v.denominator for v in row.values() if type(v) is not int]
+    if not dens:
+        return row
+    m = lcm(*dens)
+    return {j: v * m if type(v) is int else v.numerator * (m // v.denominator)
+            for j, v in row.items()}
+
+
 def _rows_mod_p(rows, p: int) -> list:
-    """The rows reduced mod p, dropping the entries and rows that vanish."""
+    """The rows of ints reduced mod p, dropping the entries and rows that
+    vanish."""
     out = []
     for row in rows:
         red = {}
         for j, v in row.items():
-            r = v.numerator * pow(v.denominator, -1, p) % p
-            if r:
+            if r := v % p:
                 red[j] = r
         if red:
             out.append(red)
@@ -424,6 +448,8 @@ def rank_info(m: SparseMatrix, mode: RankMode = EXACT,
         pivots, left = _component_rank(comp, 0, units=True)
         shared += pivots
         if left:
+            if dens:  # a prime dividing an lcm here is in `failed`
+                left = [_integral(r) for r in left]
             residues.append(left)
     per_prime = tuple(
         (p, len(shared) + sum(len(_component_rank(_rows_mod_p(s, p), p)[0])

@@ -517,16 +517,17 @@ def test_main_restores_garbage_collection(capsys, monkeypatch, fail, enabled):
 P1, P2 = 1048583, 1048589  # the default primes
 
 
-def truncated_cube_file(tmp_path, den):
-    """k[x]/x^3 on the basis 1, x, y = den·x^2, so x∘x = y / den."""
-    path = tmp_path / f"cube-{den}.json"
+def truncated_cube_file(tmp_path, den, num=1):
+    """k[x]/x^3 on the basis 1, x, y = (den/num)·x^2, so x∘x = (num/den)·y,
+    named as fixtures/cube_scaled.json, where x∘x = 2y."""
+    path = tmp_path / f"cube-{num}-{den}.json"
     path.write_text(json.dumps({
-        "name": "cube",
+        "name": "C3",
         "objects": ["*"],
         "homs": [{"name": b, "src": "*", "tgt": "*"} for b in ("1", "x", "y")],
         "units": {"*": "1"},
         "compose": [{"g": "x", "f": "x",
-                     "result": [{"basis": "y", "num": 1, "den": den}]}],
+                     "result": [{"basis": "y", "num": num, "den": den}]}],
         "diff": [],
     }))
     return str(path)
@@ -555,6 +556,26 @@ def test_a_prime_that_divides_a_denominator_checks_nothing(tmp_path, capsys):
     assert integral["results"]["primes"] == {"0": [P1, P2], "-1": [P1, P2]}
     assert res["lhs_totals"] == integral["results"]["lhs_totals"]
     assert set(res["verdicts"].values()) == {"Equal"}
+
+
+CUBE_VERBS = [
+    ["compute", "--max-level", "4", "--degrees=-3..0"],
+    ["compute", "--twist", "perm:2:(1 2)", "--max-level", "3",
+     "--degrees=-2..0", "--mode", "exact"],
+    ["decompose", "--n", "2", "--max-level", "3", "--degrees=-1..0"],
+]
+
+
+@pytest.mark.parametrize("num, den", [(4, 2), (-2, -1)])
+def test_an_integral_quotient_reads_as_its_integer(tmp_path, capsys, num,
+                                                   den):
+    # x∘x = (4/2)·y and (-2/-1)·y are the 2y of fixtures/cube_scaled.json:
+    # the same dims, certificates and primes, totals and verdicts
+    path = truncated_cube_file(tmp_path, den, num)
+    cube = str(FIXTURES / "cube_scaled.json")
+    for verb, *options in CUBE_VERBS:
+        got = run_json(capsys, verb, path, *options)["results"]
+        assert got == run_json(capsys, verb, cube, *options)["results"]
 
 
 @pytest.mark.parametrize("mode", ["modular", "exact"])

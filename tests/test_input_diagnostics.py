@@ -212,6 +212,9 @@ MALFORMED = {
     "denominator a fraction": (
         dual(compose=compose_entry(result=[{"basis": "x", "num": 1,
                                             "den": 0.5}])), True),
+    "denominator zero": (
+        dual(compose=compose_entry(result=[{"basis": "x", "num": 1,
+                                            "den": 0}])), True),
     "functor coefficient a fraction": (
         dual(functors=[dict(GOOD_FUNCTOR[1],
                             hom_map={"1": term("1"), "x": term("x", 1.0)})]),

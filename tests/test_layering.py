@@ -3,8 +3,11 @@ levels: the other modules read and write block vectors through
 StandardComplex.block_permutation, block_levels and block_vector.  No
 function in hhwb takes a parameter whose name starts with an underscore:
 such a private knob is a second path through the function that only some
-callers take.  And no module or class in hhwb holds a mutable container:
-state kept between calls would make one answer depend on another."""
+callers take.  No module or class in hhwb holds a mutable container:
+state kept between calls would make one answer depend on another.  And
+no module that compute or decompose loads imports fractions when it is
+imported: an integral input keeps its coefficients in ints, and only a
+coefficient that is not one loads rational arithmetic."""
 
 import ast
 from pathlib import Path
@@ -136,3 +139,48 @@ def test_the_guard_sees_mutable_containers():
     assert lasting_containers(source) == [
         (2, "A"), (3, "B"), (4, "C"), (5, "D"), (6, "E"), (7, "F"),
         (9, "G"), (11, "cache")]
+
+
+# the modules compute and decompose load
+START_UP = ["cli.py", "dgcore.py", "qlinalg.py", "hochschild.py",
+            "decomposition.py"]
+
+
+def import_time_imports(source: str, module: str) -> list:
+    """Line of each import of `module` in `source` that runs when it is
+    imported: at module level or in a class body, not in a function."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import) and any(
+                    a.name.split(".")[0] == module for a in child.names):
+                out.append(child.lineno)
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                  and child.module.split(".")[0] == module):
+                out.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(out)
+
+
+def test_no_start_up_module_imports_fractions():
+    found = {name: import_time_imports((SRC / name).read_text(), "fractions")
+             for name in START_UP}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_the_guard_sees_import_time_imports():
+    source = ("from fractions import Fraction\n"
+              "import fractions as fr\n"
+              "try:\n    import fractions\nexcept ImportError:\n    pass\n"
+              "class C:\n    from fractions import Fraction\n"
+              "from .fractions import x\n"
+              "import fractionsx\n"
+              "def f():\n    from fractions import Fraction\n"
+              "g = lambda: __import__('fractions')\n")
+    assert import_time_imports(source, "fractions") == [1, 2, 4, 8]

@@ -1,5 +1,8 @@
 import copy
+import heapq
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -592,6 +595,13 @@ IN_PLACE = [
     # row 0 is row 1 plus row 2, so it may be cleared
     (SparseMatrix.from_dense([[3, 2, 5, 2], [1, 2, 3, 0], [2, 0, 2, 2],
                               [2, 2, 1, 3]]), {0}),
+    # the ±1 stage rewrites row 1 and hands rows 2 and 3 on as they are; no
+    # ±1 is left, so the Q stage pivots on 2, 4 or 6 and rewrites them
+    (SparseMatrix.from_dense([[1, 1, 0, 0], [1, 3, 2, 0], [0, 2, 4, 6],
+                              [0, 0, 6, 9]]), ()),
+    # the same with denominators, scaled away before the Q stage
+    (SparseMatrix.from_dense([[1, 1, 0, 0], [1, 3, Fraction(2, 5), 0],
+                              [0, 2, 4, Fraction(6, 7)], [0, 0, 6, 9]]), ()),
 ]
 
 
@@ -602,11 +612,14 @@ def test_rank_leaves_its_matrix_unchanged(monkeypatch, mode, case):
     before = copy.deepcopy(m.by_row)
     own = {id(r) for i, r in m.by_row.items() if i not in cleared}
     copied = []
+    q_entries = set()
     component_rank = qlinalg._component_rank
 
     def spy(rows, p, units=False):
         if units:  # the first stage gets the matrix's own rows
             assert {id(r) for r in rows} <= own
+        elif not p:
+            q_entries.update(v for r in rows for v in r.values())
         pivots, left = component_rank(rows, p, units)
         copied.extend(r for r in left if not any(r is g for g in rows))
         return pivots, left
@@ -615,9 +628,139 @@ def test_rank_leaves_its_matrix_unchanged(monkeypatch, mode, case):
     info = rank_info(m, mode, cleared)
     assert m.by_row == before
     assert copied  # elimination did change rows: they were copies
+    assert q_entries - {1, -1}  # and the Q stage had pivots other than ±1
     dense = [[Fraction(before.get(i, {}).get(j, 0)) for j in range(m.cols)]
              for i in range(m.rows)]
     assert info.value == sympy.Matrix(dense).rank()
+
+
+# -- the Q stage: fraction-free over Z ---------------------------------------
+
+
+def prime_chain(n):
+    """n×n with entry (i, j) a multiple of the (min(i, j) + 1)-th prime and
+    no entry ±1: every row goes to the Q stage, whose pivots are all
+    multiples of 2, 3, 5, ..."""
+    primes = [2, 3, 5, 7, 11, 13, 17, 19][:n]
+    return [[primes[min(i, j)] * (1 + i * j % 3) for j in range(n)]
+            for i in range(n)]
+
+
+NON_UNIT = {
+    "chain-4": prime_chain(4),
+    "chain-8": prime_chain(8),
+    # row 5 is 2·row 0 + 3·row 1
+    "chain-dependent": prime_chain(5) + [[2 * a + 3 * b for a, b in
+                                          zip(*prime_chain(5)[:2])]],
+    "chain-over-7": [[Fraction(v, 7 if (i + j) % 2 else 3) for j, v in
+                      enumerate(row)] for i, row in enumerate(prime_chain(6))],
+    "mixed": [[Fraction(2, 3), 4, 6, 0], [3, Fraction(5, 2), 0, 10],
+              [0, 6, Fraction(10, 9), 15], [4, 0, 20, Fraction(35, 4)]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UNIT))
+def test_non_unit_pivot_chains_match_sympy(name):
+    dense = [[Fraction(v) for v in row] for row in NON_UNIT[name]]
+    m = SparseMatrix.from_dense(dense)
+    info = rank_info(m, MODULAR)
+    assert info.value == rank_info(m).value == sympy.Matrix(dense).rank()
+    assert info.per_prime == tuple((p, dense_rank_mod(dense, p))
+                                   for p in MODULAR.primes)
+
+
+NON_UNIT_ENTRIES = [2, -2, 3, 4, -5, 6, 9, -10, 15, 35, P1, 2 * P2]
+NON_UNIT_FRACTIONS = [Fraction(2, 3), Fraction(-5, 7), Fraction(3, 2),
+                      Fraction(10, 9), Fraction(4, P1), Fraction(6, 35)]
+
+
+@st.composite
+def non_unit_matrices(draw, values):
+    rows = draw(st.integers(1, 7))
+    cols = draw(st.integers(1, 7))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+        st.sampled_from(values), max_size=rows * cols))
+    return [[Fraction(cells.get((i, j), 0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@given(st.one_of(non_unit_matrices(NON_UNIT_ENTRIES),
+                 non_unit_matrices(NON_UNIT_ENTRIES + NON_UNIT_FRACTIONS)))
+@settings(max_examples=200, deadline=None)
+def test_ranks_without_a_unit_entry_match_sympy(dense):
+    m = SparseMatrix.from_dense(dense)
+    dens = [v.denominator for row in dense for v in row]
+    failed = tuple(p for p in MODULAR.primes if any(d % p == 0 for d in dens))
+    info = rank_info(m, MODULAR)
+    assert info.value == rank_info(m).value == sympy.Matrix(dense).rank()
+    assert info.failed_primes == failed
+    assert info.per_prime == tuple((p, dense_rank_mod(dense, p))
+                                   for p in MODULAR.primes if p not in failed)
+
+
+def test_every_row_the_q_stage_writes_is_primitive(monkeypatch):
+    # the Q stage copies a row before it first writes it; make the copies
+    # ones we can watch, and look at all of them whenever a row is pushed
+    # back on the heap, that is, once each row's update is done
+    written, pushed, q_stage = [], [], []
+
+    class Row(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            written.append(self)
+
+    def heappush(heap, item):
+        if q_stage:
+            for r in written:
+                if r and not any(isinstance(v, dict) for v in r.values()):
+                    assert {type(v) for v in r.values()} == {int}, r
+                    assert math.gcd(*r.values()) == 1, r
+            pushed.append(item)
+        heapq.heappush(heap, item)
+
+    component_rank = qlinalg._component_rank
+
+    def spy(rows, p, units=False):
+        q_stage[:] = [True] if not (p or units) else []
+        written.clear()
+        try:
+            return component_rank(rows, p, units)
+        finally:
+            q_stage.clear()
+
+    monkeypatch.setattr(qlinalg, "dict", Row, raising=False)
+    monkeypatch.setattr(qlinalg, "heapq", SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify))
+    monkeypatch.setattr(qlinalg, "_component_rank", spy)
+    for name, dense in sorted(NON_UNIT.items()):
+        pushed.clear()
+        m = SparseMatrix.from_dense(dense)
+        assert rank_info(m, MODULAR).value == sympy.Matrix(dense).rank()
+        assert pushed, name  # the Q stage did rewrite rows
+
+
+def test_the_field_stages_see_ints_and_a_prime_in_a_denominator_fails(
+        monkeypatch):
+    # no entry is ±1, so both rows are residue; their denominators 3·P1 and
+    # 7 are scaled away before the Q and GF(p) stages
+    m = SparseMatrix.from_dense([[Fraction(2, 3 * P1), 4, Fraction(6, 7)],
+                                 [6, Fraction(10, 7), 4]])
+    seen = []
+    component_rank = qlinalg._component_rank
+
+    def spy(rows, p, units=False):
+        if not units:
+            seen.append(p)
+            assert {type(v) for r in rows for v in r.values()} == {int}
+        return component_rank(rows, p, units)
+
+    monkeypatch.setattr(qlinalg, "_component_rank", spy)
+    info = rank_info(m, MODULAR)
+    assert sorted(seen) == [0, P2]
+    assert info.failed_primes == (P1,)
+    assert info.per_prime == ((P2, 2),)
+    assert info.value == 2
 
 
 # -- the Kronecker product ------------------------------------------------
