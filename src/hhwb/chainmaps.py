@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 
-from .dgcore import DgFunctor
+from .dgcore import DgFunctor, koszul_sign
 from .functors import NatTransform, compose_functors, validate_nat_transform
 from .hochschild import StandardComplex, _lin
 from .qlinalg import SparseMatrix, StructuralError
@@ -147,7 +147,7 @@ def homotopy_H(sc: StandardComplex) -> list[SparseMatrix]:
                 kept = ch[1:k - j + 1]
                 moved_deg = sum(degs[k - j + 1:])
                 kept_deg = sum(degs[:k - j + 1])
-                sign = (-1) ** (j * k + moved_deg * kept_deg)
+                sign = koszul_sign(j * k + moved_deg * kept_deg)
                 # anchor object: source of the first moved slot, or c0
                 anchor = objs[(k - j + 1) % (k + 1)] if j else objs[0]
                 unit = sc.basis_index[cat.unit(F.apply_obj(anchor))]

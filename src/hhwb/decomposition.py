@@ -1,14 +1,15 @@
 """Partition combinatorics and the symmetric-power decomposition check.
 
-The left side sums, over partitions λ of n, the S-invariants of the twisted
-homology of the n-th tensor power with the block-cyclic twist σ_λ.  S acts on
-chains by signed permutations (signed_chain_permutation, each checked to
-commute with d1 and d2 by check_equivariant), so the invariants are the
-homology of the signed-orbit complex C^S, which has one basis vector per
-signed orbit and goes through total_homology like any other complex.  This
-is exact by Maschke's theorem: over Q, averaging over S is a chain-level
-projector onto C^S, so H(C)^S = H(C^S), and every reported rank is over Q,
-whatever the mode.
+The left side sums, over partitions λ of n, the Z-invariants of the twisted
+homology of the n-th tensor power with the block-cyclic twist σ_λ, Z the
+whole centralizer of σ_λ: the block rotations and the swaps of equal
+blocks.  Z acts on chains by signed permutations (signed_chain_permutation,
+each generator's checked to commute with d1 and d2 by check_equivariant),
+so the invariants are the homology of the signed-orbit complex C^Z, which
+has one basis vector per signed orbit and goes through total_homology like
+any other complex.  This is exact by Maschke's theorem: over Q, averaging
+over Z is a chain-level projector onto C^Z, so H(C)^Z = H(C^Z), and every
+reported rank is over Q, whatever the mode.
 The right side is the t-degree-n piece of the super-symmetric algebra on
 one copy of the untwisted homology per t-power.  Both sides are compared
 degreewise with truncation certificates tracked throughout; the right side
@@ -20,8 +21,8 @@ skeleton: chains, d1 and the inner faces of d2 are built once per n, and
 only on the levels the requested degrees read; it also builds each
 generator's chain permutation once and drops it after the last λ that
 uses it.  Each complex adds its own wrap face, and every check
-(equivariance, d² = 0, the rotation identity, prime agreement) still runs
-on each complex and each C^S.
+(equivariance, d² = 0, prime agreement) still runs on each complex and
+each C^Z.
 """
 
 from __future__ import annotations
@@ -133,10 +134,12 @@ class CentralizerPresentation:
         self.s_generators = s_generators  # adjacent swaps of equal-size blocks
 
     @property
-    def s_order(self) -> int:
+    def order(self) -> int:
+        """|Z(σ_λ)| = Π_s s^{m_s}·m_s!, m_s the multiplicity of the part s:
+        Z is the product over s of the wreath products C_s ≀ S_{m_s}."""
         out = 1
-        for mult in self.partition.multiplicities().values():
-            out *= factorial(mult)
+        for size, mult in self.partition.multiplicities().items():
+            out *= size ** mult * factorial(mult)
         return out
 
 
@@ -163,7 +166,8 @@ def centralizer_gens(lam: Partition) -> CentralizerPresentation:
 
 class OrbitComplex:
     """The invariant subcomplex C^G of a group G that acts on a standard
-    complex C by signed chain permutations, given by generators alone.
+    complex C by signed chain permutations, given by generators alone; for
+    a λ complex, G is the whole centralizer Z of σ_λ.
 
     A signed orbit O with representative x spans the invariant vector
     v_O = Σ_{y∈O} s(y)·y, where g·x = s(y)·y; an orbit whose stabilizer
@@ -353,45 +357,31 @@ def _checked_chain_permutation(c: DgCategory, sc: StandardComplex,
 def invariant_dims(c: DgCategory, sc: StandardComplex,
                    summary: HomologySummary, pres: CentralizerPresentation,
                    degrees, mode: RankMode, perms: dict) -> tuple[dict, dict]:
-    """Dimensions of the S-invariants of the λ-summand per degree, and per
-    degree the DegreeResults of the orbit complexes they used.
+    """Dimensions of the Z-invariants of the λ-summand per degree, Z the
+    whole centralizer of σ_λ, and per degree the DegreeResults of the
+    orbit complex they used.
 
     `sc` is the λ complex C on a tensor power of c, `summary` its homology
     in (at least) `degrees` and `pres` its centralizer presentation;
     `perms` caches the chain permutations (_checked_chain_permutation).
-    Each dimension is the homology of the signed-orbit complex C^S
-    (OrbitComplex), or of C itself when S is trivial.  Every generator's
-    chain permutation is checked to commute with the differential.
-    Rotations act trivially on homology, so only the block-permutation part
-    S of the centralizer is needed; this is checked as the identity
-    dim H(C^<c>) = dim H(C).
+    Each dimension is the homology of the signed-orbit complex C^Z of
+    every generator at once, block swaps and rotations (OrbitComplex), or
+    of C itself when Z is trivial.  Every generator's chain permutation is
+    checked to commute with the differential.
     """
     for k in degrees:
         if not sc.certified(k):
             raise StructuralError(
                 f"degree {k} lacks an exact truncation certificate")
-    full = summary.dims()
+    gens = pres.s_generators + pres.c_generators
+    if not gens:
+        return ({k: summary.degrees[k].dim for k in degrees},
+                {k: [] for k in degrees})
     levels = sc.skeleton.levels_near(degrees)
-    used = {k: [] for k in degrees}
-
-    def orbit_dims(gens) -> dict:
-        group = [_checked_chain_permutation(c, sc, g, levels, perms)
-                 for g in gens]
-        orbits = total_homology(OrbitComplex(sc, group), degrees, mode)
-        for k in degrees:
-            used[k].append(orbits.degrees[k])
-        return orbits.dims()
-
-    out = (orbit_dims(pres.s_generators) if pres.s_generators
-           else {k: full[k] for k in degrees})
-    if pres.c_generators:
-        rotated = orbit_dims(pres.c_generators)
-        for k in degrees:
-            if rotated[k] != full[k]:
-                raise StructuralError(
-                    f"rotations act non-trivially in degree {k}: "
-                    f"dim H(C^<c>) = {rotated[k]} != dim H(C) = {full[k]}")
-    return out, used
+    group = [_checked_chain_permutation(c, sc, g, levels, perms)
+             for g in gens]
+    orbits = total_homology(OrbitComplex(sc, group), degrees, mode)
+    return orbits.dims(), {k: [orbits.degrees[k]] for k in degrees}
 
 
 def dims_convolve(h1: dict, h2: dict) -> dict:
@@ -570,7 +560,7 @@ def verify_decomposition(c: DgCategory, n: int, degrees, max_level: int,
             twisted={k: summary.degrees[k].dim for k in degrees},
             invariant=inv,
             certified=certified,
-            group_order=pres[lam].s_order,
+            group_order=pres[lam].order,
         ))
         for k in degrees:
             if certified[k]:

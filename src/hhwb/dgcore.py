@@ -20,24 +20,50 @@ LinComb = dict  # basis id -> coefficient, an int or a Fraction
 
 
 def coeff(num, den=1):
-    """num/den as a coefficient: an int where it is integral, else a
-    Fraction.  fractions is imported only for a value that is not an
-    int, so an integral presentation never loads it."""
+    """num/den as a coefficient, an int where it is integral, else a
+    Fraction; a float (already rounded) or a bool raises TypeError.
+    fractions is imported only for a value that is not an int, so an
+    integral presentation never loads it."""
     if type(num) is int and den == 1:
         return num
     from fractions import Fraction
-    c = Fraction(num) / den
-    return c.numerator if c.denominator == 1 else c
+    for v in (num, den):
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise TypeError(f"coefficient {v!r} is neither an int nor a "
+                            f"Fraction")
+    return _normal(Fraction(num) / den)
+
+
+def lin_coeffs(x) -> LinComb:
+    """{basis id: value} with each value through coeff (so a float or a
+    bool is refused even where it is zero) and the zeros dropped."""
+    return {b: c for b, c in zip(x, map(coeff, x.values())) if c}
+
+
+def koszul_sign(e: int) -> int:
+    """(-1)^e as an int; (-1) ** e is a float when e is negative."""
+    return -1 if e % 2 else 1
+
+
+def _normal(c):
+    """A computed coefficient, an int or a Fraction, as an int where it is
+    integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _add_term(out: LinComb, b, v) -> None:
+    """out[b] += v in normal form, dropping b where the sum cancels."""
+    s = out.get(b, 0) + v
+    if s:
+        out[b] = _normal(s)
+    else:
+        out.pop(b, None)
 
 
 def lin_add(a: LinComb, b: LinComb) -> LinComb:
     out = dict(a)
     for k, v in b.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
+        _add_term(out, k, v)
     return out
 
 
@@ -45,7 +71,7 @@ def lin_scale(a: LinComb, c) -> LinComb:
     c = coeff(c)
     if not c:
         return {}
-    return {k: c * v for k, v in a.items()}
+    return {k: _normal(c * v) for k, v in a.items()}
 
 
 class BasisInfo(namedtuple("BasisInfo", "src tgt degree")):
@@ -65,11 +91,9 @@ class DgCategory:
         self.objects = tuple(objects)
         self.basis = dict(basis)  # id -> BasisInfo
         self.units = dict(units)  # object -> basis id
-        self.compose = {k: {b: coeff(c) for b, c in v.items() if c}
-                        for k, v in compose.items()}
+        self.compose = {k: lin_coeffs(v) for k, v in compose.items()}
         self.compose = {k: v for k, v in self.compose.items() if v}
-        self.diff = {k: {b: coeff(c) for b, c in v.items() if c}
-                     for k, v in diff.items()}
+        self.diff = {k: lin_coeffs(v) for k, v in diff.items()}
         self.diff = {k: v for k, v in self.diff.items() if v}
         self.name = name
         homs = {}
@@ -117,11 +141,7 @@ class DgCategory:
                 if self.basis[fb].tgt != self.basis[gb].src:
                     continue
                 for b, c in self.compose_basis(gb, fb).items():
-                    s = out.get(b, 0) + gc * fc * c
-                    if s:
-                        out[b] = s
-                    else:
-                        out.pop(b, None)
+                    _add_term(out, b, gc * fc * c)
         return out
 
     def diff_basis(self, bid) -> LinComb:
@@ -131,11 +151,7 @@ class DgCategory:
         out = {}
         for b, c in x.items():
             for db, dc in self.diff.get(b, {}).items():
-                s = out.get(db, 0) + c * dc
-                if s:
-                    out[db] = s
-                else:
-                    out.pop(db, None)
+                _add_term(out, db, c * dc)
         return out
 
     def composable_pairs(self):
@@ -215,7 +231,7 @@ def validate_category(c: DgCategory) -> list[str]:
         lhs = c.diff_lin(c.compose_basis(g, f))
         rhs = lin_add(c.compose_lin(c.diff_basis(g), {f: 1}),
                       lin_scale(c.compose_lin({g: 1}, c.diff_basis(f)),
-                                (-1) ** c.deg(g)))
+                                koszul_sign(c.deg(g))))
         if lhs != rhs:
             diags.append(f"Leibniz rule fails on ({g},{f})")
     # associativity
@@ -258,7 +274,7 @@ def tensor(a: DgCategory, b: DgCategory) -> DgCategory:
             res_b = b.compose_basis(gb, fb)
             if not res_b:
                 continue
-            sign = (-1) ** (b.deg(gb) * a.deg(fa))
+            sign = koszul_sign(b.deg(gb) * a.deg(fa))
             result = {}
             for ba, ca in res_a.items():
                 for bb, cb in res_b.items():
@@ -272,7 +288,7 @@ def tensor(a: DgCategory, b: DgCategory) -> DgCategory:
             result = {}
             for t, cdt in da.items():
                 result[_tensor_id(t, fb)] = cdt
-            sgn = (-1) ** ia.degree
+            sgn = koszul_sign(ia.degree)
             for t, cdt in db.items():
                 key = _tensor_id(fa, t)
                 result[key] = result.get(key, 0) + sgn * cdt
@@ -344,8 +360,7 @@ class DgFunctor:
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
-        self.hom_map = {k: {b: coeff(c) for b, c in v.items() if c}
-                        for k, v in hom_map.items()}
+        self.hom_map = {k: lin_coeffs(v) for k, v in hom_map.items()}
         self.name = name
 
     def apply_obj(self, obj):
@@ -358,11 +373,7 @@ class DgFunctor:
         out = {}
         for b, c in x.items():
             for t, ct in self.hom_map.get(b, {}).items():
-                s = out.get(t, 0) + c * ct
-                if s:
-                    out[t] = s
-                else:
-                    out.pop(t, None)
+                _add_term(out, t, c * ct)
         return out
 
     def __repr__(self):

@@ -9,8 +9,6 @@ verb's start-up compiles this module.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dgcore import (
     TENSOR_SEP,
     BasisInfo,
@@ -18,6 +16,8 @@ from .dgcore import (
     DgFunctor,
     LinComb,
     _tensor_id,
+    koszul_sign,
+    lin_coeffs,
     lin_scale,
 )
 
@@ -29,7 +29,7 @@ def opposite(c: DgCategory) -> DgCategory:
              for bid, info in c.basis.items()}
     compose = {}
     for (g, f), result in c.compose.items():
-        sign = (-1) ** (c.deg(f) * c.deg(g))
+        sign = koszul_sign(c.deg(f) * c.deg(g))
         compose[(f, g)] = {b: sign * v for b, v in result.items()}
     return DgCategory(c.objects, basis, c.units, compose, c.diff,
                       name=f"{c.name}^op" if c.name else "")
@@ -62,7 +62,7 @@ def validate_functor(f: DgFunctor) -> list[str]:
     if diags:
         return diags
     for obj in src.objects:
-        if f.apply_basis(src.unit(obj)) != {tgt.unit(f.apply_obj(obj)): Fraction(1)}:
+        if f.apply_basis(src.unit(obj)) != {tgt.unit(f.apply_obj(obj)): 1}:
             diags.append(f"unit of {obj} not preserved")
     for g, h in src.composable_pairs():
         lhs = f.apply_lin(src.compose_basis(g, h))
@@ -126,8 +126,7 @@ class NatTransform:
     def __init__(self, src: DgFunctor, dst: DgFunctor, components, degree=0):
         self.src = src
         self.dst = dst
-        self.components = {k: {b: Fraction(c) for b, c in v.items() if c}
-                           for k, v in components.items()}
+        self.components = {k: lin_coeffs(v) for k, v in components.items()}
         self.degree = degree
 
     def component(self, obj) -> LinComb:
@@ -135,7 +134,7 @@ class NatTransform:
 
 
 def identity_nat(f: DgFunctor) -> NatTransform:
-    comps = {obj: {f.target.unit(f.apply_obj(obj)): Fraction(1)}
+    comps = {obj: {f.target.unit(f.apply_obj(obj)): 1}
              for obj in f.source.objects}
     return NatTransform(f, f, comps, 0)
 
@@ -161,7 +160,7 @@ def validate_nat_transform(a: NatTransform) -> list[str]:
     for bid, info in F.source.basis.items():
         lhs = tgt.compose_lin(a.component(info.tgt), F.apply_basis(bid))
         rhs = lin_scale(tgt.compose_lin(G.apply_basis(bid), a.component(info.src)),
-                        (-1) ** (a.degree * info.degree))
+                        koszul_sign(a.degree * info.degree))
         if lhs != rhs:
             diags.append(f"naturality fails on {bid}")
     return diags

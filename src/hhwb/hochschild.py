@@ -58,10 +58,8 @@ from .qlinalg import (
 
 def _lin(index: dict, x: dict) -> tuple:
     """A linear combination {basis id: coefficient} as ((basis int, c),
-    ...), where c is an int when it is integral and a Fraction otherwise:
-    a product of Fractions that is integral becomes its numerator."""
-    return tuple((index[b], c.numerator if c.denominator == 1 else c)
-                 for b, c in x.items())
+    ...); dgcore keeps c an int where it is integral."""
+    return tuple((index[b], c) for b, c in x.items())
 
 
 class _ComposeTable(dict):

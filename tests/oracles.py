@@ -12,7 +12,14 @@ import itertools
 
 from hhwb import decomposition
 from hhwb.chainmaps import ChainMapData
-from hhwb.decomposition import Partition, _reach, _window, sigma_of
+from hhwb.decomposition import (
+    OrbitComplex,
+    Partition,
+    _checked_chain_permutation,
+    _reach,
+    _window,
+    sigma_of,
+)
 from hhwb.dgcore import (
     DgCategory,
     DgFunctor,
@@ -155,6 +162,28 @@ def lambda_invariant_dims(c: DgCategory, lam: Partition, degrees,
         c, sc, summary, decomposition.centralizer_gens(lam), degrees, mode,
         {})
     return dims
+
+
+def rotation_identity_dims(c: DgCategory, lam: Partition, degrees,
+                           max_level: int, normalized: bool = True
+                           ) -> tuple[dict, dict]:
+    """(dim H(C^⟨c⟩), dim H(C)) per degree, C the λ complex and ⟨c⟩ the
+    group of its block rotations, each checked to commute with C's
+    differential.  The two agree when the rotations act trivially on
+    H(C), the lemma by which the block swaps alone would give the
+    invariants of the whole centralizer.  centralizer_gens is looked up
+    on the module, so that a test can replace it there."""
+    sc = lambda_complex(c, lam.n, lam, max_level, normalized,
+                        tensor_power(c, lam.n))
+    for k in degrees:
+        if not sc.certified(k):
+            raise StructuralError(
+                f"degree {k} lacks an exact truncation certificate")
+    levels = sc.skeleton.levels_near(degrees)
+    rotations = [_checked_chain_permutation(c, sc, g, levels, {})
+                 for g in decomposition.centralizer_gens(lam).c_generators]
+    return (total_homology(OrbitComplex(sc, rotations), degrees).dims(),
+            total_homology(sc, degrees).dims())
 
 
 def kunneth_factor_check(c: DgCategory, lam: Partition, degrees,

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -6,6 +7,7 @@ import sympy
 from hhwb import decomposition, hochschild
 from hhwb.bases import projector_invariant_dim
 from hhwb.chainmaps import homology_action, induced_chain_map
+from hhwb.cli import category_from_dict, load_input
 from hhwb.decomposition import (
     CentralizerPresentation,
     OrbitComplex,
@@ -44,6 +46,7 @@ from oracles import (
     group_closure,
     kunneth_factor_check,
     lambda_invariant_dims,
+    rotation_identity_dims,
     twisted_summand_dims,
 )
 
@@ -66,11 +69,12 @@ def lambda_complex(c, lam, max_level):
 
 
 def projector_invariants_oracle(c, lam, degrees, max_level):
-    """S-invariant dims by the projector pipeline: every group element's
-    induced chain map (checked to commute), its exact action on homology,
-    the averaged projector and its rank."""
+    """Invariant dims of the whole centralizer by the projector pipeline:
+    every group element's induced chain map (checked to commute), its
+    exact action on homology, the averaged projector and its rank."""
     sc = lambda_complex(c, lam, max_level)
-    group = group_closure(centralizer_gens(lam).s_generators, lam.n)
+    pres = centralizer_gens(lam)
+    group = group_closure(pres.s_generators + pres.c_generators, lam.n)
     actions = []
     for h in group:
         phi = permutation_functor(c, lam.n, h, power=sc.category)
@@ -165,14 +169,36 @@ def test_centralizer_single_cycle():
 def test_centralizer_two_two():
     pres = centralizer_gens(Partition((2, 2)))
     assert pres.s_generators == [Permutation.from_cycles(4, [(1, 3), (2, 4)])]
-    assert pres.s_order == 2
+    assert pres.c_generators == [Permutation.from_cycles(4, [(1, 2)]),
+                                 Permutation.from_cycles(4, [(3, 4)])]
+    assert pres.order == 8
 
 
-def test_block_swap_group_orders():
-    for n in range(1, 6):
+def spans_its_order(pres: CentralizerPresentation) -> bool:
+    """Whether the generators close up to a group of |Z(σ_λ)| elements."""
+    gens = pres.c_generators + pres.s_generators
+    return len(group_closure(gens, pres.n)) == pres.order
+
+
+def test_generators_span_the_whole_centralizer():
+    # |Z(σ_λ)| = Π_s s^{m_s}·m_s!.  Dropping the rotation of a block whose
+    # size occurs once leaves a smaller group, so the count catches it; the
+    # swaps conjugate a rotation into that of an equal block, so dropping
+    # one of those loses nothing
+    for n in range(1, 7):
         for lam in partitions(n):
             pres = centralizer_gens(lam)
-            assert len(group_closure(pres.s_generators, n)) == pres.s_order
+            assert spans_its_order(pres), lam
+            sizes = [s for s in lam.parts if s > 1]
+            for i, size in enumerate(sizes):
+                short = CentralizerPresentation(
+                    n, lam, pres.c_generators[:i] + pres.c_generators[i + 1:],
+                    pres.s_generators)
+                assert spans_its_order(short) == (sizes.count(size) > 1), \
+                    (lam, i)
+    orders = {lam.parts: centralizer_gens(lam).order for lam in partitions(4)}
+    assert orders == {(1, 1, 1, 1): 24, (1, 1, 2): 4, (1, 3): 3, (2, 2): 8,
+                      (4,): 4}
 
 
 # -- super-symmetric powers -------------------------------------------------
@@ -439,15 +465,56 @@ def test_non_commuting_generator_is_rejected(D, monkeypatch):
         lambda_invariant_dims(D, lam, [0, -1], max_level=2)
 
 
-def test_nontrivial_rotation_is_rejected(D, monkeypatch):
+FIXTURE_FILES = sorted(
+    p for p in (Path(__file__).resolve().parent.parent / "fixtures").glob(
+        "*.json") if p.name != "broken_nonassociative.json")
+
+
+def fixture(name: str) -> DgCategory:
+    return category_from_dict(load_input(str(name))[1])
+
+
+@pytest.mark.parametrize("path,n", [(p, 2) for p in FIXTURE_FILES] + [
+    (p, 3) for p in FIXTURE_FILES
+    if p.stem in ("dual_numbers", "quiver_a2", "odd_negative_dual")],
+    ids=lambda v: getattr(v, "stem", str(v)))
+def test_rotations_act_trivially_on_homology(path, n):
+    # the lemma dim H(C^<c>) = dim H(C) for each λ with a rotation; the
+    # reported invariants are those of the whole centralizer, so this is
+    # checked here rather than on every run
+    c = fixture(path)
+    for lam in partitions(n):
+        if max(lam.parts) > 1:
+            rotated, full = rotation_identity_dims(c, lam, [0, -1, -2],
+                                                   max_level=3)
+            assert rotated == full, lam
+
+
+def test_the_rotation_oracle_sees_a_non_trivial_action(D, monkeypatch):
     # pass the swap off as a rotation of (1,1): it acts non-trivially on
-    # homology, which the rank identity dim H(C^<c>) = dim H(C) must catch
+    # homology, so the two sides of the identity differ
     lam = Partition((1, 1))
     swap = Permutation.from_cycles(2, [(1, 2)])
     fake = CentralizerPresentation(2, lam, [swap], [])
     monkeypatch.setattr(decomposition, "centralizer_gens", lambda _lam: fake)
-    with pytest.raises(StructuralError, match="act non-trivially in degree 0"):
-        lambda_invariant_dims(D, lam, [0, -1], max_level=3)
+    rotated, full = rotation_identity_dims(D, lam, [0, -1], max_level=3)
+    assert rotated == {0: 3, -1: 2} and full == {0: 4, -1: 4}
+
+
+def test_one_orbit_complex_per_lambda_with_a_centralizer(D, monkeypatch):
+    # every λ ⊢ 4 has a non-trivial centralizer, and its invariants come
+    # from one orbit complex over all of its generators
+    built = []
+    init = OrbitComplex.__init__
+
+    def counting(self, sc, perms):
+        built.append(len(perms))
+        init(self, sc, perms)
+
+    monkeypatch.setattr(OrbitComplex, "__init__", counting)
+    rep = verify_decomposition(D, 4, [-1, 0], max_level=2)
+    assert rep.all_equal
+    assert built == [3, 2, 1, 3, 1]  # (1,1,1,1) (1,1,2) (1,3) (2,2) (4)
 
 
 def test_orbit_complex_is_checked_to_square_to_zero(D, monkeypatch):

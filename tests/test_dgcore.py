@@ -7,7 +7,10 @@ from hhwb.dgcore import (
     BasisInfo,
     DgCategory,
     Permutation,
+    coeff,
     identity_functor,
+    koszul_sign,
+    lin_scale,
     permutation_functor,
     tensor,
     tensor_power,
@@ -259,3 +262,92 @@ def test_permutation_helpers():
     p = Permutation.from_cycles(3, [(1, 2, 3)])
     assert p.images == (1, 2, 0)
     assert p.after(p.inverse()) == Permutation.identity(3)
+
+
+# -- coefficients -------------------------------------------------------------
+
+
+def _x_squared(value):
+    """k[x]/(x² - value·x) on the basis 1, x."""
+    return DgCategory(
+        objects=["*"],
+        basis={"1": BasisInfo("*", "*", 0), "x": BasisInfo("*", "*", 0)},
+        units={"*": "1"},
+        compose={("x", "x"): {"x": value}},
+        diff={},
+        name="X",
+    )
+
+
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False], ids=repr)
+def test_a_float_or_bool_coefficient_is_refused(D, bad):
+    # a float is already rounded (0.1 would become a 2^-55 binary fraction)
+    # and a bool is not a number, in a category and in a functor alike
+    from hhwb.dgcore import DgFunctor
+    with pytest.raises(TypeError, match=f"coefficient {bad!r}"):
+        _x_squared(bad)
+    with pytest.raises(TypeError, match=f"coefficient {bad!r}"):
+        DgFunctor(D, D, {"*": "*"}, {"1": {"1": 1}, "x": {"x": bad}})
+    with pytest.raises(TypeError, match=f"coefficient {bad!r}"):
+        coeff(Fraction(1, 2), bad)
+
+
+def test_coefficients_are_ints_where_integral():
+    assert coeff(4, 2) == 2 and type(coeff(4, 2)) is int
+    assert coeff(Fraction(6, 3)) == 2 and type(coeff(Fraction(6, 3))) is int
+    assert coeff(1, 2) == Fraction(1, 2)
+    assert koszul_sign(-1) == -1 and type(koszul_sign(-1)) is int
+    assert [koszul_sign(e) for e in (-2, 0, 3)] == [1, 1, -1]
+
+
+def _only_ints(lin: dict) -> bool:
+    return all(type(v) is int for v in lin.values())
+
+
+def test_lin_scale_is_in_normal_form():
+    out = lin_scale({"x": Fraction(1, 2), "y": Fraction(1, 3)}, 2)
+    assert out == {"x": 1, "y": Fraction(2, 3)} and type(out["x"]) is int
+
+
+def test_compose_lin_is_in_normal_form():
+    X = _x_squared(Fraction(1, 2))
+    out = X.compose_lin({"x": 2}, {"x": Fraction(3)})
+    assert out == {"x": 3} and _only_ints(out)
+
+
+def test_diff_lin_is_in_normal_form(T):
+    T2 = DgCategory(T.objects, T.basis, T.units, T.compose,
+                    {"u": {"v": Fraction(1, 2)}}, name="T2")
+    out = T2.diff_lin({"u": 4})
+    assert out == {"v": 2} and _only_ints(out)
+
+
+def test_apply_lin_is_in_normal_form(D):
+    from hhwb.dgcore import DgFunctor
+    half = DgFunctor(D, D, {"*": "*"},
+                     {"1": {"1": 1}, "x": {"x": Fraction(1, 2)}})
+    out = half.apply_lin({"1": 3, "x": 6})
+    assert out == {"1": 3, "x": 3} and _only_ints(out)
+    twice = compose_functors(half, half)
+    assert twice.apply_basis("x") == {"x": Fraction(1, 4)}
+    assert _only_ints(compose_functors(half, DgFunctor(
+        D, D, {"*": "*"}, {"1": {"1": 1}, "x": {"x": 2}})).apply_basis("x"))
+
+
+def test_negative_degrees_keep_int_signs():
+    # k[z]/z² with |z| = -1: the Koszul signs of its tensor square, its
+    # opposite and the Leibniz rule have negative exponents
+    Z = DgCategory(
+        objects=["*"],
+        basis={"1": BasisInfo("*", "*", 0), "z": BasisInfo("*", "*", -1),
+               "w": BasisInfo("*", "*", -2)},
+        units={"*": "1"},
+        compose={("z", "z"): {"w": 1}},
+        diff={},
+        name="Z",
+    )
+    for cat in (tensor_power(Z, 2), opposite(Z), opposite(tensor_power(Z, 2))):
+        assert validate_category(cat) == []
+        for lin in itertools.chain(cat.compose.values(), cat.diff.values()):
+            assert _only_ints(lin)
+    assert tensor_power(Z, 2).compose_basis("1⊗z", "z⊗1") == {"z⊗z": -1}
