@@ -194,38 +194,19 @@ class OrbitComplex:
     def orbits(self, k):
         """(reps, orbit_of, sign) on block k: the surviving orbits'
         representatives, each position's orbit index (-1 when its orbit
-        drops out) and s(y), the last two as flat arrays."""
-        if k in self._orbit_cache:
-            return self._orbit_cache[k]
-        size = self.sc.block_dim(k)
-        # (rows, signs) of each generator on the block; each maps a level,
-        # and a degree, to itself
-        gens = [self.sc.block_permutation(k, perm) for perm in self.perms]
-        sign = array("b", bytes(size))
-        orbit_of = array("i", [-1]) * size
-        reps = []
-        for start in range(size):
-            if sign[start]:
-                continue
-            sign[start] = 1
-            members = [start]
-            alive = True
-            for x in members:  # grows while it is walked
-                sx = sign[x]
-                for rows, signs in gens:
-                    y = rows[x]
-                    want = signs[x] * sx
-                    sy = sign[y]
-                    if not sy:
-                        sign[y] = want
-                        members.append(y)
-                    elif sy != want:
-                        alive = False
-            if alive:
-                for x in members:
-                    orbit_of[x] = len(reps)
-                reps.append(start)
-        self._orbit_cache[k] = (reps, orbit_of, sign)
+        drops out) and s(y), the last two as flat arrays.  Each orbit is
+        walked from its least position, its representative: by
+        _unsigned_orbits when no generator has a sign -1 on the block, as
+        on every input of even degrees, else by _signed_orbits."""
+        if k not in self._orbit_cache:
+            # (rows, signs) of each generator on the block; each maps a
+            # level, and a degree, to itself.  A level's signs are a flat
+            # array, scanned as bytes (-1 is 0xff).
+            gens = [self.sc.block_permutation(k, perm) for perm in self.perms]
+            signed = any(b"\xff" in s.tobytes() if isinstance(s, array)
+                         else -1 in s for _, s in gens)
+            walk = _signed_orbits if signed else _unsigned_orbits
+            self._orbit_cache[k] = walk(self.sc.block_dim(k), gens)
         return self._orbit_cache[k]
 
     def block_dim(self, k) -> int:
@@ -246,6 +227,78 @@ class OrbitComplex:
                     acc[col] = acc.get(col, 0) + (v if sign[c] == 1 else -v)
         return SparseMatrix.trusted(len(reps_out), self.block_dim(k),
                                     normalise_rows(out))
+
+
+def _unsigned_orbits(size: int, gens: list) -> tuple:
+    """OrbitComplex.orbits for generators (rows, signs) whose signs are all
+    1: no orbit drops, the orbits are the connected components, and s = 1.
+    One generator's orbits are its cycles."""
+    orbit_of = array("i", [-1]) * size
+    reps = []
+    gens = [rows for rows, _ in gens]
+    for start, o in enumerate(orbit_of):  # reads orbit_of as it is written
+        if o >= 0:
+            continue
+        o = len(reps)
+        reps.append(start)
+        if len(gens) == 1:  # the cycle through start
+            x, (rows,) = start, gens
+            while orbit_of[x] < 0:
+                orbit_of[x] = o
+                x = rows[x]
+            continue
+        orbit_of[start] = o
+        members = [start]
+        for x in members:  # grows while it is walked
+            for rows in gens:
+                y = rows[x]
+                if orbit_of[y] < 0:
+                    orbit_of[y] = o
+                    members.append(y)
+    return reps, orbit_of, array("b", [1]) * size
+
+
+def _signed_orbits(size: int, gens: list) -> tuple:
+    """OrbitComplex.orbits for generators (rows, signs).  One generator's
+    orbits are its cycles, and a cycle drops when the product of the signs
+    around it is -1.  Several are walked breadth first: a position is
+    signed by the first path that reaches it, and an orbit that two paths
+    reach with opposite signs drops."""
+    sign = array("b", bytes(size))
+    orbit_of = array("i", [-1]) * size
+    reps = []
+    for start, s in enumerate(sign):
+        if s:
+            continue
+        sign[start] = 1
+        if len(gens) == 1:  # the cycle through start and its sign product
+            ((rows, signs),) = gens
+            members, x, s = [start], rows[start], signs[start]
+            while x != start:
+                members.append(x)
+                sign[x] = s
+                s *= signs[x]
+                x = rows[x]
+            alive = s == 1
+        else:
+            members = [start]
+            alive = True
+            for x in members:  # grows while it is walked
+                sx = sign[x]
+                for rows, signs in gens:
+                    y = rows[x]
+                    want = signs[x] * sx
+                    sy = sign[y]
+                    if not sy:
+                        sign[y] = want
+                        members.append(y)
+                    elif sy != want:
+                        alive = False
+        if alive:
+            for x in members:
+                orbit_of[x] = len(reps)
+            reps.append(start)
+    return reps, orbit_of, sign
 
 
 def signed_chain_permutation(sc: StandardComplex, phi: DgFunctor,

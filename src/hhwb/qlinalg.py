@@ -46,7 +46,7 @@ MODULAR = RankMode("modular", PRIMES)
 
 def _entry(v):
     """v as a matrix entry: an int when it is integral, else a Fraction."""
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return int(v)
     from fractions import Fraction  # loaded already if v is one
     if isinstance(v, Fraction):

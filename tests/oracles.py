@@ -19,6 +19,7 @@ from hhwb.decomposition import (
     _reach,
     _window,
     sigma_of,
+    signed_chain_permutation,
 )
 from hhwb.dgcore import (
     DgCategory,
@@ -126,6 +127,36 @@ def group_closure(generators, n: int) -> list:
                     nxt.append(h)
         frontier = nxt
     return sorted(seen.values(), key=lambda p: p.images)
+
+
+def group_signed_orbits(c: DgCategory, sc: StandardComplex, generators,
+                        k) -> tuple[list, list, list]:
+    """OrbitComplex.orbits on block k by brute force: (reps, orbit_of,
+    sign) as lists, from the signed chain permutation of every element of
+    the group the permutations `generators` of c's tensor factors generate,
+    each applied to every position.  An orbit drops when two elements send
+    its least position to one chain with opposite signs; its positions
+    get orbit -1 and sign 0."""
+    elements = []
+    for h in group_closure(generators, len(generators[0].images)):
+        phi = permutation_functor(c, len(h.images), h, power=sc.category)
+        elements.append(sc.block_permutation(k, signed_chain_permutation(
+            sc, phi, range(sc.max_level + 1))))
+    size = sc.block_dim(k)
+    reps, orbit_of, sign = [], [None] * size, [0] * size
+    for start in range(size):
+        if orbit_of[start] is not None:
+            continue
+        images = {}
+        for rows, signs in elements:
+            images.setdefault(rows[start], set()).add(signs[start])
+        alive = all(len(s) == 1 for s in images.values())
+        for y, s in images.items():
+            orbit_of[y] = len(reps) if alive else -1
+            sign[y] = s.pop() if alive else 0
+        if alive:
+            reps.append(start)
+    return reps, orbit_of, sign
 
 
 def lambda_complex(c: DgCategory, n: int, lam: Partition, max_level: int,

@@ -44,6 +44,7 @@ from oracles import (
     degree_block,
     entries,
     group_closure,
+    group_signed_orbits,
     kunneth_factor_check,
     lambda_invariant_dims,
     rotation_identity_dims,
@@ -465,9 +466,9 @@ def test_non_commuting_generator_is_rejected(D, monkeypatch):
         lambda_invariant_dims(D, lam, [0, -1], max_level=2)
 
 
-FIXTURE_FILES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "fixtures").glob(
-        "*.json") if p.name != "broken_nonassociative.json")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_FILES = sorted(p for p in FIXTURES.glob("*.json")
+                       if p.name != "broken_nonassociative.json")
 
 
 def fixture(name: str) -> DgCategory:
@@ -499,6 +500,70 @@ def test_the_rotation_oracle_sees_a_non_trivial_action(D, monkeypatch):
     monkeypatch.setattr(decomposition, "centralizer_gens", lambda _lam: fake)
     rotated, full = rotation_identity_dims(D, lam, [0, -1], max_level=3)
     assert rotated == {0: 3, -1: 2} and full == {0: 4, -1: 4}
+
+
+def chain_permutations(c, sc, n, gens) -> list:
+    """Each permutation of the n tensor factors as a signed chain
+    permutation on every level of sc, unchecked."""
+    return [signed_chain_permutation(
+        sc, permutation_functor(c, n, g, power=sc.category),
+        range(sc.max_level + 1)) for g in gens]
+
+
+def block_degrees(sc) -> range:
+    """Every total degree a chain of sc can have."""
+    windows = [sc.skeleton.window(m) for m in range(sc.max_level + 1)]
+    return range(min(lo for lo, _ in windows),
+                 max(hi for _, hi in windows) + 1)
+
+
+@pytest.mark.parametrize("stem", ["dual_numbers", "odd_negative_dual",
+                                  "quiver_a2", "cube_scaled"])
+@pytest.mark.parametrize("lam", partitions(2) + partitions(3), ids=str)
+def test_the_walk_finds_the_signed_orbits_of_the_whole_group(stem, lam):
+    # against every element of the centralizer applied to every chain;
+    # odd_negative_dual has signed generators and orbits that drop,
+    # quiver_a2 two objects
+    c = fixture(FIXTURES / f"{stem}.json")
+    sc = lambda_complex(c, lam, 3 if lam.n == 2 else 2)
+    pres = centralizer_gens(lam)
+    gens = pres.s_generators + pres.c_generators
+    oc = OrbitComplex(sc, chain_permutations(c, sc, lam.n, gens))
+    for k in block_degrees(sc):
+        reps, orbit_of, sign = oc.orbits(k)
+        want_reps, want_orbit_of, want_sign = group_signed_orbits(
+            c, sc, gens, k)
+        assert reps == want_reps, k
+        alive = [x for x, o in enumerate(want_orbit_of) if o >= 0]
+        assert [x for x, o in enumerate(orbit_of) if o < 0] == [
+            x for x, o in enumerate(want_orbit_of) if o < 0], k
+        assert [orbit_of[x] for x in alive] == [
+            want_orbit_of[x] for x in alive], k
+        assert [sign[x] for x in alive] == [want_sign[x] for x in alive], k
+
+
+@pytest.mark.parametrize("make,lam,cycle,signed,drops", [
+    # z⊗z goes to -z⊗z: a cycle of length 1 whose sign product is -1
+    (odd_negative_dual, Partition((1, 1)), (1, 2), True, True),
+    # signs -1 on chains in 3-cycles, but g³ = 1 and each fixed chain
+    # goes to itself with +1, so every cycle's product is +1
+    (odd_negative_dual, Partition((3,)), (1, 2, 3), True, False),
+    (dual_numbers, Partition((1, 2)), (2, 3), False, False),
+], ids=["Z-swap", "Z-3-cycle", "D-rotation"])
+def test_one_generator_cycles_match_the_breadth_first_walk(
+        make, lam, cycle, signed, drops):
+    # [g] walks g's cycles, [g, g] the breadth-first walk: one output
+    c = make()
+    sc = lambda_complex(c, lam, 3)
+    (perm,) = chain_permutations(
+        c, sc, lam.n, [Permutation.from_cycles(lam.n, [cycle])])
+    once, twice = OrbitComplex(sc, [perm]), OrbitComplex(sc, [perm, perm])
+    seen_signed = seen_drops = False
+    for k in block_degrees(sc):
+        assert once.orbits(k) == twice.orbits(k), k
+        seen_signed |= -1 in sc.block_permutation(k, perm)[1]
+        seen_drops |= -1 in once.orbits(k)[1]
+    assert (seen_signed, seen_drops) == (signed, drops)
 
 
 def test_one_orbit_complex_per_lambda_with_a_centralizer(D, monkeypatch):

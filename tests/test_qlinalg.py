@@ -129,12 +129,15 @@ def test_mul_stores_no_cancelled_sum(monkeypatch, a, b, product):
         type(v) for r in product.values() for v in r.values()]
 
 
-@pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None])
+# a bool is an int to isinstance, but True would be stored, and ranked, as 1
+@pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1", None, True, False])
 def test_float_and_other_entries_are_rejected(bad):
     with pytest.raises(StructuralError):
         SparseMatrix(1, 1, {(0, 0): bad})
     with pytest.raises(StructuralError):
         SparseMatrix.from_dense([[1, bad]])
+    with pytest.raises(StructuralError):
+        SparseMatrix.identity(1).scale(bad)
 
 
 def as_fractions(m: SparseMatrix) -> SparseMatrix:
