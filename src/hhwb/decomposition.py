@@ -231,8 +231,7 @@ class OrbitComplex:
 
 def _unsigned_orbits(size: int, gens: list) -> tuple:
     """OrbitComplex.orbits for generators (rows, signs) whose signs are all
-    1: no orbit drops, the orbits are the connected components, and s = 1.
-    One generator's orbits are its cycles."""
+    1: no orbit drops, the orbits are the connected components, and s = 1."""
     orbit_of = array("i", [-1]) * size
     reps = []
     gens = [rows for rows, _ in gens]
@@ -241,12 +240,6 @@ def _unsigned_orbits(size: int, gens: list) -> tuple:
             continue
         o = len(reps)
         reps.append(start)
-        if len(gens) == 1:  # the cycle through start
-            x, (rows,) = start, gens
-            while orbit_of[x] < 0:
-                orbit_of[x] = o
-                x = rows[x]
-            continue
         orbit_of[start] = o
         members = [start]
         for x in members:  # grows while it is walked
@@ -259,41 +252,29 @@ def _unsigned_orbits(size: int, gens: list) -> tuple:
 
 
 def _signed_orbits(size: int, gens: list) -> tuple:
-    """OrbitComplex.orbits for generators (rows, signs).  One generator's
-    orbits are its cycles, and a cycle drops when the product of the signs
-    around it is -1.  Several are walked breadth first: a position is
-    signed by the first path that reaches it, and an orbit that two paths
-    reach with opposite signs drops."""
+    """OrbitComplex.orbits for generators (rows, signs), walked breadth
+    first: a position is signed by the first path that reaches it, and an
+    orbit that two paths reach with opposite signs drops."""
     sign = array("b", bytes(size))
     orbit_of = array("i", [-1]) * size
     reps = []
-    for start, s in enumerate(sign):
-        if s:
+    for start in range(size):
+        if sign[start]:
             continue
         sign[start] = 1
-        if len(gens) == 1:  # the cycle through start and its sign product
-            ((rows, signs),) = gens
-            members, x, s = [start], rows[start], signs[start]
-            while x != start:
-                members.append(x)
-                sign[x] = s
-                s *= signs[x]
-                x = rows[x]
-            alive = s == 1
-        else:
-            members = [start]
-            alive = True
-            for x in members:  # grows while it is walked
-                sx = sign[x]
-                for rows, signs in gens:
-                    y = rows[x]
-                    want = signs[x] * sx
-                    sy = sign[y]
-                    if not sy:
-                        sign[y] = want
-                        members.append(y)
-                    elif sy != want:
-                        alive = False
+        members = [start]
+        alive = True
+        for x in members:  # grows while it is walked
+            sx = sign[x]
+            for rows, signs in gens:
+                y = rows[x]
+                want = signs[x] * sx
+                sy = sign[y]
+                if not sy:
+                    sign[y] = want
+                    members.append(y)
+                elif sy != want:
+                    alive = False
         if alive:
             for x in members:
                 orbit_of[x] = len(reps)

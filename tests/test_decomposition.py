@@ -1,3 +1,4 @@
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hhwb.decomposition import (
     CentralizerPresentation,
     OrbitComplex,
     Partition,
+    _signed_orbits,
     centralizer_gens,
     check_equivariant,
     partitions,
@@ -542,28 +544,42 @@ def test_the_walk_finds_the_signed_orbits_of_the_whole_group(stem, lam):
         assert [sign[x] for x in alive] == [want_sign[x] for x in alive], k
 
 
-@pytest.mark.parametrize("make,lam,cycle,signed,drops", [
-    # z⊗z goes to -z⊗z: a cycle of length 1 whose sign product is -1
-    (odd_negative_dual, Partition((1, 1)), (1, 2), True, True),
-    # signs -1 on chains in 3-cycles, but g³ = 1 and each fixed chain
-    # goes to itself with +1, so every cycle's product is +1
-    (odd_negative_dual, Partition((3,)), (1, 2, 3), True, False),
-    (dual_numbers, Partition((1, 2)), (2, 3), False, False),
-], ids=["Z-swap", "Z-3-cycle", "D-rotation"])
-def test_one_generator_cycles_match_the_breadth_first_walk(
-        make, lam, cycle, signed, drops):
-    # [g] walks g's cycles, [g, g] the breadth-first walk: one output
-    c = make()
+@pytest.mark.parametrize("stem", ["dual_numbers", "quiver_a2"])
+@pytest.mark.parametrize("lam", partitions(3), ids=str)
+def test_the_component_walk_matches_the_signed_walk(stem, lam):
+    # with no sign -1 on a block, the breadth-first walk with its sign
+    # bookkeeping finds the same orbits as the component walk
+    c = fixture(FIXTURES / f"{stem}.json")
     sc = lambda_complex(c, lam, 3)
-    (perm,) = chain_permutations(
-        c, sc, lam.n, [Permutation.from_cycles(lam.n, [cycle])])
-    once, twice = OrbitComplex(sc, [perm]), OrbitComplex(sc, [perm, perm])
-    seen_signed = seen_drops = False
+    pres = centralizer_gens(lam)
+    oc = OrbitComplex(sc, chain_permutations(
+        c, sc, lam.n, pres.s_generators + pres.c_generators))
     for k in block_degrees(sc):
-        assert once.orbits(k) == twice.orbits(k), k
-        seen_signed |= -1 in sc.block_permutation(k, perm)[1]
-        seen_drops |= -1 in once.orbits(k)[1]
-    assert (seen_signed, seen_drops) == (signed, drops)
+        gens = [sc.block_permutation(k, perm) for perm in oc.perms]
+        assert not any(-1 in signs for _, signs in gens), k
+        assert oc.orbits(k) == _signed_orbits(sc.block_dim(k), gens), k
+
+
+class OneLevel:
+    """A complex whose block 0 is one whole level of three chains, handed
+    to the walk as each generator's (rows, signs) on it."""
+    max_level, certified = 0, {}
+
+    def block_dim(self, k):
+        return 3
+
+    def block_permutation(self, k, perm):
+        return perm
+
+
+@pytest.mark.parametrize("flat", [array, lambda typecode, xs: list(xs)],
+                         ids=["level-arrays", "lists"])
+def test_a_sign_on_a_block_selects_the_signed_walk(flat):
+    # a block that is one whole level gives the level's own flat arrays,
+    # any other block lists; chain 2 goes to -chain 2, so its orbit drops
+    perm = (flat("i", [1, 0, 2]), flat("b", [1, 1, -1]))
+    reps, orbit_of, _ = OrbitComplex(OneLevel(), [perm]).orbits(0)
+    assert (reps, list(orbit_of)) == ([0], [0, 0, -1])
 
 
 def test_one_orbit_complex_per_lambda_with_a_centralizer(D, monkeypatch):
